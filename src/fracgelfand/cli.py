@@ -140,8 +140,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
-def _power_map_error(p: ProblemParams, alpha: float, n_panels: int) -> float:
-    grid = RadialGrid.graded(n_panels)
+def _power_map_error(p: ProblemParams, alpha: float, grid: RadialGrid) -> float:
     op = assemble(p, grid)
     u = RadialFunction.from_callable(
         grid, lambda r: r ** (-alpha), TailSpec.power(alpha), singular_at_origin=True
@@ -186,6 +185,7 @@ def cmd_verify_powers(args: argparse.Namespace) -> int:
             raise DomainError(
                 f"alpha must lie in (0, n-2s) = (0, {p.n - 2.0 * p.s:g}), got {alpha:g}"
             )
+    grid = RadialGrid.graded(args.grid)
     config = {"subcommand": "verify-powers", "n": p.n, "s": p.s,
               "alphas": list(alphas), "grid": args.grid, "tol": _POWER_TOL}
     _write_metadata(out, config)
@@ -193,7 +193,7 @@ def cmd_verify_powers(args: argparse.Namespace) -> int:
     lines = [_config_line(config), "alpha,max_rel_error,tol,passed"]
     failed = []
     for alpha in alphas:
-        err = _power_map_error(p, alpha, args.grid)
+        err = _power_map_error(p, alpha, grid)
         ok = err <= _POWER_TOL
         if not ok:
             failed.append((alpha, err))
@@ -340,11 +340,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     out = _outdir(args)
 
     if args.singular_residual:
+        grid = RadialGrid.graded(args.grid, grading=args.grading)
         config = {"subcommand": "diagnose", "n": args.n, "s": args.s,
                   "grid": args.grid, "grading": args.grading,
                   "mode": "singular_residual"}
         _write_metadata(out, config)
-        res = singular_solution_residual(p, RadialGrid.graded(args.grid, grading=args.grading))
+        res = singular_solution_residual(p, grid)
         print(f"singular solution relative residual on [0.1, 0.9]: {res:.6g}")
         (out / "diagnose.json").write_text(json.dumps(
             {"config": config, "relative_residual": res}, indent=2))
@@ -356,8 +357,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         "peak_min": args.peak_min, "peak_max": args.peak_max,
         "peak_step": args.peak_step, "newton_tol": args.newton_tol,
     }
-    _write_metadata(out, config)
     cfg = _branch_config(args)
+    _write_metadata(out, config)
     branch = trace_branch(cfg)
     report = singular_profile_diagnostic(branch, args.sigma)
     print(f"{len(branch.points)} points to peak {branch.peaks[-1]:.4g}; "

@@ -21,14 +21,20 @@ Discretization (per collocation row r_i):
   (the odd/even split makes the principal value exact), the leftover one-sided
   sliver with Gauss-Legendre;
 * all other panels inside the ball use per-panel Gauss-Legendre against a
-  piecewise-quadratic 3-node Lagrange interpolant of u (a parallel linear-hat
-  coupling table is accumulated in the same sweep and feeds the symmetric
-  stability form);
-* the exterior integral uses a per-row grid on (1, 2] geometrically refined
-  toward 1 at the row's distance to the boundary, plus rho = 2/t with dyadic
-  panels in t for (2, inf).  The stored (rho_q, weight*kernel) table evaluates
-  both the tail mass and any exterior datum with the same sums, so constants
-  are annihilated exactly.
+  piecewise-quadratic 3-node Lagrange interpolant of u;
+* the exterior integral uses a grid on (1, 2] geometrically refined toward 1
+  at the row's distance to the boundary, plus rho = 2/t with dyadic panels in
+  t for (2, inf).  One builder makes this quadrature for a whole array of
+  radii: the collocation rows here and the exterior density of the energy
+  form.  The stored (rho_q, weight*kernel) table evaluates both the tail mass
+  and any exterior datum with the same sums, so constants are annihilated
+  exactly.
+
+All of it runs over blocks of rows, not row by row, through one kernel.  Its
+hypergeometric factor comes from a per-(n, s) table built on first use:
+piecewise Chebyshev on octaves of 1 - z, refined geometrically toward the
+(1-z)^{1+2s} endpoint term, or scipy's hyp2f1 directly where the factor is a
+polynomial (n/2 - s - 1 a nonpositive integer).
 
 The origin node is eliminated by the even-quadratic extrapolation
 u_0 = e1*u_1 + e2*u_2 consistent with u'(0) = 0; the boundary node carries the
@@ -40,6 +46,7 @@ property at roundoff level even where the tail mass is ~ dist^{-2s} large.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -67,6 +74,14 @@ __all__ = [
 _TAIL_SEG_A_ORDER = 12     # Gauss order per panel on (1, 2]
 _TAIL_SEG_B_ORDER = 8      # Gauss order per dyadic panel beyond 2
 _SLIVER_ORDER = 8
+_PHI_DEGREE = 16           # Chebyshev degree per piece of the Phi table
+_PHI_PIECES = 54           # octaves [2^-(k+1), 2^-k] of 1 - z, k < 53, then z = 1
+# Kernel entries evaluated at once.  Bounds every block temporary and keeps
+# the hypergeometric table's working set in cache.
+_BLOCK_ENTRIES = 1 << 14
+# Largest dense interior matrix (N-1)^2 float64 values a grid may imply; the
+# solvers hold several such matrices at once.
+_DENSE_BUDGET_BYTES = 1 << 29
 
 
 def sphere_area(n: int) -> float:
@@ -104,6 +119,7 @@ class RadialGrid:
             raise DomainError(f"grading exponent must be >= 1, got {self.grading}")
         if not (isinstance(self.panel_order, int) and self.panel_order >= 1):
             raise DomainError(f"panel order must be a positive integer, got {self.panel_order}")
+        _check_dense_budget(self.n_panels)
 
     @property
     def n_panels(self) -> int:
@@ -122,6 +138,7 @@ class RadialGrid:
         """
         if n_panels < 16:
             raise DomainError(f"need at least 16 panels, got {n_panels}")
+        _check_dense_budget(n_panels)
         t = np.linspace(0.0, 1.0, n_panels + 1)
         p = float(grading)
         tp = t**p
@@ -151,6 +168,17 @@ class RadialGrid:
     @classmethod
     def from_json(cls, text: str) -> "RadialGrid":
         return cls.from_dict(json.loads(text))
+
+
+def _check_dense_budget(n_panels: int) -> None:
+    """Refuse grids whose dense interior matrices would exceed the budget."""
+    need = 8 * (n_panels - 1) ** 2
+    if need > _DENSE_BUDGET_BYTES:
+        raise DomainError(
+            f"{n_panels} panels need {need / 1e9:.3g} GB per dense interior matrix, "
+            f"above the budget of {_DENSE_BUDGET_BYTES / 1e9:.3g} GB "
+            f"(at most {math.isqrt(_DENSE_BUDGET_BYTES // 8) + 1} panels)"
+        )
 
 
 def origin_fold_weights(grid: RadialGrid) -> tuple[float, float]:
@@ -301,41 +329,132 @@ class RadialFunction:
 # angular kernel
 
 
-def _hyp_factor(p: ProblemParams, z: np.ndarray) -> np.ndarray:
-    """2F1(-s, n/2 - s - 1; n/2; z), bounded on z in [0, 1]."""
-    return hyp2f1(-p.s, 0.5 * p.n - p.s - 1.0, 0.5 * p.n, z)
+class _PhiTable:
+    """Phi(z) = 2F1(a, b; c; z) on [0, 1] as a piecewise-Chebyshev table.
 
+    The pieces are octaves of w = 1 - z: [1/2, 1] (z <= 1/2), then
+    [2^-(k+1), 2^-k] for k = 1..52.  On this geometric mesh one degree
+    resolves the (1-z)^{c-a-b} endpoint term everywhere (Trefethen,
+    *Approximation Theory and Approximation Practice*, 2013).  The last piece
+    holds the constant Phi(1) for w < 2^-53, which for a double z means z = 1.
 
-def _kernel_full(p: ProblemParams, r: float, rho: np.ndarray, area: float) -> np.ndarray:
-    """K(r, rho) = rho^{n-1} k(r, rho) including the singular |r-rho| factor.
-
-    Factored as (rho/M)^{n-1} * (M / ((r+rho)|r-rho|))^{1+2s} * Phi so the
-    power terms stay O(1) even for dimension-sized exponents at large radii.
+    Node values come from the Gauss series on the first pieces (z <= 1/2
+    unless c > 16) and, toward z = 1, from Taylor re-expansion of the
+    hypergeometric equation at each piece's centre.  No connection formula is
+    involved, so nothing cancels when c - a - b is close to an integer.
     """
-    rho = np.asarray(rho, dtype=float)
+
+    def __init__(self, a: float, b: float, c: float):
+        cheb = np.polynomial.chebyshev
+        poly = np.polynomial.polynomial
+        hi = np.ldexp(1.0, -np.arange(_PHI_PIECES - 1))
+        x = cheb.chebpts1(_PHI_DEGREE + 1)
+        w = 0.75 * hi[:, None] + 0.25 * hi[:, None] * x   # nodes per piece, in w
+        # A forward Taylor recurrence amplifies roundoff through the equation's
+        # z^{1-c} solution, the more the larger c w0, so re-expansion starts
+        # only at w0 <= 8/c.  Above that the Gauss series is summed: 2^(k0+5)
+        # terms reach 2^-64, and where z goes past 1/2 (c > 16, so b > 0) all
+        # terms after the first share one sign, so nothing cancels.
+        k0 = max(1, math.ceil(math.log2(c / 8.0)))
+
+        def gauss(z):
+            # Gauss series and its z-derivative.
+            term, value, deriv = np.ones_like(z), np.ones_like(z), np.zeros_like(z)
+            for j in range(1 << (k0 + 5)):
+                term = term * ((a + j) * (b + j) / ((c + j) * (j + 1))) * z
+                value += term
+                deriv += (j + 1) * term / z
+            return value, deriv
+
+        values = np.empty_like(w)
+        values[:k0] = gauss(1.0 - w[:k0])[0]
+        y, dy = gauss(np.array([1.0 - hi[k0]]))
+        w0, taylor = hi[k0], self._taylor(a, b, c, hi[k0], y[0], -dy[0])
+        for k in range(k0, _PHI_PIECES - 1):
+            # Step to the piece's centre (|step| = radius / 4 or / 2), expand there.
+            tau = (0.75 * hi[k] - w0) / w0
+            y = poly.polyval(tau, taylor)
+            dy = poly.polyval(tau, poly.polyder(taylor)) / w0
+            w0 = 0.75 * hi[k]
+            taylor = self._taylor(a, b, c, w0, y, dy)
+            values[k] = poly.polyval((w[k] - w0) / w0, taylor)
+        # Evaluated by Horner in the monomial basis: the nearest singularity
+        # is at x = -3 on every piece, so the coefficients decay and the
+        # conversion loses nothing measurable (<= 1 ulp against Clenshaw).
+        t_mono = np.zeros((_PHI_DEGREE + 1, _PHI_DEGREE + 1))   # row j: T_j in x^k
+        t_mono[0, 0] = t_mono[1, 1] = 1.0
+        for j in range(1, _PHI_DEGREE):
+            t_mono[j + 1, 1:] = 2.0 * t_mono[j, :-1]
+            t_mono[j + 1] -= t_mono[j - 1]
+        mono = np.zeros((_PHI_PIECES, _PHI_DEGREE + 1))
+        mono[:-1] = cheb.chebfit(x, values.T, _PHI_DEGREE).T @ t_mono
+        # Phi(1): the last expansion at w = 0, where its singular part
+        # (w0 + t)^{1+2s} sums to below w0^{1+2s} ~ 2^-52.
+        mono[-1, 0] = poly.polyval(-1.0, taylor)
+        self._coef = np.ascontiguousarray(mono.T)   # row j: x^j coefficient per piece
+
+    @staticmethod
+    def _taylor(a: float, b: float, c: float, w0: float, y0: float, dy0: float) -> np.ndarray:
+        """Scaled Taylor coefficients y_j w0^j of the solution about w = w0.
+
+        In w the hypergeometric equation reads
+        w(1-w) y'' + [(a+b+1-c) - (a+b+1) w] y' - ab y = 0.  For w0 <= 1/2
+        its nearest singular point is w = 0, so the series converges for
+        |w - w0| < w0 and the scaled coefficients stay bounded.
+        """
+        q0 = (a + b + 1.0 - c) - (a + b + 1.0) * w0
+        p1 = 1.0 - 2.0 * w0
+        y = np.empty(64)
+        y[0], y[1] = y0, dy0 * w0
+        for j in range(62):
+            y[j + 2] = ((j + a) * (j + b) * w0 * y[j] - (p1 * j + q0) * (j + 1) * y[j + 1]) / (
+                (1.0 - w0) * (j + 1) * (j + 2))
+        return y
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        w = 1.0 - np.asarray(z, dtype=float)
+        # w in [2^-(k+1), 2^-k) has binary exponent -k; w < 2^-53 is z = 1.
+        k = np.maximum(-np.frexp(np.maximum(w, 2.0**-54))[1], 0).astype(np.intp)
+        x = np.ldexp(w, k + 2) - 3.0   # piece k mapped onto [-1, 1]
+        out = self._coef[-1].take(k)
+        for cj in self._coef[-2::-1]:
+            out *= x
+            out += cj.take(k)
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def _phi(n: int, s: float):
+    """Evaluator of Phi(z) = 2F1(-s, n/2-s-1; n/2; z), built once per (n, s).
+
+    Where Phi is a polynomial (n/2-s-1 a nonpositive integer) scipy's hyp2f1
+    is exact and faster than the table, so it is used directly.
+    """
+    a, b, c = -s, 0.5 * n - s - 1.0, 0.5 * n
+    if b <= 0.0 and b == math.floor(b):
+        return functools.partial(hyp2f1, a, b, c)
+    return _PhiTable(a, b, c)
+
+
+def _kernel(p: ProblemParams, r: np.ndarray | float, rho: np.ndarray,
+            dist: np.ndarray | float | None = None) -> np.ndarray:
+    """K(r, rho) = rho^{n-1} k(r, rho), broadcast over r and rho.
+
+    ``dist`` replaces |r - rho| in the singular factor: pass it where it is
+    known more accurately than the difference of the rounded radii, or pass 1
+    for the smooth part G = K |r - rho|^{1+2s}.  Factored as
+    (rho/M)^{n-1} * (M / ((r+rho) dist))^{1+2s} * Phi so the power terms stay
+    O(1) even for dimension-sized exponents at large radii.
+    """
     big = np.maximum(r, rho)
     small = np.minimum(r, rho)
     z = (small / big) ** 2
-    expo = 1.0 + 2.0 * p.s
+    gap = (r + rho) * (np.abs(r - rho) if dist is None else dist)
     return (
-        area
+        sphere_area(p.n)
         * (rho / big) ** (p.n - 1)
-        * (big / ((r + rho) * np.abs(r - rho))) ** expo
-        * _hyp_factor(p, z)
-    )
-
-
-def _kernel_regular(p: ProblemParams, r: float, rho: np.ndarray, area: float) -> np.ndarray:
-    """G(rho) = K(r, rho) * |r - rho|^{1+2s}, smooth off the diagonal kink."""
-    rho = np.asarray(rho, dtype=float)
-    big = np.maximum(r, rho)
-    small = np.minimum(r, rho)
-    z = (small / big) ** 2
-    return (
-        area
-        * (rho / big) ** (p.n - 1)
-        * (big / (r + rho)) ** (1.0 + 2.0 * p.s)
-        * _hyp_factor(p, z)
+        * (big / gap) ** (1.0 + 2.0 * p.s)
+        * _phi(p.n, p.s)(z)
     )
 
 
@@ -351,17 +470,8 @@ def angular_kernel(p: ProblemParams, r: float, rho: float) -> float:
         raise DomainError(f"need r >= 0 and rho > 0, got r={r}, rho={rho}")
     if r == rho:
         raise DomainError("coincident radii: kernel is singular on the diagonal")
-    area = sphere_area(p.n)
     big, small = max(r, rho), min(r, rho)
-    z = (small / big) ** 2
-    expo = 1.0 + 2.0 * p.s
-    k = (
-        area
-        * big ** (2.0 + 2.0 * p.s - p.n)
-        * ((r + rho) * abs(r - rho)) ** -expo
-        * float(_hyp_factor(p, np.array([z]))[0])
-    )
-    return float(k)
+    return float(_kernel(p, small, np.array([big]))[0]) * big ** (1 - p.n)
 
 
 # ----------------------------------------------------------------------
@@ -373,12 +483,13 @@ class OperatorMatrix:
     """Assembled collocation operator on a grid's interior nodes.
 
     ``matrix`` is the dense interior action A (the operator applied to
-    functions vanishing at the boundary node and outside);  the full action on
-    a RadialFunction with exterior datum g is A u - response(g).  ``apply``
-    evaluates the same numbers in difference form for exact constant
-    annihilation.  ``couple_*`` tables are the nonnegative-kernel couplings
-    (quadratic interpolant for the operator, linear hats for the symmetric
-    stability form), ``tail_rho``/``tail_wk`` the per-row exterior quadrature,
+    functions vanishing at the boundary node and outside), built on first
+    access and cached;  the full action on a RadialFunction with exterior
+    datum g is A u - response(g).  ``apply`` evaluates the same numbers in
+    difference form for exact constant annihilation.  ``couple_quad`` holds
+    the nonnegative-kernel couplings between interior nodes (quadratic
+    interpolant, origin fold applied), ``couple_quad_bnd`` those to the
+    boundary node, ``tail_rho``/``tail_wk`` the per-row exterior quadrature,
     ``weights`` the radial hat masses |S^{n-1}| int phi_i r^{n-1} dr.
     """
 
@@ -391,6 +502,7 @@ class OperatorMatrix:
     tail_wk: np.ndarray           # (Ni, nt) weight * kernel products (0 padding)
     tail_mass: np.ndarray         # (Ni,) row sums of tail_wk
     weights: np.ndarray           # (Ni,) radial hat masses
+    _matrix: np.ndarray | None = None
     _stability_form: np.ndarray | None = None
     _responses: dict = field(default_factory=dict)
 
@@ -400,9 +512,12 @@ class OperatorMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense interior matrix A with A@1 = constant-tail response."""
-        total = self.couple_quad.sum(axis=1) + self.couple_quad_bnd + self.tail_mass
-        return self.normalization * (np.diag(total) - self.couple_quad)
+        """Dense interior matrix A with A@1 = constant-tail response (read-only)."""
+        if self._matrix is None:
+            total = self.couple_quad.sum(axis=1) + self.couple_quad_bnd + self.tail_mass
+            self._matrix = self.normalization * (np.diag(total) - self.couple_quad)
+            self._matrix.flags.writeable = False
+        return self._matrix
 
     def tail_response(self, tail: TailSpec) -> np.ndarray:
         """Response vector: c * (sum_q W_iq g(rho_q) + C_iB g(1)); cached per tail."""
@@ -426,12 +541,16 @@ class OperatorMatrix:
         cancellation of ~dist^{-2s} terms a matvec would incur.
         """
         u_int = np.asarray(u_int, dtype=float)
+        # Products are formed in place: this runs in every Newton residual.
         diff = u_int[:, None] - u_int[None, :]
-        out = (self.couple_quad * diff).sum(axis=1)
+        diff *= self.couple_quad
+        out = diff.sum(axis=1)
         g1 = tail.boundary_value(self.params.s)
         out += self.couple_quad_bnd * (u_int - g1)
-        g_vals = tail.values(self.tail_rho, self.params.s)
-        out += (self.tail_wk * (u_int[:, None] - g_vals)).sum(axis=1)
+        rel = tail.values(self.tail_rho, self.params.s)
+        np.subtract(u_int[:, None], rel, out=rel)
+        rel *= self.tail_wk
+        out += rel.sum(axis=1)
         return self.normalization * out
 
     def apply(self, u: RadialFunction) -> RadialFunction:
@@ -491,41 +610,77 @@ def _hat_masses(grid: RadialGrid, n: int, area: float) -> np.ndarray:
     return area * (seg_rising(idx - 1, idx) + seg_falling(idx, idx + 1))
 
 
-def _tail_quadrature(p: ProblemParams, r_i: float, area: float,
-                     gl_a: tuple[np.ndarray, np.ndarray],
-                     gl_b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row exterior quadrature: (radii, weight*kernel) arrays."""
-    xs_a, ws_a = gl_a
-    xs_b, ws_b = gl_b
-    d = 1.0 - r_i
-    # (1, 2]: geometric refinement toward 1 at the scale of the row's
-    # boundary distance (the kernel varies on that scale).
-    breaks = [1.0]
-    k = 1
-    while breaks[-1] < 2.0:
-        breaks.append(min(2.0, 1.0 + d * (2.0**k - 1.0)))
-        k += 1
-    rho_chunks = []
-    wk_chunks = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        rho = mid + half * xs_a
-        rho_chunks.append(rho)
-        wk_chunks.append(half * ws_a * _kernel_full(p, r_i, rho, area))
-    # (2, inf): rho = 2/t with dyadic panels in t; the integrand decays like
-    # t^{2s-1}, so the panel depth is adapted to s for ~1e-15 truncation.
-    depth = min(400, int(25.0 / p.s) + 8)
-    t_hi = 1.0
-    for _ in range(depth):
-        t_lo = 0.5 * t_hi
-        mid, half = 0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo)
-        t = mid + half * xs_b
-        rho = 2.0 / t
-        jac = 2.0 / t**2
-        rho_chunks.append(rho)
-        wk_chunks.append(half * ws_b * jac * _kernel_full(p, r_i, rho, area))
-        t_hi = t_lo
-    return np.concatenate(rho_chunks), np.concatenate(wk_chunks)
+def _row_blocks(n_rows: int, row_entries: int):
+    """Slices of consecutive rows holding at most _BLOCK_ENTRIES entries.
+
+    A row wider than the budget makes a block by itself.
+    """
+    step = max(1, _BLOCK_ENTRIES // row_entries)
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(n_rows, lo + step))
+
+
+class _ExteriorQuadrature:
+    """Exterior quadrature (rho, weight * K(r, rho)) for rows at radii r < 1.
+
+    (1, 2] is split at 1 + d (2^k - 1), capped at 2, with d = 1 - r: panels
+    geometrically refined toward 1 at the scale of the row's boundary
+    distance, on which the kernel varies.  Nodes are placed by their offset
+    u from 1, and the kernel's singular factor uses rho - r = d + u, which
+    keeps full relative precision however small d is.  Every row gets the
+    panel count of the row closest to the boundary; a row's surplus panels
+    have zero width at rho = 2 and so zero weights.  (2, inf) uses rho = 2/t
+    with dyadic panels in t, the same for every row; the integrand decays
+    like t^{2s-1}, so the panel depth is adapted to s for ~1e-15 truncation.
+    """
+
+    def __init__(self, p: ProblemParams, radii: np.ndarray):
+        self.params = p
+        self.radii = np.asarray(radii, dtype=float)
+        d_min = 1.0 - float(self.radii.max())
+        n_near = 1
+        while d_min * (2.0**n_near - 1.0) < 1.0:
+            n_near += 1
+        self._steps = 2.0 ** np.arange(n_near + 1) - 1.0
+        self._gl_near = leggauss(_TAIL_SEG_A_ORDER)
+        self._n_near = n_near * _TAIL_SEG_A_ORDER
+
+        xs, ws = leggauss(_TAIL_SEG_B_ORDER)
+        depth = min(400, int(25.0 / p.s) + 8)
+        t_hi = 0.5 ** np.arange(depth)
+        t_mid, t_half = 0.75 * t_hi, 0.25 * t_hi
+        t = (t_mid[:, None] + t_half[:, None] * xs).ravel()
+        self._rho_far = 2.0 / t
+        self._w_far = (t_half[:, None] * ws).ravel() * (2.0 / t**2)
+        self.width = self._n_near + t.size
+
+    def blocks(self):
+        """Yield (rows, rho, wk) over row slices of at most _BLOCK_ENTRIES entries."""
+        xs, ws = self._gl_near
+        near = slice(0, self._n_near)
+        far = slice(self._n_near, self.width)
+        for rows in _row_blocks(self.radii.size, self.width):
+            r = self.radii[rows, None]
+            d = 1.0 - r
+            m = r.shape[0]
+            breaks = np.minimum(1.0, d * self._steps)      # offsets from rho = 1
+            mid = 0.5 * (breaks[:, :-1] + breaks[:, 1:])
+            half = 0.5 * (breaks[:, 1:] - breaks[:, :-1])
+            u = (mid[:, :, None] + half[:, :, None] * xs).reshape(m, -1)
+            rho = np.empty((m, self.width))
+            wk = np.empty((m, self.width))
+            rho[:, near] = 1.0 + u
+            rho[:, far] = self._rho_far
+            wk[:, near] = (half[:, :, None] * ws).reshape(m, -1) * _kernel(
+                self.params, r, rho[:, near], dist=d + u)
+            wk[:, far] = self._w_far * _kernel(self.params, r, self._rho_far)
+            yield rows, rho, wk
+
+
+def _exterior_mass(p: ProblemParams, radii: np.ndarray) -> np.ndarray:
+    """int_{rho > 1} K(r, rho) drho at each radius r < 1 (the zero-tail row mass)."""
+    ext = _ExteriorQuadrature(p, radii)
+    return np.concatenate([wk.sum(axis=1) for _, _, wk in ext.blocks()])
 
 
 def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
@@ -537,7 +692,6 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     if not 0.0 < p.s < 1.0:
         raise DomainError(f"discretized operator requires 0 < s < 1, got s={p.s}")
     n, s = p.n, p.s
-    area = sphere_area(n)
     c = operator_normalization(p)
     r = grid.nodes
     npan = grid.n_panels
@@ -549,8 +703,6 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     q_near = max(8, 2 * grid.panel_order)
     xj, wj = roots_jacobi(q_near, 0.0, 1.0 - 2.0 * s)
     xs_sl, ws_sl = leggauss(_SLIVER_ORDER)
-    gl_a = leggauss(_TAIL_SEG_A_ORDER)
-    gl_b = leggauss(_TAIL_SEG_B_ORDER)
 
     # Grid-wide far-panel quadrature: nodes, weights and interpolation tables
     # are row-independent; only the kernel values change per row.
@@ -561,81 +713,75 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     stencil = np.stack([np.arange(npan) - 1, np.arange(npan), np.arange(npan) + 1], axis=1)
     stencil[0] = [0, 1, 2]
     x0, x1, x2 = r[stencil[:, 0], None], r[stencil[:, 1], None], r[stencil[:, 2], None]
-    lag = np.empty((npan, q_far, 3))
-    lag[:, :, 0] = (rho_far - x1) * (rho_far - x2) / ((x0 - x1) * (x0 - x2))
-    lag[:, :, 1] = (rho_far - x0) * (rho_far - x2) / ((x1 - x0) * (x1 - x2))
-    lag[:, :, 2] = (rho_far - x0) * (rho_far - x1) / ((x2 - x0) * (x2 - x1))
+    # Quadrature weight times Lagrange basis, one table per stencil node.
+    lag = np.empty((3, npan, q_far))
+    lag[0] = w_far * ((rho_far - x1) * (rho_far - x2) / ((x0 - x1) * (x0 - x2)))
+    lag[1] = w_far * ((rho_far - x0) * (rho_far - x2) / ((x1 - x0) * (x1 - x2)))
+    lag[2] = w_far * ((rho_far - x0) * (rho_far - x1) / ((x2 - x0) * (x2 - x1)))
 
     cq = np.zeros((ni, npan + 1))
 
-    # Far field, processed in row blocks to bound the kernel-matrix memory.
-    block = max(1, min(ni, int(4.0e6 // (npan * q_far)) or 1))
-    for lo in range(0, ni, block):
-        hi_b = min(ni, lo + block)
-        rows = np.arange(lo + 1, hi_b + 1)
-        kmat = np.empty((rows.size, npan, q_far))
-        for b, i in enumerate(rows):
-            kmat[b] = _kernel_full(p, r[i], rho_far, area)
-            kmat[b, i - 1] = 0.0   # panels adjacent to r_i belong to the near field
-            kmat[b, i] = 0.0
-        wk = kmat * w_far[None, :, :]
-        contrib_q = np.einsum("bpq,pqs->bps", wk, lag)
-        flat_q = cq[lo:hi_b].reshape(-1)
-        base = (np.arange(rows.size) * (npan + 1))[:, None, None]
+    # Far field over row blocks; the panels adjacent to r_i belong to the
+    # near field.
+    for blk in _row_blocks(ni, npan * q_far):
+        rows = np.arange(blk.start + 1, blk.stop + 1)
+        b = np.arange(rows.size)
+        kmat = _kernel(p, r[rows, None, None], rho_far)
+        kmat[b, rows - 1] = 0.0
+        kmat[b, rows] = 0.0
+        contrib_q = np.stack([np.einsum("bpq,pq->bp", kmat, lag_j) for lag_j in lag], axis=2)
+        flat_q = cq[blk].reshape(-1)
+        base = (b * (npan + 1))[:, None, None]
         np.add.at(flat_q, (base + stencil[None, :, :]).ravel(), contrib_q.ravel())
-        cq[lo:hi_b] = flat_q.reshape(hi_b - lo, npan + 1)
+        cq[blk] = flat_q.reshape(rows.size, npan + 1)
 
-    # Near field and exterior, row by row.
-    tail_rows = []
-    for i in range(1, npan):
-        ri = r[i]
-        h_l = ri - r[i - 1]
-        h_r = r[i + 1] - ri
-        hm = min(h_l, h_r)
-        wa_r = h_l / (h_r * (h_l + h_r))
-        wa_l = h_r / (h_l * (h_l + h_r))
-        wb_r = 1.0 / (h_r * (h_l + h_r))
-        wb_l = -1.0 / (h_l * (h_l + h_r))
+    # Near field, all rows at once (2 q_near + 8 kernel values per row): the
+    # two panels touching r_i against the parabola through r_{i-1}, r_i, r_{i+1}.
+    i = np.arange(1, npan)
+    ri = r[i, None]
+    h_l = r[i] - r[i - 1]
+    h_r = r[i + 1] - r[i]
+    hm = np.minimum(h_l, h_r)
+    wa_r = h_l / (h_r * (h_l + h_r))
+    wa_l = h_r / (h_l * (h_l + h_r))
+    wb_r = 1.0 / (h_r * (h_l + h_r))
+    wb_l = -1.0 / (h_l * (h_l + h_r))
 
-        delta = 0.5 * hm * (1.0 + xj)
-        gp = _kernel_regular(p, ri, ri + delta, area)
-        gm = _kernel_regular(p, ri, ri - delta, area)
-        scale = (0.5 * hm) ** (2.0 - 2.0 * s)
-        j1 = scale * float(np.dot(wj, (gp - gm) / delta))
-        j2 = scale * float(np.dot(wj, gp + gm))
-        c_right = j1 * wa_r + j2 * wb_r
-        c_left = -(j1 * wa_l + j2 * wb_l)
+    delta = 0.5 * hm[:, None] * (1.0 + xj)
+    gp = _kernel(p, ri, ri + delta, dist=1.0)
+    gm = _kernel(p, ri, ri - delta, dist=1.0)
+    scale = (0.5 * hm) ** (2.0 - 2.0 * s)
+    j1 = scale * (((gp - gm) / delta) @ wj)
+    j2 = scale * ((gp + gm) @ wj)
+    c_right = j1 * wa_r + j2 * wb_r
+    c_left = -(j1 * wa_l + j2 * wb_l)
 
-        # One-sided leftover of the wider adjacent panel, integrated against
-        # the same parabola (regular there: distance >= hm from r_i).
-        if h_r > hm or h_l > hm:
-            if h_r > hm:
-                a_edge, b_edge = ri + hm, r[i + 1]
-            else:
-                a_edge, b_edge = r[i - 1], ri - hm
-            midp, halfp = 0.5 * (a_edge + b_edge), 0.5 * (b_edge - a_edge)
-            rho_sl = midp + halfp * xs_sl
-            delta_sl = rho_sl - ri
-            k_sl = halfp * ws_sl * _kernel_full(p, ri, rho_sl, area)
-            c_right += float(np.dot(k_sl, delta_sl * (wa_r + wb_r * delta_sl)))
-            c_left += -float(np.dot(k_sl, delta_sl * (wa_l + wb_l * delta_sl)))
-
-        cq[i - 1, i + 1] += c_right
-        cq[i - 1, i - 1] += c_left
-
-        tail_rows.append(_tail_quadrature(p, ri, area, gl_a, gl_b))
+    # One-sided leftover of the wider adjacent panel, integrated against the
+    # same parabola (regular there: distance >= hm from r_i).  Rows whose
+    # panels have equal widths get zero weights.
+    right = h_r > hm
+    a_edge = np.where(right, r[i] + hm, r[i - 1])
+    b_edge = np.where(right, r[i + 1], r[i] - hm)
+    halfp = np.where(right | (h_l > hm), 0.5 * (b_edge - a_edge), 0.0)[:, None]
+    rho_sl = 0.5 * (a_edge + b_edge)[:, None] + halfp * xs_sl
+    delta_sl = rho_sl - ri
+    k_sl = halfp * ws_sl * _kernel(p, ri, rho_sl)
+    c_right += (k_sl * (delta_sl * (wa_r[:, None] + wb_r[:, None] * delta_sl))).sum(axis=1)
+    c_left -= (k_sl * (delta_sl * (wa_l[:, None] + wb_l[:, None] * delta_sl))).sum(axis=1)
+    cq[i - 1, i + 1] += c_right
+    cq[i - 1, i - 1] += c_left
 
     # Fold the origin column onto nodes 1 and 2:  C(u_i - u_0) =
     # C e1 (u_i - u_1) + C e2 (u_i - u_2)  since e1 + e2 = 1.
     cq[:, 1] += e1 * cq[:, 0]
     cq[:, 2] += e2 * cq[:, 0]
 
-    nt = max(row[0].size for row in tail_rows)
-    tail_rho = np.full((ni, nt), 2.0)
-    tail_wk = np.zeros((ni, nt))
-    for b, (rho_row, wk_row) in enumerate(tail_rows):
-        tail_rho[b, : rho_row.size] = rho_row
-        tail_wk[b, : wk_row.size] = wk_row
+    ext = _ExteriorQuadrature(p, r[1:npan])
+    tail_rho = np.empty((ni, ext.width))
+    tail_wk = np.empty((ni, ext.width))
+    for rows, rho, wk in ext.blocks():
+        tail_rho[rows] = rho
+        tail_wk[rows] = wk
 
     return OperatorMatrix(
         params=p,
@@ -646,7 +792,7 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
         tail_rho=tail_rho,
         tail_wk=tail_wk,
         tail_mass=tail_wk.sum(axis=1),
-        weights=_hat_masses(grid, n, area),
+        weights=_hat_masses(grid, n, sphere_area(n)),
     )
 
 
@@ -675,10 +821,10 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     smat = np.zeros((npan + 1, npan + 1))
 
     def kap_full(rv: np.ndarray, pv: np.ndarray) -> np.ndarray:
-        return pref * rv ** (n - 1) * _kernel_full(p, rv, pv, area)
+        return pref * rv ** (n - 1) * _kernel(p, rv, pv)
 
     def kap_reg(rv: np.ndarray, pv: np.ndarray) -> np.ndarray:
-        return pref * rv ** (n - 1) * _kernel_regular(p, rv, pv, area)
+        return pref * rv ** (n - 1) * _kernel(p, rv, pv, dist=1.0)
 
     # --- separated panel pairs (gap of at least one panel), tensor Gauss.
     q = max(4, grid.panel_order - 1)
@@ -712,80 +858,60 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
 
     # --- same-panel pairs: hat differences are slope*(r-rho) exactly, so the
     # pair energy is a single edge weight times the graph-Laplacian block.
+    # Gap u (Jacobi weight u^{1-2s}) outer, position along the panel inner.
     qj, qg = 10, 6
     xj, wj = roots_jacobi(qj, 0.0, 1.0 - 2.0 * s)
     xgi, wgi = leggauss(qg)
-    for pnl in range(npan):
-        a, b, hp = r[pnl], r[pnl + 1], h[pnl]
-        u_gap = 0.5 * hp * (1.0 + xj)
-        inner = np.empty(qj)
-        for jq, u in enumerate(u_gap):
-            wdt = 0.5 * (hp - u)
-            rg = a + wdt * (1.0 + xgi)
-            inner[jq] = wdt * float(np.dot(wgi, kap_reg(rg, rg + u)))
-        edge = (0.5 * hp) ** (2.0 - 2.0 * s) * float(np.dot(wj, inner)) / hp**2
-        smat[pnl, pnl] += edge
-        smat[pnl, pnl + 1] -= edge
-        smat[pnl + 1, pnl + 1] += edge
+    pan = np.arange(npan)
+    u_gap = 0.5 * h[:, None] * (1.0 + xj)                     # (npan, qj)
+    wdt = 0.5 * (h[:, None] - u_gap)
+    rg = r[:-1, None, None] + wdt[:, :, None] * (1.0 + xgi)    # (npan, qj, qg)
+    inner = wdt * (kap_reg(rg, rg + u_gap[:, :, None]) @ wgi)
+    edge = (0.5 * h) ** (2.0 - 2.0 * s) * (inner @ wj) / h**2
+    smat[pan + 1, pan + 1] += edge
+    smat[pan, pan] += edge
+    smat[pan, pan + 1] -= edge
 
     # --- corner-sharing pairs: Duffy coordinates xi = t v, chi = t (1-v)
-    # around the shared node; the net t-power is 2-2s (Jacobi) on t < min width.
+    # around the shared node r_c; the net t-power is 2-2s (Jacobi) on
+    # t < min width.  Rows: the npan-1 corners; columns: t nodes.
     qt = 8
     xt, wt = leggauss(qt)
     xj2, wj2 = roots_jacobi(qj, 0.0, 2.0 - 2.0 * s)
-    for pnl in range(npan - 1):
-        a, b = h[pnl], h[pnl + 1]
-        rc = r[pnl + 1]
-        m = min(a, b)
-
-        def accumulate(tvals, tweights, tpow_in_weights: bool):
-            for tq, t in enumerate(tvals):
-                vlo = max(0.0, 1.0 - b / t)
-                vhi = min(1.0, a / t)
-                if vhi <= vlo:
-                    continue
-                vm, vh = 0.5 * (vhi + vlo), 0.5 * (vhi - vlo)
-                v = vm + vh * xgi
-                wv = vh * wgi
-                xi, chi = t * v, t * (1.0 - v)
-                kv = kap_reg(rc - xi, rc + chi)
-                d0 = v / a
-                d1 = (1.0 - v) / b - v / a
-                d2 = -(1.0 - v) / b
-                base = tweights[tq] * (t ** (2.0 - 2.0 * s) if not tpow_in_weights else 1.0)
-                smat[pnl, pnl] += base * float(np.dot(wv, kv * d0 * d0))
-                smat[pnl, pnl + 1] += base * float(np.dot(wv, kv * d0 * d1))
-                smat[pnl, pnl + 2] += base * float(np.dot(wv, kv * d0 * d2))
-                smat[pnl + 1, pnl + 1] += base * float(np.dot(wv, kv * d1 * d1))
-                smat[pnl + 1, pnl + 2] += base * float(np.dot(wv, kv * d1 * d2))
-                smat[pnl + 2, pnl + 2] += base * float(np.dot(wv, kv * d2 * d2))
-
-        # t in (0, m): Jacobi weight t^{2-2s} after the area Jacobian and the
-        # two linear hat-difference factors.
-        accumulate(0.5 * m * (1.0 + xj2), (0.5 * m) ** (3.0 - 2.0 * s) * wj2, True)
-        # t in (m, a+b): regular, plain Gauss with explicit t^{2-2s}.
-        tm, th = 0.5 * (m + a + b), 0.5 * (a + b - m)
-        accumulate(tm + th * xt, th * wt, False)
+    a, b = h[:-1, None], h[1:, None]
+    m = np.minimum(a, b)
+    tm, th = 0.5 * (m + a + b), 0.5 * (a + b - m)
+    # t in (0, m): Jacobi weight t^{2-2s} after the area Jacobian and the two
+    # linear hat-difference factors;  t in (m, a+b): plain Gauss with
+    # explicit t^{2-2s}.
+    t = np.concatenate([0.5 * m * (1.0 + xj2), tm + th * xt], axis=1)
+    base = np.concatenate([(0.5 * m) ** (3.0 - 2.0 * s) * wj2,
+                           th * wt * (tm + th * xt) ** (2.0 - 2.0 * s)], axis=1)
+    # Every t node lies below a + b, so vlo < vhi on all of them.
+    vlo = np.maximum(0.0, 1.0 - b / t)                        # (npan-1, qj+qt)
+    vhi = np.minimum(1.0, a / t)
+    v = (0.5 * (vhi + vlo))[:, :, None] + (0.5 * (vhi - vlo))[:, :, None] * xgi
+    wv = base[:, :, None] * (0.5 * (vhi - vlo))[:, :, None] * wgi
+    rc = r[1:-1, None, None]
+    tv = t[:, :, None]
+    wkv = wv * kap_reg(rc - tv * v, rc + tv * (1.0 - v))
+    a3, b3 = a[:, :, None], b[:, :, None]
+    d = (v / a3, (1.0 - v) / b3 - v / a3, -(1.0 - v) / b3)   # hats p, p+1, p+2
+    corner = pan[:-1]
+    for i, j in ((2, 2), (1, 1), (1, 2), (0, 0), (0, 1), (0, 2)):
+        smat[corner + i, corner + j] += (wkv * d[i] * d[j]).sum(axis=(1, 2))
 
     # --- exterior region: local nonnegative density tau(r) integrated
     # against hat products on each panel.
-    q_tail = 6
-    xq, wq = leggauss(q_tail)
-    gl_a = leggauss(_TAIL_SEG_A_ORDER)
-    gl_b = leggauss(_TAIL_SEG_B_ORDER)
-    for pnl in range(npan):
-        mid_p, half_p = 0.5 * (r[pnl] + r[pnl + 1]), 0.5 * h[pnl]
-        rq = mid_p + half_p * xq
-        tau = np.empty(q_tail)
-        for iq, rv in enumerate(rq):
-            _, wk = _tail_quadrature(p, rv, area, gl_a, gl_b)
-            tau[iq] = pref * rv ** (n - 1) * wk.sum()
-        wtau = half_p * wq * tau
-        fa = (r[pnl + 1] - rq) / h[pnl]
-        fb = (rq - r[pnl]) / h[pnl]
-        smat[pnl, pnl] += float(np.dot(wtau, fa * fa))
-        smat[pnl, pnl + 1] += float(np.dot(wtau, fa * fb))
-        smat[pnl + 1, pnl + 1] += float(np.dot(wtau, fb * fb))
+    xq, wq = leggauss(6)
+    rq = mid[:, None] + half[:, None] * xq
+    tau = pref * rq ** (n - 1) * _exterior_mass(p, rq.ravel()).reshape(rq.shape)
+    wtau = half[:, None] * wq * tau
+    fa = (r[1:, None] - rq) / h[:, None]
+    fb = (rq - r[:-1, None]) / h[:, None]
+    smat[pan + 1, pan + 1] += (wtau * (fb * fb)).sum(axis=1)
+    smat[pan, pan] += (wtau * (fa * fa)).sum(axis=1)
+    smat[pan, pan + 1] += (wtau * (fa * fb)).sum(axis=1)
 
     smat = np.triu(smat) + np.triu(smat, 1).T
     e1, e2 = origin_fold_weights(grid)

@@ -225,17 +225,14 @@ class ContinuationConfig:
         return self._op
 
 
-def _center_weights(grid: RadialGrid) -> tuple[float, float]:
-    return origin_fold_weights(grid)
-
-
 def _newton_solve(op: OperatorMatrix, tail: TailSpec, m: float,
                   u0: np.ndarray, lam0: float, tol: float, max_iters: int
                   ) -> tuple[np.ndarray, float, float, int]:
     """Augmented Newton for (operator u) - lam e^u = 0 with center value m."""
-    e1, e2 = _center_weights(op.grid)
+    e1, e2 = origin_fold_weights(op.grid)
     amat = op.matrix
     ni = op.n_interior
+    diag = np.arange(ni)
     u = u0.copy()
     lam = lam0
 
@@ -252,7 +249,8 @@ def _newton_solve(op: OperatorMatrix, tail: TailSpec, m: float,
     while fnorm > tol and iters < max_iters:
         expu = np.exp(u)
         jac = np.zeros((ni + 1, ni + 1))
-        jac[:ni, :ni] = amat - lam * np.diag(expu)
+        jac[:ni, :ni] = amat
+        jac[diag, diag] -= lam * expu
         jac[:ni, ni] = -expu
         jac[ni, 0] = e1
         jac[ni, 1] = e2
@@ -292,7 +290,7 @@ def _newton_solve(op: OperatorMatrix, tail: TailSpec, m: float,
 
 
 def _as_profile(op: OperatorMatrix, u_int: np.ndarray, tail: TailSpec) -> RadialFunction:
-    e1, e2 = _center_weights(op.grid)
+    e1, e2 = origin_fold_weights(op.grid)
     values = np.empty(op.grid.nodes.size)
     values[1:-1] = u_int
     values[0] = e1 * u_int[0] + e2 * u_int[1]
@@ -318,7 +316,7 @@ def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> np.ndarray:
     area = sphere_area(op.params.n)
     xg, wg = _MASS_GAUSS
     full = np.zeros((n_basis, n_basis))
-    e1, e2 = _center_weights(op.grid)
+    e1, e2 = origin_fold_weights(op.grid)
     a0 = e1 * values[1] + e2 * values[2]
     b0 = (values[1] - a0) / nodes[1] ** 2
     for i in range(n_basis - 1):
@@ -437,7 +435,7 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
         raise DomainError(f"center value must be positive, got {m}")
     operator = op if op is not None else cfg.operator()
     tail = cfg.exterior
-    e1, e2 = _center_weights(operator.grid)
+    e1, e2 = origin_fold_weights(operator.grid)
     if warm_start is not None:
         u0 = warm_start.profile.interior.copy()
         center = e1 * u0[0] + e2 * u0[1]

@@ -54,6 +54,17 @@ def test_invalid_order_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-powers", "--n", "1", "--s", "0.3"),
+    ("branch", "--n", "1", "--s", "0.5"),
+    ("diagnose", "--n", "3", "--s", "0.5", "--singular-residual"),
+])
+def test_oversized_grid_usage_error(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv, "--grid", "20000") == 2
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "run_metadata.json").exists()
+
+
 def test_verify_powers_default_midpoint(tmp_path, capsys):
     assert run(tmp_path, "verify-powers", "--n", "3", "--s", "0.5", "--grid", "96") == 0
     out = capsys.readouterr().out

@@ -1,11 +1,15 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from fracgelfand import DomainError, ProblemParams, angular_kernel, sphere_area
+from fracgelfand.fraclap import _phi
 
 
 def two_point_1d(s, r, rho):
@@ -90,3 +94,27 @@ def test_diagonal_and_domain_rejected():
         angular_kernel(p, 0.5, 0.0)
     with pytest.raises(DomainError):
         angular_kernel(p, -0.1, 0.5)
+
+
+_ORDERS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_ARGS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1e-16, max_value=1e-2).map(lambda w: 1.0 - w),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=16), _ORDERS, st.lists(_ARGS, min_size=1, max_size=24))
+def test_phi_evaluator_against_mpmath(n, s, zs):
+    z = np.array(zs)
+    got = _phi(n, s)(z)
+    with mpmath.workdps(30):
+        want = [mpmath.hyp2f1(-s, 0.5 * n - s - 1.0, 0.5 * n, mpmath.mpf(x)) for x in zs]
+    rel = [abs((mpmath.mpf(g) - w) / w) for g, w in zip(got, want)]
+    assert max(rel) <= 2e-13
+
+
+def test_phi_polynomial_cases_are_hyp2f1():
+    z = np.concatenate([np.linspace(0.0, 1.0, 1001), 1.0 - np.logspace(-16, -2, 200)])
+    for n, s in ((1, 0.5), (3, 0.5)):
+        assert np.array_equal(_phi(n, s)(z), hyp2f1(-s, 0.5 * n - s - 1.0, 0.5 * n, z))

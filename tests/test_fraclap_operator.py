@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from fracgelfand import (
     DomainError,
@@ -13,9 +15,11 @@ from fracgelfand import (
     assemble,
     hardy_constant,
     lambda0,
+    operator_normalization,
     power_coefficient,
     quadratic_form,
 )
+from fracgelfand.fraclap import _exterior_mass
 
 
 def window(grid, lo=0.2, hi=0.8):
@@ -49,6 +53,12 @@ def test_grid_validation():
         RadialGrid.graded(32, grading=0.5)
     with pytest.raises(DomainError):
         RadialGrid.graded(15)
+
+
+def test_oversized_grid_refused_before_allocation():
+    # 20000 panels would need ~3.2 GB per dense interior matrix.
+    with pytest.raises(DomainError, match="budget"):
+        RadialGrid.graded(20000)
 
 
 def test_graded_grid_shape():
@@ -123,6 +133,33 @@ def test_constants_annihilate_exactly(operator_cache):
         for c in (1.0, -3.7):
             out = op.apply_interior(np.full(op.n_interior, c), TailSpec.power(0.0, c))
             assert np.max(np.abs(out)) == 0.0
+
+
+def dyda_exterior_mass(n, s, r):
+    """(-Delta)^s 1_B at radii r < 1 (Dyda's closed form at p = 0).
+
+    It equals c_{n,s} times the zero-tail row mass."""
+    with mpmath.workdps(30):
+        coeff = (mpmath.mpf(4) ** s * mpmath.gamma(s + 0.5 * n)
+                 / (mpmath.gamma(0.5 * n) * mpmath.gamma(1 - s)))
+        return np.array([float(coeff * mpmath.hyp2f1(s + 0.5 * n, s, 0.5 * n, mpmath.mpf(x) ** 2))
+                         for x in r])
+
+
+@pytest.mark.parametrize("n, s", [(1, 0.3), (2, 0.7), (3, 0.5), (10, 0.9)])
+def test_exterior_mass_matches_closed_form(operator_cache, n, s):
+    """Zero-tail row masses, at the collocation rows and at the points where
+    the energy form samples its exterior density tau."""
+    op = operator_cache(n, s, 256)
+    r = op.grid.interior
+    rel = np.abs(op.normalization * op.tail_mass / dyda_exterior_mass(n, s, r) - 1.0)
+    assert rel.max() <= 1e-11
+    nodes = op.grid.nodes
+    xq, _ = leggauss(6)
+    pts = (0.5 * (nodes[:-1] + nodes[1:])[:, None] + 0.5 * np.diff(nodes)[:, None] * xq).ravel()
+    c = operator_normalization(ProblemParams(n, s))
+    rel = np.abs(c * _exterior_mass(ProblemParams(n, s), pts) / dyda_exterior_mass(n, s, pts) - 1.0)
+    assert rel.max() <= 1e-11
 
 
 def test_matrix_row_sums_match_constant_response(operator_cache):
