@@ -52,7 +52,6 @@ from .gelfand import (
 from .threshold import classify, threshold_table
 
 _POWER_TOL = 1e-2
-_EIG_TOL = 1e-8
 _INEQ_SLACK = 1e-3
 _EPS_TABLE = (1e-2, 1e-3, 1e-4)
 _VERIFY_EPS = (0.05, 0.1, 0.2)
@@ -226,7 +225,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
         "subcommand": "branch", "n": args.n, "s": args.s, "grid": args.grid,
         "grading": args.grading, "peak_min": args.peak_min, "peak_max": args.peak_max,
         "peak_step": args.peak_step, "newton_tol": args.newton_tol,
-        "eigen_tol": _EIG_TOL, "verify": bool(args.verify),
+        "verify": bool(args.verify),
         "diagnose_sigma": args.diagnose_sigma, "rho0": args.rho0,
     }
     out = _outdir(args)
@@ -305,7 +304,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     config = {
         "subcommand": "stability", "n": args.n, "s": args.s, "grid": args.grid,
         "grading": args.grading, "peak": args.peak, "rho0": args.rho0,
-        "eps": args.eps, "newton_tol": args.newton_tol, "eigen_tol": _EIG_TOL,
+        "eps": args.eps, "newton_tol": args.newton_tol,
     }
     out = _outdir(args)
     _write_metadata(out, config)

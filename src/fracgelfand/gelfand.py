@@ -6,8 +6,8 @@ extra Newton unknown closed by the center constraint, which keeps the
 augmented Jacobian square and well conditioned through the fold.  Stability of
 a computed point is the sign of the smallest eigenvalue of the symmetric
 pencil (S - lam E) eta = mu M eta with S the energy form, E the e^u-weighted
-radial mass and M the plain radial mass, found by Cholesky bisection plus
-shifted inverse-power polish (deterministic by construction).
+radial mass and M the plain radial mass, found by one LAPACK symmetric
+eigensolve (deterministic: no random start).
 
 Also provides the diagnostics used to probe the singular regime: the
 log-profile ratio along a branch, the proof-style test function built from a
@@ -88,7 +88,7 @@ class BranchTraceError(RuntimeError):
 
 
 class EigenSolveError(RuntimeError):
-    """Pencil eigenvalue iteration failed to reach tolerance."""
+    """Stability pencil was non-finite or its eigensolve failed."""
 
 
 def torsion_center_value(p: ProblemParams) -> float:
@@ -309,33 +309,34 @@ def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> np.ndarray:
     such densities with the innermost nodal values and overestimates the mass
     there by an O(1) factor, driving the stability pencil to -inf under
     refinement).  The origin panel uses the even-parabola extrapolation, so a
-    singular value at r = 0 never enters.
+    singular value at r = 0 never enters.  All panels are integrated at once
+    by 6-point Gauss.
     """
     nodes = op.grid.nodes
     n_basis = nodes.size
-    area = sphere_area(op.params.n)
     xg, wg = _MASS_GAUSS
-    full = np.zeros((n_basis, n_basis))
     e1, e2 = origin_fold_weights(op.grid)
+    ra, rb = nodes[:-1, None], nodes[1:, None]
+    half = 0.5 * (rb - ra)
+    r = 0.5 * (ra + rb) + half * xg
     a0 = e1 * values[1] + e2 * values[2]
     b0 = (values[1] - a0) / nodes[1] ** 2
-    for i in range(n_basis - 1):
-        ra, rb = nodes[i], nodes[i + 1]
-        half = 0.5 * (rb - ra)
-        r = 0.5 * (ra + rb) + half * xg
-        if i == 0:
-            dens = np.exp(a0 + b0 * r * r)
-        else:
-            beta = (values[i + 1] - values[i]) / math.log(rb / ra)
-            dens = math.exp(values[i]) * (r / ra) ** beta
-        common = area * half * wg * r ** (op.params.n - 1) * dens
-        rise = (r - ra) / (rb - ra)
-        fall = 1.0 - rise
-        full[i, i] += float(np.dot(common, fall * fall))
-        full[i + 1, i + 1] += float(np.dot(common, rise * rise))
-        cross = float(np.dot(common, rise * fall))
-        full[i, i + 1] += cross
-        full[i + 1, i] += cross
+    beta = (values[2:] - values[1:-1]) / np.log(nodes[2:] / nodes[1:-1])
+    dens = np.empty_like(r)
+    dens[0] = np.exp(a0 + b0 * r[0] * r[0])
+    dens[1:] = np.exp(values[1:-1, None]) * (r[1:] / ra[1:]) ** beta[:, None]
+    common = sphere_area(op.params.n) * half * wg * r ** (op.params.n - 1) * dens
+    rise = (r - ra) / (rb - ra)
+    fall = 1.0 - rise
+    diag_lo = np.einsum("ij,ij->i", common, fall * fall)
+    diag_hi = np.einsum("ij,ij->i", common, rise * rise)
+    cross = np.einsum("ij,ij->i", common, rise * fall)
+    full = np.zeros((n_basis, n_basis))
+    idx = np.arange(n_basis - 1)
+    full[idx, idx] = diag_lo
+    full[idx + 1, idx + 1] += diag_hi
+    full[idx, idx + 1] = cross
+    full[idx + 1, idx] = cross
     # origin fold congruence, then restrict to the interior basis
     full[1, :] += e1 * full[0, :]
     full[2, :] += e2 * full[0, :]
@@ -344,73 +345,28 @@ def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> np.ndarray:
     return full[1 : n_basis - 1, 1 : n_basis - 1]
 
 
-def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float,
-                         tol: float = 1e-8) -> float:
+def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> float:
     """Smallest mu of (S - lam E) eta = mu M eta, deterministic.
 
-    Scaled to the standard symmetric problem with D = M^{1/2}; the eigenvalue
-    is bracketed by a Gershgorin bound and Cholesky bisection (an exact
-    positive-definiteness oracle), then polished by inverse-power iteration
-    from the certified shift with the fixed all-ones start.
+    M = diag(weights) is scaled out with D = M^{-1/2}, and the smallest
+    eigenvalue of the symmetrized D (S - lam E) D comes from one LAPACK
+    symmetric eigensolve (no random start).  A non-finite pencil (e^u
+    overflow) or a LAPACK failure raises EigenSolveError.
     """
-    w = op.weights
-    d = 1.0 / np.sqrt(w)
-    cmat = op.stability_form - lam * _weighted_mass(op, values)
-    cmat = d[:, None] * cmat * d[None, :]
-    cmat = 0.5 * (cmat + cmat.T)
-    ni = cmat.shape[0]
+    from scipy.linalg import LinAlgError, eigh
 
-    x0 = np.ones(ni) / math.sqrt(ni)
-    hi = float(x0 @ cmat @ x0)
-    diag = np.diag(cmat)
-    lo = float(np.min(diag - (np.abs(cmat).sum(axis=1) - np.abs(diag))))
-    if lo >= hi:
-        lo = hi - max(1.0, abs(hi))
-    scale = max(1.0, abs(lo), abs(hi))
-
-    def is_pd(sigma: float) -> bool:
-        try:
-            np.linalg.cholesky(cmat - sigma * np.eye(ni))
-            return True
-        except np.linalg.LinAlgError:
-            return False
-
-    # Bisection bracket: lo certified below the spectrum, hi at or above mu_1.
-    for _ in range(80):
-        if hi - lo <= 1e-3 * scale:
-            break
-        midp = 0.5 * (lo + hi)
-        if is_pd(midp):
-            lo = midp
-        else:
-            hi = midp
-
-    from scipy.linalg import cho_factor, cho_solve
-
-    shift = lo - 1e-12 * scale
+    d = 1.0 / np.sqrt(op.weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cmat = op.stability_form - lam * _weighted_mass(op, values)
+        cmat = d[:, None] * cmat * d[None, :]
+        cmat = 0.5 * (cmat + cmat.T)
+    if not np.isfinite(cmat).all():
+        raise EigenSolveError("stability pencil has non-finite entries (e^u overflow)")
     try:
-        factor = cho_factor(cmat - shift * np.eye(ni), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError("certified shift lost definiteness") from exc
-    x = x0
-    mu_prev = math.inf
-    stable_count = 0
-    for _ in range(400):
-        x = cho_solve(factor, x)
-        x /= float(np.linalg.norm(x))
-        mu = float(x @ cmat @ x)
-        if abs(mu - mu_prev) <= tol * max(1.0, abs(mu)):
-            stable_count += 1
-            if stable_count >= 2:
-                return mu
-        else:
-            stable_count = 0
-        mu_prev = mu
-    if abs(mu_prev - 0.5 * (lo + hi)) <= hi - lo + tol * scale:
-        return mu_prev
-    raise EigenSolveError(
-        f"inverse-power iteration did not settle (last mu={mu_prev:.6g}, bracket [{lo:.6g},{hi:.6g}])"
-    )
+        return float(eigh(cmat, eigvals_only=True, subset_by_index=[0, 0],
+                          overwrite_a=True, check_finite=False)[0])
+    except LinAlgError as exc:
+        raise EigenSolveError(f"symmetric eigensolve failed: {exc}") from exc
 
 
 def stability_eigenvalue(op: OperatorMatrix, point: BranchPoint) -> float:

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh
@@ -9,6 +11,7 @@ from fracgelfand import (
     BranchTraceError,
     ContinuationConfig,
     DomainError,
+    EigenSolveError,
     InfeasibleError,
     NoConvergenceError,
     ProblemParams,
@@ -185,6 +188,41 @@ def test_stability_eigenvalue_matches_dense_solver(branch_1d):
         sym = d[:, None] * cm * d[None, :]
         dense = eigvalsh(0.5 * (sym + sym.T)).min()
         assert pt.stability_eig == pytest.approx(dense, abs=1e-9 * max(1.0, abs(dense)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_weighted_mass_closed_form(operator_cache, n):
+    op = operator_cache(n, 0.5, 64)
+    nodes = op.grid.nodes
+    mass0 = _weighted_mass(op, np.zeros(nodes.size))
+    # The folded interior hats sum to 1 - phi_N: 1 on [0, r_{N-1}], (1-r)/h on
+    # the last panel.  With t = 1 - r the last-panel integral is a binomial sum.
+    with mpmath.workdps(40):
+        r_last = mpmath.mpf(float(nodes[-2]))
+        h = 1 - r_last
+        tail = sum(
+            mpmath.binomial(n - 1, k) * (-1) ** k * h ** (k + 3) / (k + 3)
+            for k in range(n)
+        ) / h**2
+        area = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+        exact = float(area * (r_last**n / n + tail))
+    assert mass0.sum() == pytest.approx(exact, rel=1e-13, abs=0.0)
+    # A constant profile scales the density by e^c.
+    scale = np.abs(mass0).max()
+    for c in (-3.0, 1.7):
+        mass_c = _weighted_mass(op, np.full(nodes.size, c))
+        assert np.abs(mass_c - math.exp(c) * mass0).max() <= 1e-13 * math.exp(c) * scale
+
+
+def test_stability_eigenvalue_overflow_is_typed(branch_1d):
+    op, branch = branch_1d
+    pt = branch.points[3]
+    values = pt.profile.values.copy()
+    values[values.size // 2] = 800.0
+    # Finite nodal data whose e^u overflows a double.
+    hot = dataclasses.replace(pt, profile=dataclasses.replace(pt.profile, values=values))
+    with pytest.raises(EigenSolveError):
+        stability_eigenvalue(op, hot)
 
 
 def test_small_peak_slope_matches_torsion(operator_cache):
