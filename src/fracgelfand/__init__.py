@@ -48,7 +48,7 @@ from .gelfand import (
     torsion_center_value,
     trace_branch,
 )
-from .specfun import log_gamma, log_gamma_ratio
+from .specfun import log_gamma
 from .threshold import (
     Regime,
     RegularityVerdict,
@@ -98,7 +98,6 @@ __all__ = [
     "torsion_center_value",
     "trace_branch",
     "log_gamma",
-    "log_gamma_ratio",
     "Regime",
     "RegularityVerdict",
     "ThresholdRow",

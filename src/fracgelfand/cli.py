@@ -262,7 +262,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
         pre_fold = branch.points[: branch.fold_index]
         all_ok = True
         for pt in pre_fold:
-            ok = pt.stability_eig >= -1e-6
+            ok = pt.stable
             checks = [f"mu={pt.stability_eig:+.3e}"]
             for eps in _VERIFY_EPS:
                 lhs, rhs = stability_inequality_check(op, pt, rho0=args.rho0, eps=eps)
@@ -297,8 +297,10 @@ def cmd_stability(args: argparse.Namespace) -> int:
     cfg = ContinuationConfig(
         params=_params(args),
         grid=RadialGrid.graded(args.grid, grading=args.grading),
+        # One solve: the range only has to validate, so it is a single step.
         peak_start=min(args.peak, 0.1),
         peak_end=args.peak + 1.0,
+        peak_step=args.peak + 1.0,
         newton_tol=args.newton_tol,
     )
     config = {
@@ -310,7 +312,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     _write_metadata(out, config)
 
     point = solve_at_peak(cfg, args.peak)
-    stable = point.stability_eig >= -1e-6
+    stable = point.stable
     print(f"m = {point.peak:.6g}: lambda = {point.lam:.6g}, "
           f"stability_eig = {point.stability_eig:+.6g} ({'stable' if stable else 'unstable'})")
 

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -71,6 +70,9 @@ __all__ = [
     "quadratic_form",
 ]
 
+# Gauss order per far panel in the ball; the near-field Gauss-Jacobi core
+# uses twice as many nodes, the energy form's separated pairs one fewer.
+_PANEL_ORDER = 6
 _TAIL_SEG_A_ORDER = 12     # Gauss order per panel on (1, 2]
 _TAIL_SEG_B_ORDER = 8      # Gauss order per dyadic panel beyond 2
 _SLIVER_ORDER = 8
@@ -95,16 +97,9 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing nodes r_0 = 0 < ... < r_N = 1 on the unit radius.
-
-    ``grading`` records the clustering exponent used to build the nodes
-    (>= 1; 1 is uniform), ``panel_order`` the Gauss order used on each panel
-    during assembly.
-    """
+    """Strictly increasing nodes r_0 = 0 < ... < r_N = 1 on the unit radius."""
 
     nodes: np.ndarray
-    grading: float = 2.0
-    panel_order: int = 6
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -115,10 +110,6 @@ class RadialGrid:
             raise DomainError("grid must span [0, 1] with r_0 = 0 and r_N = 1")
         if not np.all(np.diff(nodes) > 0.0):
             raise DomainError("grid nodes must increase strictly")
-        if not self.grading >= 1.0:
-            raise DomainError(f"grading exponent must be >= 1, got {self.grading}")
-        if not (isinstance(self.panel_order, int) and self.panel_order >= 1):
-            raise DomainError(f"panel order must be a positive integer, got {self.panel_order}")
         _check_dense_budget(self.n_panels)
 
     @property
@@ -130,44 +121,24 @@ class RadialGrid:
         return self.nodes[1:-1]
 
     @classmethod
-    def graded(cls, n_panels: int, grading: float = 2.0, panel_order: int = 6) -> "RadialGrid":
+    def graded(cls, n_panels: int, grading: float = 2.0) -> "RadialGrid":
         """Algebraically graded grid clustering nodes at both r=0 and r=1.
 
-        Uses the rational map t^p / (t^p + (1-t)^p), which gives spacing
-        ~ (1/N)^p at both ends and ~ p/N in the middle.
+        The map t^p / (t^p + (1-t)^p), p = grading >= 1 (1 is uniform), gives
+        spacing ~ (1/N)^p at both ends and ~ p/N in the middle.
         """
         if n_panels < 16:
             raise DomainError(f"need at least 16 panels, got {n_panels}")
         _check_dense_budget(n_panels)
-        t = np.linspace(0.0, 1.0, n_panels + 1)
         p = float(grading)
+        if not p >= 1.0:
+            raise DomainError(f"grading exponent must be >= 1, got {p}")
+        t = np.linspace(0.0, 1.0, n_panels + 1)
         tp = t**p
         omp = (1.0 - t) ** p
         nodes = tp / (tp + omp)
         nodes[0], nodes[-1] = 0.0, 1.0
-        return cls(nodes=nodes, grading=p, panel_order=panel_order)
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": [float(x) for x in self.nodes],
-            "grading": float(self.grading),
-            "panel_order": int(self.panel_order),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RadialGrid":
-        return cls(
-            nodes=np.asarray(data["nodes"], dtype=float),
-            grading=float(data["grading"]),
-            panel_order=int(data["panel_order"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RadialGrid":
-        return cls.from_dict(json.loads(text))
+        return cls(nodes=nodes)
 
 
 def _check_dense_budget(n_panels: int) -> None:
@@ -248,13 +219,6 @@ class TailSpec:
             return self.coeff
         return 0.0
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "alpha": float(self.alpha), "coeff": float(self.coeff)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TailSpec":
-        return cls(TailKind(data["kind"]), alpha=float(data.get("alpha", 0.0)), coeff=float(data.get("coeff", 0.0)))
-
 
 @dataclass
 class RadialFunction:
@@ -297,32 +261,6 @@ class RadialFunction:
     @property
     def interior(self) -> np.ndarray:
         return self.values[1:-1]
-
-    def to_dict(self) -> dict:
-        vals = [None if not math.isfinite(v) else float(v) for v in self.values]
-        return {
-            "grid": self.grid.to_dict(),
-            "values": vals,
-            "tail": self.tail.to_dict(),
-            "singular_at_origin": bool(self.singular_at_origin),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RadialFunction":
-        vals = np.array([np.inf if v is None else float(v) for v in data["values"]])
-        return cls(
-            grid=RadialGrid.from_dict(data["grid"]),
-            values=vals,
-            tail=TailSpec.from_dict(data["tail"]),
-            singular_at_origin=bool(data["singular_at_origin"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RadialFunction":
-        return cls.from_dict(json.loads(text))
 
 
 # ----------------------------------------------------------------------
@@ -482,12 +420,12 @@ def angular_kernel(p: ProblemParams, r: float, rho: float) -> float:
 class OperatorMatrix:
     """Assembled collocation operator on a grid's interior nodes.
 
-    ``matrix`` is the dense interior action A (the operator applied to
-    functions vanishing at the boundary node and outside), built on first
-    access and cached;  the full action on a RadialFunction with exterior
-    datum g is A u - response(g).  ``apply`` evaluates the same numbers in
-    difference form for exact constant annihilation.  ``couple_quad`` holds
-    the nonnegative-kernel couplings between interior nodes (quadratic
+    ``matrix`` is the dense interior action A for zero exterior data (the
+    operator applied to functions vanishing at the boundary node and
+    outside), built on first access and cached.  ``apply_interior`` and
+    ``apply`` take any exterior datum and evaluate in difference form, which
+    annihilates constants exactly.  ``couple_quad`` holds the
+    nonnegative-kernel couplings between interior nodes (quadratic
     interpolant, origin fold applied), ``couple_quad_bnd`` those to the
     boundary node, ``tail_rho``/``tail_wk`` the per-row exterior quadrature,
     ``weights`` the radial hat masses |S^{n-1}| int phi_i r^{n-1} dr.
@@ -504,7 +442,6 @@ class OperatorMatrix:
     weights: np.ndarray           # (Ni,) radial hat masses
     _matrix: np.ndarray | None = None
     _stability_form: np.ndarray | None = None
-    _responses: dict = field(default_factory=dict)
 
     @property
     def n_interior(self) -> int:
@@ -512,26 +449,12 @@ class OperatorMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense interior matrix A with A@1 = constant-tail response (read-only)."""
+        """Dense interior matrix A; A@1 is the action on the ball's indicator (read-only)."""
         if self._matrix is None:
             total = self.couple_quad.sum(axis=1) + self.couple_quad_bnd + self.tail_mass
             self._matrix = self.normalization * (np.diag(total) - self.couple_quad)
             self._matrix.flags.writeable = False
         return self._matrix
-
-    def tail_response(self, tail: TailSpec) -> np.ndarray:
-        """Response vector: c * (sum_q W_iq g(rho_q) + C_iB g(1)); cached per tail."""
-        key = (tail.kind, tail.alpha, tail.coeff)
-        cached = self._responses.get(key)
-        if cached is not None:
-            return cached
-        s = self.params.s
-        g_vals = tail.values(self.tail_rho, s)
-        resp = (self.tail_wk * g_vals).sum(axis=1)
-        resp += self.couple_quad_bnd * tail.boundary_value(s)
-        resp = self.normalization * resp
-        self._responses[key] = resp
-        return resp
 
     def apply_interior(self, u_int: np.ndarray, tail: TailSpec) -> np.ndarray:
         """Difference-form action at interior nodes.
@@ -698,9 +621,9 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     ni = npan - 1
     e1, e2 = origin_fold_weights(grid)
 
-    q_far = grid.panel_order
+    q_far = _PANEL_ORDER
     xs_far, ws_far = leggauss(q_far)
-    q_near = max(8, 2 * grid.panel_order)
+    q_near = 2 * _PANEL_ORDER
     xj, wj = roots_jacobi(q_near, 0.0, 1.0 - 2.0 * s)
     xs_sl, ws_sl = leggauss(_SLIVER_ORDER)
 
@@ -827,7 +750,7 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
         return pref * rv ** (n - 1) * _kernel(p, rv, pv, dist=1.0)
 
     # --- separated panel pairs (gap of at least one panel), tensor Gauss.
-    q = max(4, grid.panel_order - 1)
+    q = _PANEL_ORDER - 1
     xg, wg = leggauss(q)
     mid = 0.5 * (r[:-1] + r[1:])
     half = 0.5 * h

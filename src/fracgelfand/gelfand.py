@@ -1,5 +1,8 @@
 """Nonlinear solver layer: minimal-branch continuation for (-Delta)^s u = lam e^u.
 
+The solver is Dirichlet-only, as is the problem: u = 0 outside the unit ball,
+so every residual uses the zero-exterior operator and every profile ends at 0.
+
 The branch is parametrized by the center value m = u(0) rather than lam: lam
 folds at the extremal parameter, m does not.  Each solve treats lam as an
 extra Newton unknown closed by the center constraint, which keeps the
@@ -57,6 +60,10 @@ __all__ = [
 ]
 
 _STABILITY_TOL = 1e-6
+_MAX_NEWTON_ITERS = 50
+_MAX_PEAK_POINTS = 10_000   # largest number of center values one trace may solve
+_PROBE_RADIUS = 0.01
+_ZERO_TAIL = TailSpec.zero()
 
 
 class NoConvergenceError(RuntimeError):
@@ -117,6 +124,11 @@ class BranchPoint:
     newton_iters: int
     residual_norm: float
 
+    @property
+    def stable(self) -> bool:
+        """Nonnegative stability eigenvalue, up to _STABILITY_TOL."""
+        return self.stability_eig >= -_STABILITY_TOL
+
 
 @dataclass
 class Branch:
@@ -173,27 +185,20 @@ class Branch:
             )
         return "\n".join(lines) + "\n"
 
-    def to_json(self, include_profiles: bool = False) -> str:
+    def to_json(self) -> str:
         lam_star = self.lambda_star_estimate
         data = {
             "lambda_star_estimate": lam_star if math.isfinite(lam_star) else None,
             "fold_detected": self.fold_detected,
-            "points": [],
+            "points": [
+                {"peak": pt.peak, "lambda": pt.lam, "stability_eig": pt.stability_eig,
+                 "residual_norm": pt.residual_norm, "newton_iters": pt.newton_iters}
+                for pt in self.points
+            ],
         }
         if self.params is not None:
             data["n"] = self.params.n
             data["s"] = self.params.s
-        for pt in self.points:
-            rec = {
-                "peak": pt.peak,
-                "lambda": pt.lam,
-                "stability_eig": pt.stability_eig,
-                "residual_norm": pt.residual_norm,
-                "newton_iters": pt.newton_iters,
-            }
-            if include_profiles:
-                rec["profile"] = pt.profile.to_dict()
-            data["points"].append(rec)
         return json.dumps(data, indent=2)
 
 
@@ -207,17 +212,20 @@ class ContinuationConfig:
     peak_end: float = 6.0
     peak_step: float = 0.25
     newton_tol: float = 1e-10
-    max_iters: int = 50
-    exterior: TailSpec = field(default_factory=TailSpec.zero)
     _op: OperatorMatrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.peak_start < self.peak_end:
             raise DomainError("need 0 < peak_start < peak_end")
-        if self.peak_step <= 0.0:
-            raise DomainError("peak_step must be positive")
-        if self.newton_tol <= 0.0:
-            raise DomainError("newton_tol must be positive")
+        if not 0.0 < self.peak_step < math.inf:
+            raise DomainError("peak_step must be finite and positive")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise DomainError("newton_tol must be finite and positive")
+        # The point count np.arange gives in trace_branch, without allocating.
+        points = (self.peak_end + 0.5 * self.peak_step - self.peak_start) / self.peak_step
+        if points > _MAX_PEAK_POINTS:
+            raise DomainError(f"peak range needs ~{points:.3g} solves, above the budget "
+                              f"of {_MAX_PEAK_POINTS} (peak_step {self.peak_step:g})")
 
     def operator(self) -> OperatorMatrix:
         if self._op is None:
@@ -225,9 +233,8 @@ class ContinuationConfig:
         return self._op
 
 
-def _newton_solve(op: OperatorMatrix, tail: TailSpec, m: float,
-                  u0: np.ndarray, lam0: float, tol: float, max_iters: int
-                  ) -> tuple[np.ndarray, float, float, int]:
+def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
+                  tol: float) -> tuple[np.ndarray, float, float, int]:
     """Augmented Newton for (operator u) - lam e^u = 0 with center value m."""
     e1, e2 = origin_fold_weights(op.grid)
     amat = op.matrix
@@ -239,14 +246,14 @@ def _newton_solve(op: OperatorMatrix, tail: TailSpec, m: float,
     def residual(uv: np.ndarray, lv: float) -> np.ndarray:
         out = np.empty(ni + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            out[:ni] = op.apply_interior(uv, tail) - lv * np.exp(uv)
+            out[:ni] = op.apply_interior(uv, _ZERO_TAIL) - lv * np.exp(uv)
         out[ni] = e1 * uv[0] + e2 * uv[1] - m
         return out
 
     fvec = residual(u, lam)
     fnorm = float(np.abs(fvec).max())
     iters = 0
-    while fnorm > tol and iters < max_iters:
+    while fnorm > tol and iters < _MAX_NEWTON_ITERS:
         expu = np.exp(u)
         jac = np.zeros((ni + 1, ni + 1))
         jac[:ni, :ni] = amat
@@ -259,7 +266,7 @@ def _newton_solve(op: OperatorMatrix, tail: TailSpec, m: float,
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(
                 f"singular Newton Jacobian at center value m={m}",
-                _as_profile(op, u, tail), lam, fnorm, iters,
+                _as_profile(op, u), lam, fnorm, iters,
             ) from exc
         t = 1.0
         for _ in range(30):
@@ -273,29 +280,28 @@ def _newton_solve(op: OperatorMatrix, tail: TailSpec, m: float,
         else:
             raise NoConvergenceError(
                 f"Newton line search stalled at m={m} (residual {fnorm:.3e})",
-                _as_profile(op, u, tail), lam, fnorm, iters,
+                _as_profile(op, u), lam, fnorm, iters,
             )
         u, lam, fvec, fnorm = u_new, lam_new, f_new, fn_new
         iters += 1
 
     if fnorm > tol:
         raise NoConvergenceError(
-            f"Newton did not reach tol={tol:.1e} in {max_iters} iterations at m={m} "
+            f"Newton did not reach tol={tol:.1e} in {_MAX_NEWTON_ITERS} iterations at m={m} "
             f"(residual {fnorm:.3e})",
-            _as_profile(op, u, tail), lam, fnorm, iters,
+            _as_profile(op, u), lam, fnorm, iters,
         )
     if lam <= 0.0:
         raise InfeasibleError(f"converged state has lam = {lam:.6g} <= 0", lam)
     return u, lam, fnorm, iters
 
 
-def _as_profile(op: OperatorMatrix, u_int: np.ndarray, tail: TailSpec) -> RadialFunction:
+def _as_profile(op: OperatorMatrix, u_int: np.ndarray) -> RadialFunction:
     e1, e2 = origin_fold_weights(op.grid)
-    values = np.empty(op.grid.nodes.size)
+    values = np.zeros(op.grid.nodes.size)   # u = 0 at the boundary node
     values[1:-1] = u_int
     values[0] = e1 * u_int[0] + e2 * u_int[1]
-    values[-1] = tail.boundary_value(op.params.s)
-    return RadialFunction(grid=op.grid, values=values, tail=tail)
+    return RadialFunction(grid=op.grid, values=values)
 
 
 _MASS_GAUSS = np.polynomial.legendre.leggauss(6)
@@ -390,7 +396,6 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
     if m <= 0.0:
         raise DomainError(f"center value must be positive, got {m}")
     operator = op if op is not None else cfg.operator()
-    tail = cfg.exterior
     e1, e2 = origin_fold_weights(operator.grid)
     if warm_start is not None:
         u0 = warm_start.profile.interior.copy()
@@ -403,10 +408,8 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
         u0 = (m / z0) * z
         lam0 = m / z0
 
-    u, lam, fnorm, iters = _newton_solve(
-        operator, tail, m, u0, lam0, cfg.newton_tol, cfg.max_iters
-    )
-    profile = _as_profile(operator, u, tail)
+    u, lam, fnorm, iters = _newton_solve(operator, m, u0, lam0, cfg.newton_tol)
+    profile = _as_profile(operator, u)
     mu = _smallest_pencil_eig(operator, profile.values, lam)
     peak = e1 * u[0] + e2 * u[1]
     return BranchPoint(
@@ -477,7 +480,7 @@ def stability_inequality_check(op: OperatorMatrix, point: BranchPoint,
     discretization error at any fixed grid.  For a stable point the contract
     is lhs <= rhs up to quadrature tolerance.  Unstable input is rejected.
     """
-    if point.stability_eig < -_STABILITY_TOL:
+    if not point.stable:
         raise DomainError(
             f"inequality check requires a stable point (stability_eig = "
             f"{point.stability_eig:.3e})"
@@ -524,13 +527,12 @@ def _probe_ratio(point: BranchPoint, s: float, probe: float) -> float:
     return float((1.0 - t) * ratios[j - 1] + t * ratios[j])
 
 
-def singular_profile_diagnostic(branch: Branch, sigma: float,
-                                probe_radius: float = 0.01) -> SingularProfileReport:
+def singular_profile_diagnostic(branch: Branch, sigma: float) -> SingularProfileReport:
     """Compare the highest-peak profile against (1-sigma) log r^{-2s}.
 
     threshold_radius is the largest sampled node such that every node at or
     below it has ratio above 1-sigma (None when even the innermost node
-    fails).  The trend flag tracks the probe-radius ratio across the three
+    fails).  The trend flag tracks the ratio at r = 0.01 across the three
     highest-peak points: increasing toward 1 is the singular-limit signature.
     """
     if not 0.0 < sigma < 1.0:
@@ -559,7 +561,7 @@ def singular_profile_diagnostic(branch: Branch, sigma: float,
             break
 
     tail_pts = by_peak[-3:] if len(by_peak) >= 3 else by_peak
-    probes = np.array([_probe_ratio(pt, s, probe_radius) for pt in tail_pts])
+    probes = np.array([_probe_ratio(pt, s, _PROBE_RADIUS) for pt in tail_pts])
     increasing = probes.size >= 2 and bool(np.all(np.diff(probes) > 0.0))
 
     return SingularProfileReport(
@@ -567,7 +569,7 @@ def singular_profile_diagnostic(branch: Branch, sigma: float,
         radii=radii,
         ratios=ratios,
         threshold_radius=threshold,
-        probe_radius=probe_radius,
+        probe_radius=_PROBE_RADIUS,
         probe_ratios=probes,
         increasing_trend=increasing,
     )

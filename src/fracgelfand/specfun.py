@@ -13,7 +13,7 @@ import math
 
 from scipy.special import gammaln
 
-__all__ = ["log_gamma", "log_gamma_ratio"]
+__all__ = ["log_gamma"]
 
 
 def log_gamma(x: float) -> float:
@@ -27,11 +27,3 @@ def log_gamma(x: float) -> float:
         raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
     return float(gammaln(x))
 
-
-def log_gamma_ratio(a: float, b: float) -> float:
-    """Return ln Gamma(a) - ln Gamma(b) for a, b > 0.
-
-    Computed as a difference of log values, so ratios of huge Gamma values
-    (e.g. Gamma(n/2)/Gamma((n-2s)/2) for large n) never overflow.
-    """
-    return log_gamma(a) - log_gamma(b)

@@ -65,6 +65,28 @@ def test_oversized_grid_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "run_metadata.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("branch", "--peak-max", "1", "--newton-tol", "nan"),
+    ("branch", "--peak-max", "1", "--newton-tol", "inf"),
+    ("branch", "--peak-max", "1", "--peak-step", "nan"),
+    ("diagnose", "--peak-max", "1", "--newton-tol", "nan"),
+    ("stability", "--peak", "0.5", "--newton-tol", "nan"),
+])
+def test_non_finite_solver_settings_usage_error(tmp_path, capsys, argv):
+    # NaN compares false with everything, so a "<= 0" check lets it through.
+    assert run(tmp_path, argv[0], "--n", "1", "--s", "0.5", "--grid", "32", *argv[1:]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "run_metadata.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["branch", "diagnose"])
+def test_peak_budget_usage_error(tmp_path, capsys, subcommand):
+    # ~6e9 continuation points: refused before any solve or artifact.
+    assert run(tmp_path, subcommand, "--n", "1", "--s", "0.5", "--peak-step", "1e-9") == 2
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "run_metadata.json").exists()
+
+
 def test_verify_powers_default_midpoint(tmp_path, capsys):
     assert run(tmp_path, "verify-powers", "--n", "3", "--s", "0.5", "--grid", "96") == 0
     out = capsys.readouterr().out
@@ -183,6 +205,12 @@ def test_stability_numerical_failure(tmp_path, capsys):
     assert rc == 1
     assert "numerical failure" in capsys.readouterr().err
     assert not (tmp_path / "stability.json").exists()
+    # One solve is not a trace: the peak-range budget does not apply.
+    rc = run(tmp_path, "stability", "--n", "12", "--s", "0.5", "--grid", "32",
+             "--peak", "2600")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "budget" not in err
 
 
 def test_diagnose_singular_residual(tmp_path, capsys):

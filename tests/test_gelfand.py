@@ -16,7 +16,6 @@ from fracgelfand import (
     NoConvergenceError,
     ProblemParams,
     RadialGrid,
-    TailSpec,
     hardy_constant,
     proof_test_function,
     quadratic_form,
@@ -29,7 +28,13 @@ from fracgelfand import (
     torsion_center_value,
     trace_branch,
 )
-from fracgelfand.gelfand import _weighted_mass
+from fracgelfand.fraclap import origin_fold_weights
+from fracgelfand.gelfand import (
+    _MAX_NEWTON_ITERS,
+    _MAX_PEAK_POINTS,
+    _newton_solve,
+    _weighted_mass,
+)
 
 # mpmath at 40 digits, rounded to double precision.
 TORSION_ORACLE = {
@@ -70,8 +75,6 @@ def test_torsion_center_oracle():
 
 
 def test_torsion_matches_grid_solve(operator_cache):
-    from fracgelfand.fraclap import origin_fold_weights
-
     op = operator_cache(3, 0.5, 128)
     z = np.linalg.solve(op.matrix, np.ones(op.n_interior))
     e1, e2 = origin_fold_weights(op.grid)
@@ -90,6 +93,20 @@ def test_config_validation(operator_cache):
         ContinuationConfig(params=p, grid=op.grid, peak_step=0.0)
     with pytest.raises(DomainError):
         ContinuationConfig(params=p, grid=op.grid, newton_tol=-1e-10)
+    # NaN fails every comparison, so each bound must reject it explicitly.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="newton_tol"):
+            ContinuationConfig(params=p, grid=op.grid, newton_tol=bad)
+        with pytest.raises(DomainError, match="peak_step"):
+            ContinuationConfig(params=p, grid=op.grid, peak_step=bad)
+    # The point budget counts what trace_branch's np.arange yields.
+    cfg = ContinuationConfig(params=p, grid=op.grid, peak_step=6.0 / _MAX_PEAK_POINTS)
+    points = np.arange(cfg.peak_start, cfg.peak_end + 0.5 * cfg.peak_step, cfg.peak_step)
+    assert points.size <= _MAX_PEAK_POINTS
+    for kwargs in ({"peak_step": 1e-9}, {"peak_step": 5.0 / _MAX_PEAK_POINTS},
+                   {"peak_end": math.inf}):
+        with pytest.raises(DomainError, match="budget"):
+            ContinuationConfig(params=p, grid=op.grid, **kwargs)
 
 
 def test_solve_at_peak_basic(operator_cache):
@@ -99,7 +116,7 @@ def test_solve_at_peak_basic(operator_cache):
     assert pt.residual_norm <= cfg.newton_tol
     assert pt.peak == pytest.approx(0.5, abs=1e-9)
     assert pt.profile.values[0] == pytest.approx(0.5, abs=1e-9)
-    assert 0 < pt.newton_iters <= cfg.max_iters
+    assert 0 < pt.newton_iters <= _MAX_NEWTON_ITERS
     assert pt.lam > 0.0
     assert math.isfinite(pt.stability_eig)
     # Solved profile is radially decreasing with zero boundary value.
@@ -124,17 +141,18 @@ def test_invalid_center_value(operator_cache):
             solve_at_peak(cfg, m)
 
 
-def test_constant_exterior_is_infeasible(operator_cache):
-    # A unit exterior plateau turns the small-peak state into a well that the
-    # operator pushes negative at the center, so no positive coupling fits.
+def test_negative_center_value_is_infeasible(operator_cache):
+    # solve_at_peak refuses m <= 0 up front, so the guard is reached through
+    # _newton_solve: from the torsion-scaled start it converges to the state
+    # with u(0) = -0.1, which needs lam < 0 and must be rejected.
     op = operator_cache(3, 0.5, 96)
-    cfg = ContinuationConfig(
-        params=ProblemParams(3, 0.5), grid=op.grid,
-        exterior=TailSpec.power(0.0, 1.0), _op=op,
-    )
+    e1, e2 = origin_fold_weights(op.grid)
+    z = np.linalg.solve(op.matrix, np.ones(op.n_interior))
+    z0 = e1 * z[0] + e2 * z[1]
+    m = -0.1
     with pytest.raises(InfeasibleError) as excinfo:
-        solve_at_peak(cfg, 0.1)
-    assert excinfo.value.lam == pytest.approx(-1.45992, abs=1e-2)
+        _newton_solve(op, m, (m / z0) * z, m / z0, 1e-10)
+    assert excinfo.value.lam == pytest.approx(-0.218, abs=1e-2)
 
 
 def test_branch_fold_and_extremal_estimate(branch_1d):
@@ -167,9 +185,8 @@ def test_branch_serialization(branch_1d):
     assert data["n"] == 1 and data["s"] == 0.5
     assert data["lambda_star_estimate"] == pytest.approx(branch.lambda_star_estimate)
     assert len(data["points"]) == len(branch.points)
-    assert "profile" not in data["points"][0]
-    rich = json.loads(branch.to_json(include_profiles=True))
-    assert rich["points"][0]["profile"]["values"][-1] == 0.0
+    assert set(data["points"][0]) == {
+        "peak", "lambda", "stability_eig", "residual_norm", "newton_iters"}
 
 
 def test_stability_eigenvalue_deterministic_and_checked(branch_1d, operator_cache):
@@ -212,6 +229,27 @@ def test_weighted_mass_closed_form(operator_cache, n):
     for c in (-3.0, 1.7):
         mass_c = _weighted_mass(op, np.full(nodes.size, c))
         assert np.abs(mass_c - math.exp(c) * mass0).max() <= 1e-13 * math.exp(c) * scale
+    # u = 1 - 2 r^2 makes the origin panel's density e^{a0 + b0 r^2} with
+    # b0 != 0.  The documented interpolant: that even parabola on [0, r_1],
+    # u log-linear in r on every other panel.
+    values = 1.0 - 2.0 * nodes**2
+    got = _weighted_mass(op, values).sum()
+    with mpmath.workdps(30):
+        r = [mpmath.mpf(float(x)) for x in nodes]
+        v = [mpmath.mpf(float(x)) for x in values]
+        a0 = (r[2] ** 2 * v[1] - r[1] ** 2 * v[2]) / (r[2] ** 2 - r[1] ** 2)
+        b0 = (v[1] - a0) / r[1] ** 2
+        total = mpmath.quad(lambda x: mpmath.exp(a0 + b0 * x * x) * x ** (n - 1), [0, r[1]])
+        for k in range(1, len(r) - 1):
+            beta = (v[k + 1] - v[k]) / mpmath.log(r[k + 1] / r[k])
+            # 1^T M 1 weighs the density by (1 - phi_N)^2 (see above).
+            hat = (lambda x: 1) if k < len(r) - 2 else (lambda x: ((1 - x) / (1 - r[k])) ** 2)
+            total += mpmath.quad(
+                lambda x, k=k, beta=beta, hat=hat:
+                    hat(x) * mpmath.exp(v[k]) * (x / r[k]) ** beta * x ** (n - 1),
+                [r[k], r[k + 1]])
+        exact = float(area * total)
+    assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_stability_eigenvalue_overflow_is_typed(branch_1d):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracgelfand import log_gamma, log_gamma_ratio
+from fracgelfand import log_gamma
 
 # mpmath.loggamma at 40 digits, rounded to double precision.
 MPMATH_VALUES = {
@@ -63,14 +63,7 @@ def test_duplication(x):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-11)
 
 
-def test_ratio_matches_difference():
-    assert log_gamma_ratio(50.0, 49.5) == pytest.approx(1.948461125198903404462, rel=1e-14)
-    assert log_gamma_ratio(7.0, 7.0) == 0.0
-
-
 def test_domain_errors():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             log_gamma(bad)
-    with pytest.raises(ValueError):
-        log_gamma_ratio(1.0, -2.0)
