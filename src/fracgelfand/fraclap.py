@@ -22,25 +22,26 @@ Discretization (per collocation row r_i):
   sliver with Gauss-Legendre;
 * all other panels inside the ball use per-panel Gauss-Legendre against a
   piecewise-quadratic 3-node Lagrange interpolant of u;
-* the exterior integral uses a grid on (1, 2] geometrically refined toward 1
-  at the row's distance to the boundary, plus rho = 2/t with dyadic panels in
-  t for (2, inf).  One builder makes this quadrature for a whole array of
-  radii: the collocation rows here and the exterior density of the energy
-  form.  The stored (rho_q, weight*kernel) table evaluates both the tail mass
-  and any exterior datum with the same sums, so constants are annihilated
-  exactly.
+* for zero exterior data (the Dirichlet problem) the exterior integral is
+  u(r) times the row mass int_{rho > 1} K drho = (-Delta)^s 1_B / c_{n,s} in
+  Dyda's closed form (*Fract. Calc. Appl. Anal.* 15 (2012) 536-555), which
+  also gives the energy form's exterior density.  Nonzero exterior data are
+  integrated on each call over (1, 2], refined toward 1 at the row's boundary
+  distance, and over (2, inf) in rho = 2/t with dyadic panels in t.
 
 All of it runs over blocks of rows, not row by row, through one kernel.  Its
-hypergeometric factor comes from a per-(n, s) table built on first use:
-piecewise Chebyshev on octaves of 1 - z, refined geometrically toward the
-(1-z)^{1+2s} endpoint term, or scipy's hyp2f1 directly where the factor is a
-polynomial (n/2 - s - 1 a nonpositive integer).
+hypergeometric factor, and the one in the closed-form mass, come from a table
+built on first use per parameter set: piecewise Chebyshev on octaves of 1 - z,
+refined geometrically toward the endpoint term, or scipy's hyp2f1 directly
+where the function is a polynomial.
 
 The origin node is eliminated by the even-quadratic extrapolation
 u_0 = e1*u_1 + e2*u_2 consistent with u'(0) = 0; the boundary node carries the
 exterior datum's limit g(1).  ``apply`` evaluates the operator in difference
 form (couplings times u_i - u_j), which keeps the constant-annihilation
-property at roundoff level even where the tail mass is ~ dist^{-2s} large.
+property at roundoff level even where the tail mass is ~ dist^{-2s} large:
+the quadrature's own sums carry both u_i and a nonzero datum, never the closed
+form (the two differ by up to ~5e-14 relative near r = 1).
 """
 
 from __future__ import annotations
@@ -274,7 +275,8 @@ class _PhiTable:
     [2^-(k+1), 2^-k] for k = 1..52.  On this geometric mesh one degree
     resolves the (1-z)^{c-a-b} endpoint term everywhere (Trefethen,
     *Approximation Theory and Approximation Practice*, 2013).  The last piece
-    holds the constant Phi(1) for w < 2^-53, which for a double z means z = 1.
+    holds the constant Phi(1) for w < 2^-53, which for a double z means z = 1
+    (accurate for c - a - b >= 1, where the endpoint term is below 2^-52).
 
     Node values come from the Gauss series on the first pieces (z <= 1/2
     unless c > 16) and, toward z = 1, from Taylor re-expansion of the
@@ -362,13 +364,14 @@ class _PhiTable:
 
 
 @functools.lru_cache(maxsize=64)
-def _phi(n: int, s: float):
-    """Evaluator of Phi(z) = 2F1(-s, n/2-s-1; n/2; z), built once per (n, s).
+def _phi(a: float, b: float, c: float):
+    """Evaluator of 2F1(a, b; c; z) on [0, 1], built once per (a, b, c).
 
-    Where Phi is a polynomial (n/2-s-1 a nonpositive integer) scipy's hyp2f1
-    is exact and faster than the table, so it is used directly.
+    Used with a = -s, c = n/2 for the kernel's Phi (b = n/2-s-1) and the
+    exterior mass's Psi (b = n/2-s).  Where the function is a polynomial (b a
+    nonpositive integer) scipy's hyp2f1 is exact and faster than the table,
+    so it is used directly.
     """
-    a, b, c = -s, 0.5 * n - s - 1.0, 0.5 * n
     if b <= 0.0 and b == math.floor(b):
         return functools.partial(hyp2f1, a, b, c)
     return _PhiTable(a, b, c)
@@ -392,7 +395,7 @@ def _kernel(p: ProblemParams, r: np.ndarray | float, rho: np.ndarray,
         sphere_area(p.n)
         * (rho / big) ** (p.n - 1)
         * (big / gap) ** (1.0 + 2.0 * p.s)
-        * _phi(p.n, p.s)(z)
+        * _phi(-p.s, 0.5 * p.n - p.s - 1.0, 0.5 * p.n)(z)
     )
 
 
@@ -427,7 +430,7 @@ class OperatorMatrix:
     annihilates constants exactly.  ``couple_quad`` holds the
     nonnegative-kernel couplings between interior nodes (quadratic
     interpolant, origin fold applied), ``couple_quad_bnd`` those to the
-    boundary node, ``tail_rho``/``tail_wk`` the per-row exterior quadrature,
+    boundary node, ``tail_mass`` the closed-form exterior row masses,
     ``weights`` the radial hat masses |S^{n-1}| int phi_i r^{n-1} dr.
     """
 
@@ -436,9 +439,7 @@ class OperatorMatrix:
     normalization: float
     couple_quad: np.ndarray       # (Ni, Ni) interior couplings, origin fold applied
     couple_quad_bnd: np.ndarray   # (Ni,) coupling to the boundary node
-    tail_rho: np.ndarray          # (Ni, nt) padded exterior quadrature radii
-    tail_wk: np.ndarray           # (Ni, nt) weight * kernel products (0 padding)
-    tail_mass: np.ndarray         # (Ni,) row sums of tail_wk
+    tail_mass: np.ndarray         # (Ni,) int_{rho > 1} K(r_i, rho) drho
     weights: np.ndarray           # (Ni,) radial hat masses
     _matrix: np.ndarray | None = None
     _stability_form: np.ndarray | None = None
@@ -461,7 +462,8 @@ class OperatorMatrix:
 
         Every term multiplies a pointwise difference, so a globally constant
         function (matching constant tail) yields exact zeros instead of the
-        cancellation of ~dist^{-2s} terms a matvec would incur.
+        cancellation of ~dist^{-2s} terms a matvec would incur.  Only a zero
+        tail uses the closed-form mass.
         """
         u_int = np.asarray(u_int, dtype=float)
         # Products are formed in place: this runs in every Newton residual.
@@ -470,10 +472,14 @@ class OperatorMatrix:
         out = diff.sum(axis=1)
         g1 = tail.boundary_value(self.params.s)
         out += self.couple_quad_bnd * (u_int - g1)
-        rel = tail.values(self.tail_rho, self.params.s)
-        np.subtract(u_int[:, None], rel, out=rel)
-        rel *= self.tail_wk
-        out += rel.sum(axis=1)
+        if tail.kind is TailKind.ZERO:
+            out += self.tail_mass * u_int
+        else:
+            for rows, rho, wk in _exterior_blocks(self.params, self.grid.interior):
+                rel = tail.values(rho, self.params.s)
+                np.subtract(u_int[rows, None], rel, out=rel)
+                rel *= wk
+                out[rows] += rel.sum(axis=1)
         return self.normalization * out
 
     def apply(self, u: RadialFunction) -> RadialFunction:
@@ -543,67 +549,66 @@ def _row_blocks(n_rows: int, row_entries: int):
         yield slice(lo, min(n_rows, lo + step))
 
 
-class _ExteriorQuadrature:
-    """Exterior quadrature (rho, weight * K(r, rho)) for rows at radii r < 1.
+def _exterior_blocks(p: ProblemParams, radii: np.ndarray):
+    """Exterior quadrature (rows, rho, weight * K(r, rho)) for radii r < 1.
 
-    (1, 2] is split at 1 + d (2^k - 1), capped at 2, with d = 1 - r: panels
-    geometrically refined toward 1 at the scale of the row's boundary
-    distance, on which the kernel varies.  Nodes are placed by their offset
-    u from 1, and the kernel's singular factor uses rho - r = d + u, which
-    keeps full relative precision however small d is.  Every row gets the
-    panel count of the row closest to the boundary; a row's surplus panels
-    have zero width at rho = 2 and so zero weights.  (2, inf) uses rho = 2/t
-    with dyadic panels in t, the same for every row; the integrand decays
-    like t^{2s-1}, so the panel depth is adapted to s for ~1e-15 truncation.
+    Yields row slices of at most _BLOCK_ENTRIES entries.  (1, 2] is split at
+    1 + d (2^k - 1), capped at 2, with d = 1 - r: panels geometrically refined
+    toward 1 at the scale of the row's boundary distance, on which the kernel
+    varies.  Nodes are placed by their offset u from 1, and the kernel's
+    singular factor uses rho - r = d + u, which keeps full relative precision
+    however small d is.  Every row gets the panel count of the row closest to
+    the boundary; a row's surplus panels have zero width at rho = 2 and so
+    zero weights.  (2, inf) uses rho = 2/t with dyadic panels in t, the same
+    for every row; the integrand decays like t^{2s-1}, so the panel depth is
+    adapted to s for ~1e-15 truncation.
+
+    Known limit: the depth min(400, 25/s + 8) drops a relative 2^{-802 s} of
+    the row mass once the cap binds (3.9e-3 at s = 0.01, 5.7e-8 at s = 0.03),
+    so nonzero tails are truncated at s below ~0.06.
     """
+    radii = np.asarray(radii, dtype=float)
+    d_min = 1.0 - float(radii.max())
+    n_near = 1
+    while d_min * (2.0**n_near - 1.0) < 1.0:
+        n_near += 1
+    steps = 2.0 ** np.arange(n_near + 1) - 1.0
+    xs, ws = leggauss(_TAIL_SEG_A_ORDER)
 
-    def __init__(self, p: ProblemParams, radii: np.ndarray):
-        self.params = p
-        self.radii = np.asarray(radii, dtype=float)
-        d_min = 1.0 - float(self.radii.max())
-        n_near = 1
-        while d_min * (2.0**n_near - 1.0) < 1.0:
-            n_near += 1
-        self._steps = 2.0 ** np.arange(n_near + 1) - 1.0
-        self._gl_near = leggauss(_TAIL_SEG_A_ORDER)
-        self._n_near = n_near * _TAIL_SEG_A_ORDER
+    xf, wf = leggauss(_TAIL_SEG_B_ORDER)
+    depth = min(400, int(25.0 / p.s) + 8)
+    t_hi = 0.5 ** np.arange(depth)
+    t_mid, t_half = 0.75 * t_hi, 0.25 * t_hi
+    t = (t_mid[:, None] + t_half[:, None] * xf).ravel()
+    rho_far = 2.0 / t
+    w_far = (t_half[:, None] * wf).ravel() * (2.0 / t**2)
 
-        xs, ws = leggauss(_TAIL_SEG_B_ORDER)
-        depth = min(400, int(25.0 / p.s) + 8)
-        t_hi = 0.5 ** np.arange(depth)
-        t_mid, t_half = 0.75 * t_hi, 0.25 * t_hi
-        t = (t_mid[:, None] + t_half[:, None] * xs).ravel()
-        self._rho_far = 2.0 / t
-        self._w_far = (t_half[:, None] * ws).ravel() * (2.0 / t**2)
-        self.width = self._n_near + t.size
-
-    def blocks(self):
-        """Yield (rows, rho, wk) over row slices of at most _BLOCK_ENTRIES entries."""
-        xs, ws = self._gl_near
-        near = slice(0, self._n_near)
-        far = slice(self._n_near, self.width)
-        for rows in _row_blocks(self.radii.size, self.width):
-            r = self.radii[rows, None]
-            d = 1.0 - r
-            m = r.shape[0]
-            breaks = np.minimum(1.0, d * self._steps)      # offsets from rho = 1
-            mid = 0.5 * (breaks[:, :-1] + breaks[:, 1:])
-            half = 0.5 * (breaks[:, 1:] - breaks[:, :-1])
-            u = (mid[:, :, None] + half[:, :, None] * xs).reshape(m, -1)
-            rho = np.empty((m, self.width))
-            wk = np.empty((m, self.width))
-            rho[:, near] = 1.0 + u
-            rho[:, far] = self._rho_far
-            wk[:, near] = (half[:, :, None] * ws).reshape(m, -1) * _kernel(
-                self.params, r, rho[:, near], dist=d + u)
-            wk[:, far] = self._w_far * _kernel(self.params, r, self._rho_far)
-            yield rows, rho, wk
+    for rows in _row_blocks(radii.size, n_near * _TAIL_SEG_A_ORDER + t.size):
+        r = radii[rows, None]
+        d = 1.0 - r
+        m = r.shape[0]
+        breaks = np.minimum(1.0, d * steps)      # offsets from rho = 1
+        mid = 0.5 * (breaks[:, :-1] + breaks[:, 1:])
+        half = 0.5 * (breaks[:, 1:] - breaks[:, :-1])
+        u = (mid[:, :, None] + half[:, :, None] * xs).reshape(m, -1)
+        w_near = (half[:, :, None] * ws).reshape(m, -1)
+        rho = np.concatenate([1.0 + u, np.broadcast_to(rho_far, (m, t.size))], axis=1)
+        wk = np.concatenate([w_near * _kernel(p, r, 1.0 + u, dist=d + u),
+                             w_far * _kernel(p, r, rho_far)], axis=1)
+        yield rows, rho, wk
 
 
 def _exterior_mass(p: ProblemParams, radii: np.ndarray) -> np.ndarray:
-    """int_{rho > 1} K(r, rho) drho at each radius r < 1 (the zero-tail row mass)."""
-    ext = _ExteriorQuadrature(p, radii)
-    return np.concatenate([wk.sum(axis=1) for _, _, wk in ext.blocks()])
+    """int_{rho > 1} K(r, rho) drho at each radius r < 1 (the zero-tail row mass).
+
+    Dyda's (-Delta)^s 1_B / c_{n,s} after Euler's transformation (its Gamma
+    factors cancel against c_{n,s}): |S^{n-1}|/(2s) ((1-r)(1+r))^{-2s} Psi(r^2)
+    with Psi = 2F1(-s, n/2-s; n/2; .) > 0 on [0, 1).  1 - r is exact near r = 1.
+    """
+    n, s = p.n, p.s
+    r = np.asarray(radii, dtype=float)
+    psi = _phi(-s, 0.5 * n - s, 0.5 * n)(r * r)
+    return sphere_area(n) / (2.0 * s) * ((1.0 - r) * (1.0 + r)) ** (-2.0 * s) * psi
 
 
 def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
@@ -699,22 +704,13 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     cq[:, 1] += e1 * cq[:, 0]
     cq[:, 2] += e2 * cq[:, 0]
 
-    ext = _ExteriorQuadrature(p, r[1:npan])
-    tail_rho = np.empty((ni, ext.width))
-    tail_wk = np.empty((ni, ext.width))
-    for rows, rho, wk in ext.blocks():
-        tail_rho[rows] = rho
-        tail_wk[rows] = wk
-
     return OperatorMatrix(
         params=p,
         grid=grid,
         normalization=c,
         couple_quad=cq[:, 1:npan].copy(),
         couple_quad_bnd=cq[:, npan].copy(),
-        tail_rho=tail_rho,
-        tail_wk=tail_wk,
-        tail_mass=tail_wk.sum(axis=1),
+        tail_mass=_exterior_mass(p, r[1:npan]),
         weights=_hat_masses(grid, n, sphere_area(n)),
     )
 
@@ -731,8 +727,9 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     exactly to |r-rho|^{1-2s} times a smooth factor (hat differences are
     linear in r-rho there) and use Gauss-Jacobi in the gap variable; panel
     pairs sharing a corner use a Duffy split; separated pairs use tensor
-    Gauss-Legendre; the exterior region contributes a local nonnegative
-    density.  The origin hat is folded with the even-quadratic weights, the
+    Gauss-Legendre; the exterior region contributes the local density
+    tau(r) = cns |S| r^{n-1} times the closed-form exterior mass, which is
+    positive.  The origin hat is folded with the even-quadratic weights, the
     boundary hat is dropped (Dirichlet), so the result is PSD by construction.
     """
     n, s = p.n, p.s
@@ -824,7 +821,7 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     for i, j in ((2, 2), (1, 1), (1, 2), (0, 0), (0, 1), (0, 2)):
         smat[corner + i, corner + j] += (wkv * d[i] * d[j]).sum(axis=(1, 2))
 
-    # --- exterior region: local nonnegative density tau(r) integrated
+    # --- exterior region: local positive density tau(r) integrated
     # against hat products on each panel.
     xq, wq = leggauss(6)
     rq = mid[:, None] + half[:, None] * xq

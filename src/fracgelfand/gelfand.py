@@ -254,7 +254,8 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
     fnorm = float(np.abs(fvec).max())
     iters = 0
     while fnorm > tol and iters < _MAX_NEWTON_ITERS:
-        expu = np.exp(u)
+        with np.errstate(over="ignore"):
+            expu = np.exp(u)
         jac = np.zeros((ni + 1, ni + 1))
         jac[:ni, :ni] = amat
         jac[diag, diag] -= lam * expu

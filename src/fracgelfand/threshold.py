@@ -12,7 +12,6 @@ dimensions 10 and above for none).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .constants import ProblemParams, RegimeError

@@ -106,15 +106,22 @@ _ARGS = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=1, max_value=16), _ORDERS, st.lists(_ARGS, min_size=1, max_size=24))
 def test_phi_evaluator_against_mpmath(n, s, zs):
-    z = np.array(zs)
-    got = _phi(n, s)(z)
-    with mpmath.workdps(30):
-        want = [mpmath.hyp2f1(-s, 0.5 * n - s - 1.0, 0.5 * n, mpmath.mpf(x)) for x in zs]
-    rel = [abs((mpmath.mpf(g) - w) / w) for g, w in zip(got, want)]
-    assert max(rel) <= 2e-13
+    # The kernel's Phi on all of [0, 1], and the exterior mass's
+    # Psi = 2F1(-s, n/2-s; n/2; z) below z = 1, where the mass is finite.
+    for b, args in ((0.5 * n - s - 1.0, zs), (0.5 * n - s, [x for x in zs if x < 1.0])):
+        if not args:
+            continue
+        got = _phi(-s, b, 0.5 * n)(np.array(args))
+        with mpmath.workdps(30):
+            want = [mpmath.hyp2f1(-s, b, 0.5 * n, mpmath.mpf(x)) for x in args]
+        rel = [abs((mpmath.mpf(g) - w) / w) for g, w in zip(got, want)]
+        assert max(rel) <= 2e-13
 
 
 def test_phi_polynomial_cases_are_hyp2f1():
     z = np.concatenate([np.linspace(0.0, 1.0, 1001), 1.0 - np.logspace(-16, -2, 200)])
     for n, s in ((1, 0.5), (3, 0.5)):
-        assert np.array_equal(_phi(n, s)(z), hyp2f1(-s, 0.5 * n - s - 1.0, 0.5 * n, z))
+        a, b, c = -s, 0.5 * n - s - 1.0, 0.5 * n
+        assert np.array_equal(_phi(a, b, c)(z), hyp2f1(a, b, c, z))
+    # Psi = 2F1(-s, n/2-s; n/2; z) is a polynomial only at (1, 0.5), where it is 1.
+    assert np.array_equal(_phi(-0.5, 0.0, 0.5)(z), np.ones_like(z))

@@ -13,13 +13,12 @@ from fracgelfand import (
     TailKind,
     TailSpec,
     assemble,
-    hardy_constant,
     lambda0,
     operator_normalization,
     power_coefficient,
     quadratic_form,
 )
-from fracgelfand.fraclap import _exterior_mass
+from fracgelfand.fraclap import _exterior_blocks, _exterior_mass
 
 
 def window(grid, lo=0.2, hi=0.8):
@@ -127,7 +126,10 @@ def dyda_exterior_mass(n, s, r):
                          for x in r])
 
 
-@pytest.mark.parametrize("n, s", [(1, 0.3), (2, 0.7), (3, 0.5), (10, 0.9)])
+_EXTERIOR_CASES = [(1, 0.3), (2, 0.7), (3, 0.5), (10, 0.9)]
+
+
+@pytest.mark.parametrize("n, s", _EXTERIOR_CASES + [(1, 0.02), (3, 0.01)])
 def test_exterior_mass_matches_closed_form(operator_cache, n, s):
     """Zero-tail row masses, at the collocation rows and at the points where
     the energy form samples its exterior density tau."""
@@ -140,6 +142,18 @@ def test_exterior_mass_matches_closed_form(operator_cache, n, s):
     pts = (0.5 * (nodes[:-1] + nodes[1:])[:, None] + 0.5 * np.diff(nodes)[:, None] * xq).ravel()
     c = operator_normalization(ProblemParams(n, s))
     rel = np.abs(c * _exterior_mass(ProblemParams(n, s), pts) / dyda_exterior_mass(n, s, pts) - 1.0)
+    assert rel.max() <= 1e-11
+
+
+@pytest.mark.parametrize("n, s", _EXTERIOR_CASES)
+def test_exterior_quadrature_matches_closed_form(n, s):
+    """Row sums of the quadrature that nonzero exterior data are integrated with."""
+    p = ProblemParams(n, s)
+    r = RadialGrid.graded(256).interior
+    mass = np.empty_like(r)
+    for rows, _, wk in _exterior_blocks(p, r):
+        mass[rows] = wk.sum(axis=1)
+    rel = np.abs(operator_normalization(p) * mass / dyda_exterior_mass(n, s, r) - 1.0)
     assert rel.max() <= 1e-11
 
 

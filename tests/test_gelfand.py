@@ -16,6 +16,7 @@ from fracgelfand import (
     NoConvergenceError,
     ProblemParams,
     RadialGrid,
+    assemble,
     hardy_constant,
     proof_test_function,
     quadratic_form,
@@ -28,6 +29,7 @@ from fracgelfand import (
     torsion_center_value,
     trace_branch,
 )
+from fracgelfand import fraclap
 from fracgelfand.fraclap import origin_fold_weights
 from fracgelfand.gelfand import (
     _MAX_NEWTON_ITERS,
@@ -74,12 +76,15 @@ def test_torsion_center_oracle():
         assert torsion_center_value(ProblemParams(n, s)) == pytest.approx(expected, rel=1e-13)
 
 
-def test_torsion_matches_grid_solve(operator_cache):
-    op = operator_cache(3, 0.5, 128)
+@pytest.mark.parametrize("n, s, rel", [(3, 0.5, 5e-4), (3, 0.01, 1e-5)], ids=["3-0.5", "3-0.01"])
+def test_torsion_matches_grid_solve(operator_cache, n, s, rel):
+    # At s = 0.01 the exterior mass decays like rho^{-2s}: a far field cut at
+    # any radius a quadrature can reach loses a visible share of it.
+    op = operator_cache(n, s, 128)
     z = np.linalg.solve(op.matrix, np.ones(op.n_interior))
     e1, e2 = origin_fold_weights(op.grid)
     z0 = e1 * z[0] + e2 * z[1]
-    assert z0 == pytest.approx(torsion_center_value(ProblemParams(3, 0.5)), rel=5e-4)
+    assert z0 == pytest.approx(torsion_center_value(ProblemParams(n, s)), rel=rel)
 
 
 def test_config_validation(operator_cache):
@@ -122,6 +127,21 @@ def test_solve_at_peak_basic(operator_cache):
     # Solved profile is radially decreasing with zero boundary value.
     assert pt.profile.values[-1] == 0.0
     assert np.all(np.diff(pt.profile.values) < 0.0)
+
+
+def test_dirichlet_path_builds_no_exterior_quadrature(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("exterior quadrature built on the zero-exterior path")
+
+    monkeypatch.setattr(fraclap, "_exterior_blocks", refuse)
+    p = ProblemParams(3, 0.5)
+    op = assemble(p, RadialGrid.graded(48))
+    assert np.all(np.isfinite(op.stability_form))
+    cfg = ContinuationConfig(params=p, grid=op.grid, _op=op)
+    pt = solve_at_peak(cfg, 0.5)
+    assert pt.stable
+    lhs, rhs = stability_inequality_check(op, pt, rho0=0.5, eps=0.1)
+    assert lhs <= rhs
 
 
 def test_warm_start_agrees_with_cold(branch_1d):
