@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .constants import (
@@ -78,7 +77,6 @@ def _write_metadata(outdir: Path, config: dict) -> None:
         "versions": {
             "fracgelfand": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
     }

@@ -18,8 +18,9 @@ Discretization (per collocation row r_i):
 * the two panels touching r_i are integrated against the parabola through
   (r_{i-1}, r_i, r_{i+1});  the symmetric core (-h, h), h = min of the two
   panel widths, is evaluated with Gauss-Jacobi moments of weight delta^{1-2s}
-  (the odd/even split makes the principal value exact), the leftover one-sided
-  sliver with Gauss-Legendre;
+  (the odd/even split makes the principal value exact; the rule comes from
+  the Golub-Welsch eigenproblem), the leftover one-sided sliver with
+  Gauss-Legendre;
 * all other panels inside the ball use per-panel Gauss-Legendre against a
   piecewise-quadratic 3-node Lagrange interpolant of u;
 * for zero exterior data (the Dirichlet problem) the exterior integral is
@@ -27,13 +28,15 @@ Discretization (per collocation row r_i):
   Dyda's closed form (*Fract. Calc. Appl. Anal.* 15 (2012) 536-555), which
   also gives the energy form's exterior density.  Nonzero exterior data are
   integrated on each call over (1, 2], refined toward 1 at the row's boundary
-  distance, and over (2, inf) in rho = 2/t with dyadic panels in t.
+  distance, over (2, R] in rho = 2/t with dyadic panels in t, and beyond R
+  in closed form from the kernel's leading far-field term.
 
 All of it runs over blocks of rows, not row by row, through one kernel.  Its
 hypergeometric factor, and the one in the closed-form mass, come from a table
 built on first use per parameter set: piecewise Chebyshev on octaves of 1 - z,
-refined geometrically toward the endpoint term, or scipy's hyp2f1 directly
-where the function is a polynomial.
+refined geometrically toward the endpoint term, or the terminating Gauss sum
+where the function is a polynomial.  The module needs numpy and the standard
+library only.
 
 The origin node is eliminated by the even-quadratic extrapolation
 u_0 = e1*u_1 + e2*u_2 consistent with u'(0) = 0; the boundary node carries the
@@ -53,7 +56,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import hyp2f1, roots_jacobi
 
 from .constants import DomainError, ProblemParams, operator_normalization
 from .specfun import log_gamma
@@ -90,6 +92,43 @@ _DENSE_BUDGET_BYTES = 1 << 29
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2)."""
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - log_gamma(n / 2.0))
+
+
+def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """q-point Gauss rule for the weight (1 + x)^beta on (-1, 1), beta > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the polynomials P_k^{(0, beta)}.  One Newton step on the
+    orthonormal p_q polishes them, and the weights are the Christoffel numbers
+    1 / sum_{k<q} p_k(x)^2 at the polished nodes.  Against 30-digit rules for
+    beta in [-0.98, 1.98] the nodes are within 2.3e-16 and the weights within
+    8e-15 relative.
+    """
+    k = np.arange(1, q + 1, dtype=float)
+    t = 2.0 * k + beta
+    diag = np.empty(q)                       # a_0 .. a_{q-1}
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (t[:-1] * (t[:-1] + 2.0))
+    off = 2.0 * k * (k + beta) / (t * np.sqrt((t - 1.0) * (t + 1.0)))   # b_1 .. b_q
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+
+    def recurrence(x):
+        # b_{j+1} p_{j+1} = (x - a_j) p_j - b_j p_{j-1} from p_0 = mu_0^{-1/2},
+        # mu_0 = 2^{beta+1} / (beta+1); returns p_q, p_q' and sum_{j<q} p_j^2.
+        p_prev, p = np.zeros_like(x), np.full_like(x, ((beta + 1.0) / 2.0 ** (beta + 1.0)) ** 0.5)
+        dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+        total = np.zeros_like(x)
+        for j in range(q):
+            total += p * p
+            b_j = off[j - 1] if j else 0.0
+            p_next = ((x - diag[j]) * p - b_j * p_prev) / off[j]
+            dp_next = ((x - diag[j]) * dp + p - b_j * dp_prev) / off[j]
+            p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+        return p, dp, total
+
+    p, dp, _ = recurrence(x)
+    x = x - p / dp
+    return x, 1.0 / recurrence(x)[2]
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +258,14 @@ class TailSpec:
         if self.kind is TailKind.POWER:
             return self.coeff
         return 0.0
+
+    def far_mean(self, radius: float, s: float) -> float:
+        """Mean of the datum over rho > radius under the weight rho^{-1-2s}."""
+        if self.kind is TailKind.ZERO:
+            return 0.0
+        if self.kind is TailKind.POWER:
+            return self.coeff * radius ** (-self.alpha) * (2.0 * s / (2.0 * s + self.alpha))
+        return -self.coeff * (2.0 * s * math.log(radius) + 1.0)
 
 
 @dataclass
@@ -369,12 +416,23 @@ def _phi(a: float, b: float, c: float):
 
     Used with a = -s, c = n/2 for the kernel's Phi (b = n/2-s-1) and the
     exterior mass's Psi (b = n/2-s).  Where the function is a polynomial (b a
-    nonpositive integer) scipy's hyp2f1 is exact and faster than the table,
-    so it is used directly.
+    nonpositive integer: Phi = 1 + z at (n, s) = (1, 0.5), Phi = 1 at
+    (3, 0.5), Psi = 1 at (1, 0.5)) its terminating Gauss sum is exact and
+    faster than the table, so it is summed directly.
     """
     if b <= 0.0 and b == math.floor(b):
-        return functools.partial(hyp2f1, a, b, c)
+        return functools.partial(_gauss_polynomial, a, b, c)
     return _PhiTable(a, b, c)
+
+
+def _gauss_polynomial(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """2F1(a, b; c; z) for a nonpositive integer b: the Gauss sum's -b + 1 terms."""
+    out = np.ones_like(z, dtype=float)
+    term = 1.0
+    for k in range(int(-b)):
+        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * z
+        out += term
+    return out
 
 
 def _kernel(p: ProblemParams, r: np.ndarray | float, rho: np.ndarray,
@@ -475,8 +533,7 @@ class OperatorMatrix:
         if tail.kind is TailKind.ZERO:
             out += self.tail_mass * u_int
         else:
-            for rows, rho, wk in _exterior_blocks(self.params, self.grid.interior):
-                rel = tail.values(rho, self.params.s)
+            for rows, rel, wk in _exterior_blocks(self.params, self.grid.interior, tail):
                 np.subtract(u_int[rows, None], rel, out=rel)
                 rel *= wk
                 out[rows] += rel.sum(axis=1)
@@ -549,23 +606,23 @@ def _row_blocks(n_rows: int, row_entries: int):
         yield slice(lo, min(n_rows, lo + step))
 
 
-def _exterior_blocks(p: ProblemParams, radii: np.ndarray):
-    """Exterior quadrature (rows, rho, weight * K(r, rho)) for radii r < 1.
+def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
+    """Exterior quadrature (rows, datum, weight * K(r, rho)) for radii r < 1.
 
-    Yields row slices of at most _BLOCK_ENTRIES entries.  (1, 2] is split at
-    1 + d (2^k - 1), capped at 2, with d = 1 - r: panels geometrically refined
-    toward 1 at the scale of the row's boundary distance, on which the kernel
-    varies.  Nodes are placed by their offset u from 1, and the kernel's
-    singular factor uses rho - r = d + u, which keeps full relative precision
-    however small d is.  Every row gets the panel count of the row closest to
-    the boundary; a row's surplus panels have zero width at rho = 2 and so
-    zero weights.  (2, inf) uses rho = 2/t with dyadic panels in t, the same
-    for every row; the integrand decays like t^{2s-1}, so the panel depth is
-    adapted to s for ~1e-15 truncation.
-
-    Known limit: the depth min(400, 25/s + 8) drops a relative 2^{-802 s} of
-    the row mass once the cap binds (3.9e-3 at s = 0.01, 5.7e-8 at s = 0.03),
-    so nonzero tails are truncated at s below ~0.06.
+    Yields row slices of at most _BLOCK_ENTRIES entries; ``datum`` holds the
+    tail's values at the nodes and is the caller's to overwrite.  (1, 2] is
+    split at 1 + d (2^k - 1), capped at 2, with d = 1 - r: panels
+    geometrically refined toward 1 at the scale of the row's boundary
+    distance, on which the kernel varies.  Nodes are placed by their offset u
+    from 1, and the kernel's singular factor uses rho - r = d + u, which keeps
+    full relative precision however small d is.  Every row gets the panel
+    count of the row closest to the boundary; a row's surplus panels have
+    zero width at rho = 2 and so zero weights.  (2, R] uses rho = 2/t with
+    dyadic panels in t, the same for every row, min(400, 25/s + 8) of them.
+    Beyond R, where K = |S^{n-1}| rho^{-1-2s} (1 + O(rho^{-2})), a last column
+    carries the closed-form mass |S^{n-1}| R^{-2s} / (2s) and the datum's
+    mean there, which is finite for every s (``TailSpec.far_mean``); it is
+    what remains of the row mass once the panel cap binds, s below ~0.06.
     """
     radii = np.asarray(radii, dtype=float)
     d_min = 1.0 - float(radii.max())
@@ -582,8 +639,12 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray):
     t = (t_mid[:, None] + t_half[:, None] * xf).ravel()
     rho_far = 2.0 / t
     w_far = (t_half[:, None] * wf).ravel() * (2.0 / t**2)
+    g_far = tail.values(rho_far, p.s)
+    big_r = 2.0 ** (depth + 1)
+    g_rem = tail.far_mean(big_r, p.s)
+    w_rem = sphere_area(p.n) * big_r ** (-2.0 * p.s) / (2.0 * p.s)
 
-    for rows in _row_blocks(radii.size, n_near * _TAIL_SEG_A_ORDER + t.size):
+    for rows in _row_blocks(radii.size, n_near * _TAIL_SEG_A_ORDER + t.size + 1):
         r = radii[rows, None]
         d = 1.0 - r
         m = r.shape[0]
@@ -592,10 +653,11 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray):
         half = 0.5 * (breaks[:, 1:] - breaks[:, :-1])
         u = (mid[:, :, None] + half[:, :, None] * xs).reshape(m, -1)
         w_near = (half[:, :, None] * ws).reshape(m, -1)
-        rho = np.concatenate([1.0 + u, np.broadcast_to(rho_far, (m, t.size))], axis=1)
+        g = np.concatenate([tail.values(1.0 + u, p.s), np.broadcast_to(g_far, (m, t.size)),
+                            np.full((m, 1), g_rem)], axis=1)
         wk = np.concatenate([w_near * _kernel(p, r, 1.0 + u, dist=d + u),
-                             w_far * _kernel(p, r, rho_far)], axis=1)
-        yield rows, rho, wk
+                             w_far * _kernel(p, r, rho_far), np.full((m, 1), w_rem)], axis=1)
+        yield rows, g, wk
 
 
 def _exterior_mass(p: ProblemParams, radii: np.ndarray) -> np.ndarray:
@@ -629,7 +691,7 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     q_far = _PANEL_ORDER
     xs_far, ws_far = leggauss(q_far)
     q_near = 2 * _PANEL_ORDER
-    xj, wj = roots_jacobi(q_near, 0.0, 1.0 - 2.0 * s)
+    xj, wj = _gauss_jacobi(q_near, 1.0 - 2.0 * s)
     xs_sl, ws_sl = leggauss(_SLIVER_ORDER)
 
     # Grid-wide far-panel quadrature: nodes, weights and interpolation tables
@@ -780,7 +842,7 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     # pair energy is a single edge weight times the graph-Laplacian block.
     # Gap u (Jacobi weight u^{1-2s}) outer, position along the panel inner.
     qj, qg = 10, 6
-    xj, wj = roots_jacobi(qj, 0.0, 1.0 - 2.0 * s)
+    xj, wj = _gauss_jacobi(qj, 1.0 - 2.0 * s)
     xgi, wgi = leggauss(qg)
     pan = np.arange(npan)
     u_gap = 0.5 * h[:, None] * (1.0 + xj)                     # (npan, qj)
@@ -797,7 +859,7 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     # t < min width.  Rows: the npan-1 corners; columns: t nodes.
     qt = 8
     xt, wt = leggauss(qt)
-    xj2, wj2 = roots_jacobi(qj, 0.0, 2.0 - 2.0 * s)
+    xj2, wj2 = _gauss_jacobi(qj, 2.0 - 2.0 * s)
     a, b = h[:-1, None], h[1:, None]
     m = np.minimum(a, b)
     tm, th = 0.5 * (m + a + b), 0.5 * (a + b - m)

@@ -10,7 +10,8 @@ augmented Jacobian square and well conditioned through the fold.  Stability of
 a computed point is the sign of the smallest eigenvalue of the symmetric
 pencil (S - lam E) eta = mu M eta with S the energy form, E the e^u-weighted
 radial mass and M the plain radial mass, found by one LAPACK symmetric
-eigensolve (deterministic: no random start).
+eigensolve through numpy (deterministic: no random start).  The layer runs on
+numpy and the standard library alone.
 
 Also provides the diagnostics used to probe the singular regime: the
 log-profile ratio along a branch, the proof-style test function built from a
@@ -356,12 +357,11 @@ def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> 
     """Smallest mu of (S - lam E) eta = mu M eta, deterministic.
 
     M = diag(weights) is scaled out with D = M^{-1/2}, and the smallest
-    eigenvalue of the symmetrized D (S - lam E) D comes from one LAPACK
-    symmetric eigensolve (no random start).  A non-finite pencil (e^u
-    overflow) or a LAPACK failure raises EigenSolveError.
+    eigenvalue of the symmetrized D (S - lam E) D is the first of the
+    ascending spectrum from one LAPACK symmetric eigensolve (numpy's
+    eigvalsh, no random start).  A non-finite pencil (e^u overflow) or a
+    LAPACK failure raises EigenSolveError.
     """
-    from scipy.linalg import LinAlgError, eigh
-
     d = 1.0 / np.sqrt(op.weights)
     with np.errstate(over="ignore", invalid="ignore"):
         cmat = op.stability_form - lam * _weighted_mass(op, values)
@@ -370,9 +370,8 @@ def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> 
     if not np.isfinite(cmat).all():
         raise EigenSolveError("stability pencil has non-finite entries (e^u overflow)")
     try:
-        return float(eigh(cmat, eigvals_only=True, subset_by_index=[0, 0],
-                          overwrite_a=True, check_finite=False)[0])
-    except LinAlgError as exc:
+        return float(np.linalg.eigvalsh(cmat)[0])
+    except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"symmetric eigensolve failed: {exc}") from exc
 
 

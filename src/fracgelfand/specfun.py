@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gammaln
-
 __all__ = ["log_gamma"]
 
 
 def log_gamma(x: float) -> float:
     """Return ln Gamma(x) for x > 0.
 
-    Relative error is below 1e-13 on (0, 200].  Non-positive or non-finite
-    arguments raise ``ValueError``.
+    ``math.lgamma``: within 1.4e-15 max(1, |ln Gamma(x)|) of 30-digit values
+    on [1e-6, 200].  Non-positive or non-finite arguments raise
+    ``ValueError``.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    return float(gammaln(x))
+    return math.lgamma(x)
 

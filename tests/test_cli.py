@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fracgelfand
 from fracgelfand.cli import main
 
 
@@ -20,7 +25,7 @@ def test_constants_supercritical(tmp_path, capsys):
     assert "lambda0," in csv and "hardy_constant," in csv and "torsion_center," in csv
     meta = json.loads((tmp_path / "run_metadata.json").read_text())
     assert meta["config"]["n"] == 3
-    assert set(meta["versions"]) == {"fracgelfand", "numpy", "scipy", "python"}
+    assert set(meta["versions"]) == {"fracgelfand", "numpy", "python"}
 
 
 def test_constants_subcritical(tmp_path, capsys):
@@ -261,3 +266,37 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+# Runs every subcommand in a fresh interpreter in which importing scipy fails,
+# then prints each exit code and every scipy module that got loaded anyway.
+_NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None
+from fracgelfand.cli import main
+runs = {
+    "constants": ["constants", "--n", "3", "--s", "0.5"],
+    "threshold": ["threshold", "--n-max", "10"],
+    "verify-powers": ["verify-powers", "--n", "1", "--s", "0.3", "--grid", "64"],
+    "branch": ["branch", "--n", "1", "--s", "0.5", "--grid", "64", "--peak-max", "3", "--verify"],
+    "stability": ["stability", "--n", "1", "--s", "0.5", "--grid", "64", "--peak", "0.5"],
+    "diagnose": ["diagnose", "--n", "3", "--s", "0.5", "--grid", "64", "--singular-residual"],
+}
+codes = {name: main(["--outdir", sys.argv[1], *argv]) for name, argv in runs.items()}
+loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({"codes": codes, "scipy_modules": loaded}))
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    src = str(Path(fracgelfand.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["codes"] == {"constants": 0, "threshold": 0, "verify-powers": 0, "branch": 0,
+                               "stability": 0, "diagnose": 0}
+    assert report["scipy_modules"] == []
+    meta = json.loads((tmp_path / "run_metadata.json").read_text())
+    assert "scipy" not in meta["versions"]

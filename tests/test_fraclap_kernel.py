@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import hyp2f1
+from scipy.special import hyp2f1, roots_jacobi
 
 from fracgelfand import DomainError, ProblemParams, angular_kernel, sphere_area
-from fracgelfand.fraclap import _phi
+from fracgelfand.fraclap import _gauss_jacobi, _phi
 
 
 def two_point_1d(s, r, rho):
@@ -125,3 +125,18 @@ def test_phi_polynomial_cases_are_hyp2f1():
         assert np.array_equal(_phi(a, b, c)(z), hyp2f1(a, b, c, z))
     # Psi = 2F1(-s, n/2-s; n/2; z) is a polynomial only at (1, 0.5), where it is 1.
     assert np.array_equal(_phi(-0.5, 0.0, 0.5)(z), np.ones_like(z))
+
+
+@pytest.mark.parametrize("q", [10, 12])
+def test_gauss_jacobi_rule(q):
+    # The Gauss-Jacobi rules assembly uses, weight (1 + x)^beta, beta = 1 - 2s
+    # or 2 - 2s.  Weights are gated against 30-digit rules rather than scipy:
+    # near beta = -1 scipy's own weights are off by 2.7e-12 relative.
+    for beta in np.linspace(-0.98, 1.98, 38):
+        x, w = _gauss_jacobi(q, beta)
+        assert np.max(np.abs(x - roots_jacobi(q, 0.0, beta)[0])) <= 1e-15
+        with mpmath.workdps(30):
+            xm, wm = mpmath.gauss_quadrature(q, "jacobi", 0, mpmath.mpf(beta))
+        assert np.max(np.abs(x - np.array(xm.tolist(), dtype=float).ravel())) <= 1e-15
+        wm = np.array(wm.tolist(), dtype=float).ravel()
+        assert np.max(np.abs(w / wm - 1.0)) <= 1e-13

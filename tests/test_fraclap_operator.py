@@ -17,6 +17,7 @@ from fracgelfand import (
     operator_normalization,
     power_coefficient,
     quadratic_form,
+    sphere_area,
 )
 from fracgelfand.fraclap import _exterior_blocks, _exterior_mass
 
@@ -145,16 +146,35 @@ def test_exterior_mass_matches_closed_form(operator_cache, n, s):
     assert rel.max() <= 1e-11
 
 
-@pytest.mark.parametrize("n, s", _EXTERIOR_CASES)
+@pytest.mark.parametrize("n, s", _EXTERIOR_CASES + [(1, 0.02), (3, 0.01)])
 def test_exterior_quadrature_matches_closed_form(n, s):
-    """Row sums of the quadrature that nonzero exterior data are integrated with."""
+    """Row sums of the quadrature that nonzero exterior data are integrated with.
+
+    At s = 0.02 and 0.01 the dyadic far field is capped, and the closed-form
+    remainder beyond it carries the rest of the mass."""
     p = ProblemParams(n, s)
     r = RadialGrid.graded(256).interior
     mass = np.empty_like(r)
-    for rows, _, wk in _exterior_blocks(p, r):
+    for rows, _, wk in _exterior_blocks(p, r, TailSpec.zero()):
         mass[rows] = wk.sum(axis=1)
     rel = np.abs(operator_normalization(p) * mass / dyda_exterior_mass(n, s, r) - 1.0)
     assert rel.max() <= 1e-11
+
+
+@pytest.mark.parametrize("s", [0.3, 0.01, 1e-3, 1e-5])
+def test_exterior_quadrature_tail_moments_at_origin(s):
+    """At r = 0 the kernel is exactly |S^{n-1}| rho^{-1-2s}, so each tail's
+    exterior integral is known: |S|/(2s + alpha) for rho^{-alpha} and |S|/(2s)
+    for the log datum -2s log rho.  Below s ~ 0.06 most of it lies beyond the
+    last dyadic panel, in the closed-form remainder."""
+    for n in (1, 3):
+        p = ProblemParams(n, s)
+        for tail, exact in ((TailSpec.power(0.0), 1.0 / (2.0 * s)),
+                            (TailSpec.power(0.05), 1.0 / (2.0 * s + 0.05)),
+                            (TailSpec.log_power(-1.0), 1.0 / (2.0 * s))):
+            (_, g, wk), = _exterior_blocks(p, np.array([0.0]), tail)
+            got = float((g * wk).sum()) / sphere_area(n)
+            assert abs(got / exact - 1.0) <= 1e-11
 
 
 def test_matrix_row_sums_match_constant_response(operator_cache):
@@ -165,6 +185,17 @@ def test_matrix_row_sums_match_constant_response(operator_cache):
     rhs = op.apply_interior(np.zeros(op.n_interior), TailSpec.power(0.0, -1.0))
     scale = np.abs(op.matrix).sum(axis=1)
     assert np.max(np.abs(lhs - rhs) / scale) < 1e-13
+
+
+@pytest.mark.parametrize("n, s", [(1, 0.02), (3, 0.01)])
+def test_constant_tail_matches_row_sums_at_small_s(operator_cache, n, s):
+    # Where the far-field panel cap binds: A@1 uses the closed-form row mass,
+    # the constant tail the exterior quadrature with its far-field remainder.
+    op = operator_cache(n, s, 32)
+    lhs = op.matrix @ np.ones(op.n_interior)
+    rhs = op.apply_interior(np.zeros(op.n_interior), TailSpec.power(0.0, -1.0))
+    scale = np.abs(op.matrix).sum(axis=1)
+    assert np.max(np.abs(lhs - rhs) / scale) < 1e-11
 
 
 def test_linearity(operator_cache):
