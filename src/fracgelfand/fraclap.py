@@ -90,7 +90,15 @@ _DENSE_BUDGET_BYTES = 1 << 29
 
 
 def sphere_area(n: int) -> float:
-    """Surface measure of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2)."""
+    """Surface measure of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2).
+
+    Within 1.5e-15 relative of 40-digit values for n <= 60 by ``math.gamma``;
+    exponentiating ``log_gamma`` instead amplifies its 3-5e-16 absolute error
+    at the half-integers to 1.2e-14.  Past n = 340, where Gamma(n/2)
+    overflows, the log form is the only one.
+    """
+    if n <= 340:
+        return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - log_gamma(n / 2.0))
 
 
@@ -501,6 +509,7 @@ class OperatorMatrix:
     weights: np.ndarray           # (Ni,) radial hat masses
     _matrix: np.ndarray | None = None
     _stability_form: np.ndarray | None = None
+    _scaled_stability_form: np.ndarray | None = None
 
     @property
     def n_interior(self) -> int:
@@ -573,6 +582,20 @@ class OperatorMatrix:
         if self._stability_form is None:
             self._stability_form = _assemble_energy(self.params, self.grid)
         return self._stability_form
+
+    @property
+    def scaled_stability_form(self) -> np.ndarray:
+        """D S D with D = diag(weights)^{-1/2}, symmetrized (cached, read-only).
+
+        The energy form in the basis the radial hat masses make orthonormal:
+        the constant part of the stability pencil.
+        """
+        if self._scaled_stability_form is None:
+            d = 1.0 / np.sqrt(self.weights)
+            scaled = d[:, None] * self.stability_form * d[None, :]
+            self._scaled_stability_form = 0.5 * (scaled + scaled.T)
+            self._scaled_stability_form.flags.writeable = False
+        return self._scaled_stability_form
 
 
 def _hat_masses(grid: RadialGrid, n: int, area: float) -> np.ndarray:
@@ -788,11 +811,15 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     valid for functions vanishing outside the ball.  Same-panel pairs reduce
     exactly to |r-rho|^{1-2s} times a smooth factor (hat differences are
     linear in r-rho there) and use Gauss-Jacobi in the gap variable; panel
-    pairs sharing a corner use a Duffy split; separated pairs use tensor
-    Gauss-Legendre; the exterior region contributes the local density
-    tau(r) = cns |S| r^{n-1} times the closed-form exterior mass, which is
-    positive.  The origin hat is folded with the even-quadratic weights, the
-    boundary hat is dropped (Dirichlet), so the result is PSD by construction.
+    pairs sharing a corner use a Duffy split; separated pairs (pj >= pi + 2)
+    use tensor Gauss-Legendre over blocks of rows pi against all columns pj,
+    with the closer pairs of a block masked before the kernel is evaluated;
+    the exterior region contributes the local density tau(r) = cns |S| r^{n-1}
+    times the closed-form exterior mass, which is positive.  The origin hat is
+    folded with the even-quadratic weights, the boundary hat is dropped
+    (Dirichlet), so the result is PSD by construction.  Against the exact
+    energy of Dyda's (1-r^2)_+^{s+1} the relative error is ~9e-5 at 128
+    panels and falls like N^-2.
     """
     n, s = p.n, p.s
     area = sphere_area(n)
@@ -800,6 +827,7 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     r = grid.nodes
     npan = grid.n_panels
     h = np.diff(r)
+    pan = np.arange(npan)
     smat = np.zeros((npan + 1, npan + 1))
 
     def kap_full(rv: np.ndarray, pv: np.ndarray) -> np.ndarray:
@@ -808,35 +836,48 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     def kap_reg(rv: np.ndarray, pv: np.ndarray) -> np.ndarray:
         return pref * rv ** (n - 1) * _kernel(p, rv, pv, dist=1.0)
 
-    # --- separated panel pairs (gap of at least one panel), tensor Gauss.
+    # --- separated panel pairs pi < pj - 1, tensor Gauss, over blocks of
+    # rows pi against every column panel pj >= pi + 2.  Each pair's
+    # quadrature weights t satisfy the split
+    #   iint (eta(r)-eta(rho))(zeta(r)-zeta(rho)) t
+    #     = local mass of r + local mass of rho - cross terms,
+    # so the masses (t summed over the other panel) accumulate per panel and
+    # enter like the exterior density below; the cross terms couple hats
+    # p, p+1 of panel pi with hats of panel pj.
     q = _PANEL_ORDER - 1
     xg, wg = leggauss(q)
     mid = 0.5 * (r[:-1] + r[1:])
     half = 0.5 * h
     pts = mid[:, None] + half[:, None] * xg[None, :]      # (npan, q)
     wts = half[:, None] * wg[None, :]
-    fall = (r[1:, None] - pts) / h[:, None]               # phi_p on panel p
-    rise = (pts - r[:-1, None]) / h[:, None]              # phi_{p+1} on panel p
-    for off in range(2, npan):
-        pi = np.arange(0, npan - off)
-        pj = pi + off
-        tmat = (wts[pi, :, None] * wts[pj, None, :]) * kap_full(
-            pts[pi, :, None], pts[pj, None, :]
-        )
-        row_m = tmat.sum(axis=2)     # rho integrated out
-        col_m = tmat.sum(axis=1)     # r integrated out
-        fa, fb = fall[pi], rise[pi]
-        ga, gb = fall[pj], rise[pj]
-        smat[pi, pi] += (fa * fa * row_m).sum(axis=1)
-        smat[pi, pi + 1] += (fa * fb * row_m).sum(axis=1)
-        smat[pi + 1, pi + 1] += (fb * fb * row_m).sum(axis=1)
-        smat[pj, pj] += (ga * ga * col_m).sum(axis=1)
-        smat[pj, pj + 1] += (ga * gb * col_m).sum(axis=1)
-        smat[pj + 1, pj + 1] += (gb * gb * col_m).sum(axis=1)
-        smat[pi, pj] -= np.einsum("mq,mqp,mp->m", fa, tmat, ga)
-        smat[pi, pj + 1] -= np.einsum("mq,mqp,mp->m", fa, tmat, gb)
-        smat[pi + 1, pj] -= np.einsum("mq,mqp,mp->m", fb, tmat, ga)
-        smat[pi + 1, pj + 1] -= np.einsum("mq,mqp,mp->m", fb, tmat, gb)
+    hats = np.stack([(r[1:, None] - pts) / h[:, None],    # phi_p on panel p
+                     (pts - r[:-1, None]) / h[:, None]],  # phi_{p+1} on panel p
+                    axis=1)                               # (npan, 2, q)
+    sep_mass = np.zeros((npan, q))
+    for rows in _row_blocks(npan - 2, q * q * npan):
+        pi = np.arange(rows.start, rows.stop)
+        pj = np.arange(rows.start + 2, npan)
+        # Pairs closer than pj = pi + 2 get rho = 1, off every panel pi (no
+        # coincident points, so no 0/0), and zero weight.
+        sep = (pj >= pi[:, None] + 2)[:, None, :, None]
+        rho = np.where(sep, pts[pj], 1.0)
+        tmat = (wts[pi, :, None, None] * np.where(sep, wts[pj], 0.0)) * kap_full(
+            pts[pi, :, None, None], rho
+        )                                                 # (b, q, nj, q)
+        sep_mass[pi] += tmat.sum(axis=(2, 3))
+        sep_mass[pj] += tmat.sum(axis=(0, 1))
+        # cross[j, i, x, y] = sum_ab hats[pi][i, x, a] tmat[i, a, j, b] hats[pj][j, y, b],
+        # as two stacked matmuls (several times faster than einsum here).
+        left = np.matmul(hats[pi], tmat.reshape(pi.size, q, -1)).reshape(pi.size, 2, pj.size, q)
+        cross = np.matmul(left.transpose(2, 0, 1, 3).reshape(pj.size, 2 * pi.size, q),
+                          hats[pj].transpose(0, 2, 1)).reshape(pj.size, pi.size, 2, 2)
+        for x in (0, 1):
+            for y in (0, 1):
+                smat[rows.start + x : rows.stop + x, pj[0] + y : npan + y] -= cross[:, :, x, y].T
+    fall, rise = hats[:, 0], hats[:, 1]
+    smat[pan, pan] += (fall * fall * sep_mass).sum(axis=1)
+    smat[pan, pan + 1] += (fall * rise * sep_mass).sum(axis=1)
+    smat[pan + 1, pan + 1] += (rise * rise * sep_mass).sum(axis=1)
 
     # --- same-panel pairs: hat differences are slope*(r-rho) exactly, so the
     # pair energy is a single edge weight times the graph-Laplacian block.
@@ -844,7 +885,6 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     qj, qg = 10, 6
     xj, wj = _gauss_jacobi(qj, 1.0 - 2.0 * s)
     xgi, wgi = leggauss(qg)
-    pan = np.arange(npan)
     u_gap = 0.5 * h[:, None] * (1.0 + xj)                     # (npan, qj)
     wdt = 0.5 * (h[:, None] - u_gap)
     rg = r[:-1, None, None] + wdt[:, :, None] * (1.0 + xgi)    # (npan, qj, qg)

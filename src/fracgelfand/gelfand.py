@@ -6,12 +6,16 @@ so every residual uses the zero-exterior operator and every profile ends at 0.
 The branch is parametrized by the center value m = u(0) rather than lam: lam
 folds at the extremal parameter, m does not.  Each solve treats lam as an
 extra Newton unknown closed by the center constraint, which keeps the
-augmented Jacobian square and well conditioned through the fold.  Stability of
-a computed point is the sign of the smallest eigenvalue of the symmetric
-pencil (S - lam E) eta = mu M eta with S the energy form, E the e^u-weighted
-radial mass and M the plain radial mass, found by one LAPACK symmetric
-eigensolve through numpy (deterministic: no random start).  The layer runs on
-numpy and the standard library alone.
+augmented Jacobian square and well conditioned through the fold.  Warm starts
+extrapolate (u, lam) along the secant slope the previous point recorded, so a
+point typically costs two Newton iterations (one LU solve each; the residual
+stays in the operator's difference form).  Stability of a computed point is
+the sign of the smallest eigenvalue of the symmetric pencil
+(S - lam E) eta = mu M eta with S the energy form, E the e^u-weighted radial
+mass (tridiagonal) and M the plain radial mass, found by one LAPACK symmetric
+eigensolve through numpy (deterministic: no random start) on the operator's
+cached D S D, D = M^{-1/2}, updated on three bands per point.  The layer runs
+on numpy and the standard library alone.
 
 Also provides the diagnostics used to probe the singular regime: the
 log-profile ratio along a branch, the proof-style test function built from a
@@ -124,6 +128,10 @@ class BranchPoint:
     stability_eig: float
     newton_iters: int
     residual_norm: float
+    # (du/dm, dlam/dm) over the step from the warm start this point was
+    # solved from (None after a cold start); solve_at_peak extrapolates along
+    # it from here.  Not serialized.
+    slope: tuple[np.ndarray, float] | None = field(default=None, repr=False, compare=False)
 
     @property
     def stable(self) -> bool:
@@ -236,11 +244,20 @@ class ContinuationConfig:
 
 def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
                   tol: float) -> tuple[np.ndarray, float, float, int]:
-    """Augmented Newton for (operator u) - lam e^u = 0 with center value m."""
+    """Augmented Newton for (operator u) - lam e^u = 0 with center value m.
+
+    The residual uses the difference form of ``apply_interior``, whose every
+    coupling multiplies u_i - u_j: the matvec A u cancels the graded grid's
+    largest entries (~h^{-2s}) against u ~ m at the origin rows and loses up
+    to ~6e-9 there, above the default tolerance.  The bordered Jacobian
+    [[A - lam diag(e^u), -e^u], [center weights, 0]] is built once; each
+    iteration rewrites only its diagonal and last column before the LU solve.
+    """
     e1, e2 = origin_fold_weights(op.grid)
     amat = op.matrix
     ni = op.n_interior
     diag = np.arange(ni)
+    a_diag = amat.diagonal()
     u = u0.copy()
     lam = lam0
 
@@ -251,18 +268,18 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
         out[ni] = e1 * uv[0] + e2 * uv[1] - m
         return out
 
+    jac = np.zeros((ni + 1, ni + 1))
+    jac[:ni, :ni] = amat
+    jac[ni, 0] = e1
+    jac[ni, 1] = e2
     fvec = residual(u, lam)
     fnorm = float(np.abs(fvec).max())
     iters = 0
     while fnorm > tol and iters < _MAX_NEWTON_ITERS:
         with np.errstate(over="ignore"):
             expu = np.exp(u)
-        jac = np.zeros((ni + 1, ni + 1))
-        jac[:ni, :ni] = amat
-        jac[diag, diag] -= lam * expu
+        jac[diag, diag] = a_diag - lam * expu
         jac[:ni, ni] = -expu
-        jac[ni, 0] = e1
-        jac[ni, 1] = e2
         try:
             step = np.linalg.solve(jac, -fvec)
         except np.linalg.LinAlgError as exc:
@@ -309,7 +326,7 @@ def _as_profile(op: OperatorMatrix, u_int: np.ndarray) -> RadialFunction:
 _MASS_GAUSS = np.polynomial.legendre.leggauss(6)
 
 
-def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> np.ndarray:
+def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Consistent mass matrix with density e^u over the folded hat basis.
 
     u is interpolated linearly in log r on interior panels (exact for
@@ -319,9 +336,12 @@ def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> np.ndarray:
     refinement).  The origin panel uses the even-parabola extrapolation, so a
     singular value at r = 0 never enters.  All panels are integrated at once
     by 6-point Gauss.
+
+    The matrix is tridiagonal: hats overlap only their neighbours, and the
+    origin hat, folded onto r_1 and r_2 with weights (e1, e2), touches r_1
+    alone.  Returns its diagonal (Ni,) and first off-diagonal (Ni-1,).
     """
     nodes = op.grid.nodes
-    n_basis = nodes.size
     xg, wg = _MASS_GAUSS
     e1, e2 = origin_fold_weights(op.grid)
     ra, rb = nodes[:-1, None], nodes[1:, None]
@@ -336,39 +356,42 @@ def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> np.ndarray:
     common = sphere_area(op.params.n) * half * wg * r ** (op.params.n - 1) * dens
     rise = (r - ra) / (rb - ra)
     fall = 1.0 - rise
-    diag_lo = np.einsum("ij,ij->i", common, fall * fall)
-    diag_hi = np.einsum("ij,ij->i", common, rise * rise)
-    cross = np.einsum("ij,ij->i", common, rise * fall)
-    full = np.zeros((n_basis, n_basis))
-    idx = np.arange(n_basis - 1)
-    full[idx, idx] = diag_lo
-    full[idx + 1, idx + 1] += diag_hi
-    full[idx, idx + 1] = cross
-    full[idx + 1, idx] = cross
-    # origin fold congruence, then restrict to the interior basis
-    full[1, :] += e1 * full[0, :]
-    full[2, :] += e2 * full[0, :]
-    full[:, 1] += e1 * full[:, 0]
-    full[:, 2] += e2 * full[:, 0]
-    return full[1 : n_basis - 1, 1 : n_basis - 1]
+    # Bands over all nodes 0..N, panel by panel.
+    diag = np.zeros(nodes.size)
+    diag[:-1] = np.einsum("ij,ij->i", common, fall * fall)
+    diag[1:] += np.einsum("ij,ij->i", common, rise * rise)
+    off = np.einsum("ij,ij->i", common, rise * fall)
+    # Origin fold (the congruence u_0 = e1 u_1 + e2 u_2), then the interior.
+    m00, m01 = diag[0], off[0]
+    diag[1] = (diag[1] + e1 * m01) + e1 * (m01 + e1 * m00)
+    diag[2] += e2 * (e2 * m00)
+    off[1] += e2 * (m01 + e1 * m00)
+    return diag[1:-1], off[1:-1]
 
 
 def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> float:
     """Smallest mu of (S - lam E) eta = mu M eta, deterministic.
 
-    M = diag(weights) is scaled out with D = M^{-1/2}, and the smallest
-    eigenvalue of the symmetrized D (S - lam E) D is the first of the
+    M = diag(weights) is scaled out with D = M^{-1/2}.  The operator caches
+    the symmetrized D S D; each call copies it, subtracts lam D E D on the
+    three bands of the tridiagonal e^u mass E, and takes the first of the
     ascending spectrum from one LAPACK symmetric eigensolve (numpy's
-    eigvalsh, no random start).  A non-finite pencil (e^u overflow) or a
-    LAPACK failure raises EigenSolveError.
+    eigvalsh, no random start).  Non-finite bands (e^u overflow) or a LAPACK
+    failure raise EigenSolveError.
     """
     d = 1.0 / np.sqrt(op.weights)
     with np.errstate(over="ignore", invalid="ignore"):
-        cmat = op.stability_form - lam * _weighted_mass(op, values)
-        cmat = d[:, None] * cmat * d[None, :]
-        cmat = 0.5 * (cmat + cmat.T)
-    if not np.isfinite(cmat).all():
+        mass_diag, mass_off = _weighted_mass(op, values)
+        band0 = lam * (mass_diag * (d * d))
+        band1 = lam * (mass_off * (d[:-1] * d[1:]))
+    if not (np.isfinite(band0).all() and np.isfinite(band1).all()):
         raise EigenSolveError("stability pencil has non-finite entries (e^u overflow)")
+    ni = op.n_interior
+    cmat = op.scaled_stability_form.copy()
+    flat = cmat.reshape(-1)
+    flat[:: ni + 1] -= band0
+    flat[1 :: ni + 1] -= band1
+    flat[ni :: ni + 1] -= band1
     try:
         return float(np.linalg.eigvalsh(cmat)[0])
     except np.linalg.LinAlgError as exc:
@@ -390,31 +413,48 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
     """Solve the problem with prescribed center value u(0) = m.
 
     lam is recovered as part of the Newton solve.  Cold starts scale the
-    torsion profile (operator response to the constant source), warm starts
-    reuse the previous branch point.
+    torsion profile (operator response to the constant source).  Warm starts
+    extrapolate (u, lam) linearly in m from the previous branch point along
+    its recorded secant slope, when it has one, and record their own: so a
+    chain of warm-started calls is a secant-predictor continuation, and
+    ``trace_branch`` is exactly that chain.  Should Newton fail from the
+    extrapolation (a long step can overshoot), it starts again from the
+    previous point itself, whose failure is the one raised.
     """
     if m <= 0.0:
         raise DomainError(f"center value must be positive, got {m}")
     operator = op if op is not None else cfg.operator()
     e1, e2 = origin_fold_weights(operator.grid)
     if warm_start is not None:
-        u0 = warm_start.profile.interior.copy()
-        center = e1 * u0[0] + e2 * u0[1]
-        u0 += m - center
-        lam0 = warm_start.lam
+        starts = [(warm_start.profile.interior, warm_start.lam)]
+        if warm_start.slope is not None:
+            du, dlam = warm_start.slope
+            step = m - warm_start.peak
+            starts.insert(0, (starts[0][0] + step * du, starts[0][1] + step * dlam))
+        # Shift each start to the prescribed center value.
+        starts = [(u0 + (m - (e1 * u0[0] + e2 * u0[1])), lam0) for u0, lam0 in starts]
     else:
         z = np.linalg.solve(operator.matrix, np.ones(operator.n_interior))
         z0 = e1 * z[0] + e2 * z[1]
-        u0 = (m / z0) * z
-        lam0 = m / z0
+        starts = [((m / z0) * z, m / z0)]
 
-    u, lam, fnorm, iters = _newton_solve(operator, m, u0, lam0, cfg.newton_tol)
+    for k, (u0, lam0) in enumerate(starts):
+        try:
+            u, lam, fnorm, iters = _newton_solve(operator, m, u0, lam0, cfg.newton_tol)
+            break
+        except (NoConvergenceError, InfeasibleError):
+            if k == len(starts) - 1:
+                raise
     profile = _as_profile(operator, u)
     mu = _smallest_pencil_eig(operator, profile.values, lam)
     peak = e1 * u[0] + e2 * u[1]
+    slope = None
+    if warm_start is not None and peak != warm_start.peak:
+        step = peak - warm_start.peak
+        slope = ((u - warm_start.profile.interior) / step, (lam - warm_start.lam) / step)
     return BranchPoint(
         lam=lam, profile=profile, peak=peak, stability_eig=mu,
-        newton_iters=iters, residual_norm=fnorm,
+        newton_iters=iters, residual_norm=fnorm, slope=slope,
     )
 
 
@@ -450,22 +490,14 @@ def proof_test_function(p: ProblemParams, grid: RadialGrid, rho0: float,
         raise DomainError(f"need eps > 0, got {eps}")
     expo = 0.5 * (2.0 * p.s - p.n + eps)
     rho1 = 0.5 * (1.0 + rho0)
-
-    def chi(r: float) -> float:
-        if r <= rho0:
-            return 1.0
-        if r >= rho1:
-            return 0.0
-        t = (r - rho0) / (rho1 - rho0)
-        return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-    def psi(r: float) -> float:
-        c = chi(r)
-        return 0.0 if c == 0.0 else r**expo * c
-
-    return RadialFunction.from_callable(
-        grid, psi, TailSpec.zero(), singular_at_origin=(expo < 0.0)
-    )
+    r = grid.nodes
+    t = np.clip((r - rho0) / (rho1 - rho0), 0.0, 1.0)    # chi = 1 at t = 0, 0 at t = 1
+    chi = 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+    values = np.empty_like(r)
+    values[0] = math.inf if expo < 0.0 else 0.0**expo
+    values[1:] = r[1:] ** expo * chi[1:]
+    return RadialFunction(grid=grid, values=values, tail=TailSpec.zero(),
+                          singular_at_origin=(expo < 0.0))
 
 
 def stability_inequality_check(op: OperatorMatrix, point: BranchPoint,

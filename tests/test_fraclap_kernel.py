@@ -12,6 +12,18 @@ from fracgelfand import DomainError, ProblemParams, angular_kernel, sphere_area
 from fracgelfand.fraclap import _gauss_jacobi, _phi
 
 
+def test_sphere_area_against_mpmath():
+    worst = 0.0
+    with mpmath.workdps(40):
+        for n in range(1, 61):
+            half = mpmath.mpf(n) / 2
+            exact = 2 * mpmath.pi**half / mpmath.gamma(half)
+            worst = max(worst, float(abs(sphere_area(n) - exact) / exact))
+    assert worst <= 2e-15
+    # Past Gamma's overflow the log form takes over and stays finite.
+    assert 0.0 < sphere_area(400) < sphere_area(340)
+
+
 def two_point_1d(s, r, rho):
     return abs(r - rho) ** -(1.0 + 2.0 * s) + (r + rho) ** -(1.0 + 2.0 * s)
 

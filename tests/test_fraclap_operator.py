@@ -19,7 +19,7 @@ from fracgelfand import (
     quadratic_form,
     sphere_area,
 )
-from fracgelfand.fraclap import _exterior_blocks, _exterior_mass
+from fracgelfand.fraclap import _assemble_energy, _exterior_blocks, _exterior_mass
 
 
 def window(grid, lo=0.2, hi=0.8):
@@ -307,6 +307,30 @@ def test_quadratic_form_pairing(operator_cache):
     other = RadialFunction.from_callable(RadialGrid.graded(32), lambda r: r)
     with pytest.raises(DomainError):
         quadratic_form(op, other, other)
+
+
+@pytest.mark.parametrize("n, s", [(1, 0.5), (3, 0.3), (8, 0.7), (2, 0.1)])
+def test_energy_form_oracle(n, s):
+    # Dyda: (-Delta)^s (1-r^2)_+^{s+1} = C (1 - (1+2s/n) r^2) in the ball with
+    # C = 4^s Gamma(s+2) Gamma(n/2+s) / Gamma(n/2), so eta = (1-r^2)_+^{s+1}
+    # has energy |S^{n-1}| int_0^1 eta C (1 - (1+2s/n) r^2) r^{n-1} dr
+    #   = |S^{n-1}| C/2 [B(n/2, s+2) - (1+2s/n) B(n/2+1, s+2)].
+    with mpmath.workdps(30):
+        ms, half = mpmath.mpf(s), mpmath.mpf(n) / 2
+        c = 4**ms * mpmath.gamma(ms + 2) * mpmath.gamma(half + ms) / mpmath.gamma(half)
+        area = 2 * mpmath.pi**half / mpmath.gamma(half)
+        exact = float(area * c / 2 * (mpmath.beta(half, ms + 2)
+                                      - (1 + 2 * ms / n) * mpmath.beta(half + 1, ms + 2)))
+    errs = []
+    for panels in (64, 128, 256):
+        grid = RadialGrid.graded(panels)
+        eta = (1.0 - grid.interior**2) ** (s + 1.0)
+        energy = eta @ _assemble_energy(ProblemParams(n, s), grid) @ eta
+        errs.append(abs(energy - exact) / exact)
+    assert errs[1] <= 1e-4
+    # Order over two doublings: at (8, 0.7) the 128 -> 256 step alone reads
+    # 1.73, then 1.98 and 2.09 on the next two.
+    assert math.log2(errs[0] / errs[2]) / 2.0 >= 1.8
 
 
 def test_interval_ground_state_eigenvalue(operator_cache):

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import eigvalsh
 
 from fracgelfand import (
+    Branch,
     BranchTraceError,
     ContinuationConfig,
     DomainError,
@@ -29,7 +30,7 @@ from fracgelfand import (
     torsion_center_value,
     trace_branch,
 )
-from fracgelfand import fraclap
+from fracgelfand import fraclap, gelfand
 from fracgelfand.fraclap import origin_fold_weights
 from fracgelfand.gelfand import (
     _MAX_NEWTON_ITERS,
@@ -153,6 +154,45 @@ def test_warm_start_agrees_with_cold(branch_1d):
     assert np.max(np.abs(warm.profile.values - cold.profile.values)) < 1e-9
 
 
+def test_warm_start_chain_replays_trace_branch(operator_cache):
+    # Chaining solve_at_peak from each previous point over trace_branch's
+    # peaks must reproduce trace_branch bit for bit: the secant predictor
+    # may use nothing but the warm start.
+    op = operator_cache(1, 0.5, 64)
+    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid, peak_start=0.05,
+                             peak_end=3.0, peak_step=0.05, _op=op)
+    chained = Branch(params=cfg.params)
+    previous = None
+    for m in np.arange(cfg.peak_start, cfg.peak_end + 0.5 * cfg.peak_step, cfg.peak_step):
+        previous = solve_at_peak(cfg, float(m), warm_start=previous, op=op)
+        chained.points.append(previous)
+    traced = trace_branch(cfg)
+    assert traced.fold_detected
+    assert chained.to_json() == traced.to_json()
+    assert chained.points[0].slope is None
+    assert all(pt.slope is not None for pt in chained.points[1:])
+
+
+def test_long_warm_start_step_falls_back_to_the_point(operator_cache, monkeypatch):
+    # The secant slope at m = 0.5 (from m = 0.25) overshoots a jump to m = 3,
+    # past the fold; Newton then starts again from the m = 0.5 point.
+    op = operator_cache(1, 0.5, 128)
+    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid, _op=op)
+    near = solve_at_peak(cfg, 0.5, warm_start=solve_at_peak(cfg, 0.25))
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2].copy())
+        return _newton_solve(*args)
+
+    monkeypatch.setattr(gelfand, "_newton_solve", counting)
+    far = solve_at_peak(cfg, 3.0, warm_start=near)
+    assert len(calls) == 2
+    assert np.array_equal(calls[1], near.profile.interior + (3.0 - near.peak))
+    cold = solve_at_peak(cfg, 3.0)
+    assert far.lam == pytest.approx(cold.lam, abs=1e-9)
+
+
 def test_invalid_center_value(operator_cache):
     op = operator_cache(1, 0.5, 96)
     cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid, _op=op)
@@ -217,10 +257,16 @@ def test_stability_eigenvalue_deterministic_and_checked(branch_1d, operator_cach
         stability_eigenvalue(operator_cache(1, 0.5, 64), pt)
 
 
+def dense_mass(op, values):
+    """The tridiagonal e^u mass as a dense matrix, from its bands."""
+    diag, off = _weighted_mass(op, values)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def test_stability_eigenvalue_matches_dense_solver(branch_1d):
     op, branch = branch_1d
     for pt in (branch.points[0], branch.points[5], branch.points[-1]):
-        cm = op.stability_form - pt.lam * _weighted_mass(op, pt.profile.values)
+        cm = op.stability_form - pt.lam * dense_mass(op, pt.profile.values)
         d = 1.0 / np.sqrt(op.weights)
         sym = d[:, None] * cm * d[None, :]
         dense = eigvalsh(0.5 * (sym + sym.T)).min()
@@ -231,7 +277,7 @@ def test_stability_eigenvalue_matches_dense_solver(branch_1d):
 def test_weighted_mass_closed_form(operator_cache, n):
     op = operator_cache(n, 0.5, 64)
     nodes = op.grid.nodes
-    mass0 = _weighted_mass(op, np.zeros(nodes.size))
+    mass0 = dense_mass(op, np.zeros(nodes.size))
     # The folded interior hats sum to 1 - phi_N: 1 on [0, r_{N-1}], (1-r)/h on
     # the last panel.  With t = 1 - r the last-panel integral is a binomial sum.
     with mpmath.workdps(40):
@@ -247,13 +293,13 @@ def test_weighted_mass_closed_form(operator_cache, n):
     # A constant profile scales the density by e^c.
     scale = np.abs(mass0).max()
     for c in (-3.0, 1.7):
-        mass_c = _weighted_mass(op, np.full(nodes.size, c))
+        mass_c = dense_mass(op, np.full(nodes.size, c))
         assert np.abs(mass_c - math.exp(c) * mass0).max() <= 1e-13 * math.exp(c) * scale
     # u = 1 - 2 r^2 makes the origin panel's density e^{a0 + b0 r^2} with
     # b0 != 0.  The documented interpolant: that even parabola on [0, r_1],
     # u log-linear in r on every other panel.
     values = 1.0 - 2.0 * nodes**2
-    got = _weighted_mass(op, values).sum()
+    got = dense_mass(op, values).sum()
     with mpmath.workdps(30):
         r = [mpmath.mpf(float(x)) for x in nodes]
         v = [mpmath.mpf(float(x)) for x in values]
@@ -343,8 +389,6 @@ def test_singular_diagnostic_on_smooth_branch(branch_1d):
 
 def test_singular_diagnostic_validation(branch_1d):
     _, branch = branch_1d
-    from fracgelfand import Branch
-
     for sigma in (0.0, 1.0, -0.5):
         with pytest.raises(DomainError):
             singular_profile_diagnostic(branch, sigma)
@@ -373,6 +417,16 @@ def test_proof_test_function_shape(operator_cache):
     assert np.allclose(psi.values[inside], r[inside] ** expo, rtol=1e-12)
     assert np.max(np.abs(psi.values[r >= 0.75])) == 0.0
     assert not psi.singular_at_origin
+
+    # Scalar reference: the smoothstep's arithmetic is unchanged, numpy's pow
+    # may round differently by an ulp.
+    def reference(x, rho0=0.5, rho1=0.75):
+        if x >= rho1:
+            return 0.0
+        t = max(0.0, (x - rho0) / (rho1 - rho0))
+        return x**expo * (1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t)))
+
+    assert np.allclose(psi.values, [reference(x) for x in r], rtol=4e-16, atol=0.0)
     assert proof_test_function(ProblemParams(3, 0.5), op.grid, 0.5, 0.1).singular_at_origin
     with pytest.raises(DomainError):
         proof_test_function(ProblemParams(1, 0.5), op.grid, 1.0, 0.1)
