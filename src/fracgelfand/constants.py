@@ -120,16 +120,35 @@ def power_coefficient(p: ProblemParams, alpha: float) -> float:
     return math.exp(log_val)
 
 
+def _normalization(n: int, s: float) -> float | None:
+    """c_{n,s}, or None where it overflows a double."""
+    log_val = 2.0 * s * LOG2 + math.log(s) + log_gamma(n / 2.0 + s) - (n / 2.0) * LOG_PI - log_gamma(1.0 - s)
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        return None
+
+
 def operator_normalization(p: ProblemParams) -> float:
     """Constant c_{n,s} normalizing the PV integral to Fourier symbol |xi|^{2s}.
 
     c_{n,s} = 4^s s Gamma(n/2 + s) / (pi^{n/2} Gamma(1 - s)), for 0 < s < 1.
+    It grows like (n / (2 pi e))^{n/2} and overflows a double past a largest
+    dimension (437 at s = 0.5); those dimensions raise DomainError naming it.
     """
     n, s = p.n, p.s
     if not 0.0 < s < 1.0:
         raise DomainError(f"operator normalization needs 0 < s < 1, got s={s}")
-    log_val = 2.0 * s * LOG2 + math.log(s) + log_gamma(n / 2.0 + s) - (n / 2.0) * LOG_PI - log_gamma(1.0 - s)
-    return math.exp(log_val)
+    c = _normalization(n, s)
+    if c is None:
+        # log c_{n,s} is convex in n and c_{1,s} is finite, so the admissible
+        # dimensions are 1..lo: bisect for lo.
+        lo, hi = 1, n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _normalization(mid, s) is not None else (lo, mid)
+        raise DomainError(f"c_(n,s) overflows a double for n > {lo} at s = {s}, got n = {n}")
+    return c
 
 
 def epsilon_expansion(p: ProblemParams, eps: float) -> tuple[float, float]:

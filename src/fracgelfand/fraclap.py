@@ -323,6 +323,14 @@ class RadialFunction:
 # angular kernel
 
 
+def _polyval(x, coef: list[float]):
+    """sum_j coef[j] x^j by Horner, in the operation order of numpy's ``polyval``."""
+    out = coef[-1] + x * 0.0
+    for cj in coef[-2::-1]:
+        out = cj + out * x
+    return out
+
+
 class _PhiTable:
     """Phi(z) = 2F1(a, b; c; z) on [0, 1] as a piecewise-Chebyshev table.
 
@@ -337,11 +345,15 @@ class _PhiTable:
     unless c > 16) and, toward z = 1, from Taylor re-expansion of the
     hypergeometric equation at each piece's centre.  No connection formula is
     involved, so nothing cancels when c - a - b is close to an integer.
+
+    Evaluation runs Horner with the first octave's scalar coefficients over
+    every entry (about three kernel entries in four lie there), then redoes
+    the entries on later pieces with per-entry gathered coefficients; every
+    value is the one a gather for every entry gives.
     """
 
     def __init__(self, a: float, b: float, c: float):
         cheb = np.polynomial.chebyshev
-        poly = np.polynomial.polynomial
         hi = np.ldexp(1.0, -np.arange(_PHI_PIECES - 1))
         x = cheb.chebpts1(_PHI_DEGREE + 1)
         w = 0.75 * hi[:, None] + 0.25 * hi[:, None] * x   # nodes per piece, in w
@@ -364,15 +376,16 @@ class _PhiTable:
         values = np.empty_like(w)
         values[:k0] = gauss(1.0 - w[:k0])[0]
         y, dy = gauss(np.array([1.0 - hi[k0]]))
-        w0, taylor = hi[k0], self._taylor(a, b, c, hi[k0], y[0], -dy[0])
+        w0 = float(hi[k0])
+        taylor = self._taylor(a, b, c, w0, float(y[0]), -float(dy[0]))
         for k in range(k0, _PHI_PIECES - 1):
             # Step to the piece's centre (|step| = radius / 4 or / 2), expand there.
-            tau = (0.75 * hi[k] - w0) / w0
-            y = poly.polyval(tau, taylor)
-            dy = poly.polyval(tau, poly.polyder(taylor)) / w0
-            w0 = 0.75 * hi[k]
+            tau = (0.75 * float(hi[k]) - w0) / w0
+            y = _polyval(tau, taylor)
+            dy = _polyval(tau, [j * taylor[j] for j in range(1, len(taylor))]) / w0
+            w0 = 0.75 * float(hi[k])
             taylor = self._taylor(a, b, c, w0, y, dy)
-            values[k] = poly.polyval((w[k] - w0) / w0, taylor)
+            values[k] = _polyval((w[k] - w0) / w0, taylor)
         # Evaluated by Horner in the monomial basis: the nearest singularity
         # is at x = -3 on every piece, so the coefficients decay and the
         # conversion loses nothing measurable (<= 1 ulp against Clenshaw).
@@ -385,11 +398,11 @@ class _PhiTable:
         mono[:-1] = cheb.chebfit(x, values.T, _PHI_DEGREE).T @ t_mono
         # Phi(1): the last expansion at w = 0, where its singular part
         # (w0 + t)^{1+2s} sums to below w0^{1+2s} ~ 2^-52.
-        mono[-1, 0] = poly.polyval(-1.0, taylor)
+        mono[-1, 0] = _polyval(-1.0, taylor)
         self._coef = np.ascontiguousarray(mono.T)   # row j: x^j coefficient per piece
 
     @staticmethod
-    def _taylor(a: float, b: float, c: float, w0: float, y0: float, dy0: float) -> np.ndarray:
+    def _taylor(a: float, b: float, c: float, w0: float, y0: float, dy0: float) -> list[float]:
         """Scaled Taylor coefficients y_j w0^j of the solution about w = w0.
 
         In w the hypergeometric equation reads
@@ -399,23 +412,36 @@ class _PhiTable:
         """
         q0 = (a + b + 1.0 - c) - (a + b + 1.0) * w0
         p1 = 1.0 - 2.0 * w0
-        y = np.empty(64)
-        y[0], y[1] = y0, dy0 * w0
+        y = [y0, dy0 * w0]
         for j in range(62):
-            y[j + 2] = ((j + a) * (j + b) * w0 * y[j] - (p1 * j + q0) * (j + 1) * y[j + 1]) / (
-                (1.0 - w0) * (j + 1) * (j + 2))
+            y.append(((j + a) * (j + b) * w0 * y[j] - (p1 * j + q0) * (j + 1) * y[j + 1]) / (
+                (1.0 - w0) * (j + 1) * (j + 2)))
         return y
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        w = 1.0 - np.asarray(z, dtype=float)
-        # w in [2^-(k+1), 2^-k) has binary exponent -k; w < 2^-53 is z = 1.
-        k = np.maximum(-np.frexp(np.maximum(w, 2.0**-54))[1], 0).astype(np.intp)
-        x = np.ldexp(w, k + 2) - 3.0   # piece k mapped onto [-1, 1]
-        out = self._coef[-1].take(k)
-        for cj in self._coef[-2::-1]:
+        z = np.asarray(z, dtype=float)
+        w = 1.0 - z.ravel()
+        # First octave, w in [1/2, 1] (z <= 1/2, most kernel entries): piece 0
+        # has scalar coefficients and x = 4w - 3, so Horner runs over every
+        # entry without a gather; entries on later pieces are redone below.
+        x = 4.0 * w - 3.0
+        first = self._coef[:, 0].tolist()
+        out = np.full_like(x, first[-1])
+        for cj in first[-2::-1]:
             out *= x
-            out += cj.take(k)
-        return out
+            out += cj
+        far = np.flatnonzero(w < 0.5)
+        if far.size:
+            # w in [2^-(k+1), 2^-k) has binary exponent -k, k >= 1 here; w < 2^-53 is z = 1.
+            w = w[far]
+            k = -np.frexp(np.maximum(w, 2.0**-54))[1]
+            x = np.ldexp(w, k + 2) - 3.0   # piece k mapped onto [-1, 1]
+            acc = self._coef[-1].take(k)
+            for cj in self._coef[-2::-1]:
+                acc *= x
+                acc += cj.take(k)
+            out[far] = acc
+        return out.reshape(z.shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -496,8 +522,9 @@ class OperatorMatrix:
     annihilates constants exactly.  ``couple_quad`` holds the
     nonnegative-kernel couplings between interior nodes (quadratic
     interpolant, origin fold applied), ``couple_quad_bnd`` those to the
-    boundary node, ``tail_mass`` the closed-form exterior row masses,
-    ``weights`` the radial hat masses |S^{n-1}| int phi_i r^{n-1} dr.
+    boundary node, ``weights`` the radial hat masses
+    |S^{n-1}| int phi_i r^{n-1} dr.  ``tail_mass``, the closed-form exterior
+    row masses, is built on first access like ``matrix``.
     """
 
     params: ProblemParams
@@ -505,8 +532,8 @@ class OperatorMatrix:
     normalization: float
     couple_quad: np.ndarray       # (Ni, Ni) interior couplings, origin fold applied
     couple_quad_bnd: np.ndarray   # (Ni,) coupling to the boundary node
-    tail_mass: np.ndarray         # (Ni,) int_{rho > 1} K(r_i, rho) drho
     weights: np.ndarray           # (Ni,) radial hat masses
+    _tail_mass: np.ndarray | None = None
     _matrix: np.ndarray | None = None
     _stability_form: np.ndarray | None = None
     _scaled_stability_form: np.ndarray | None = None
@@ -514,6 +541,18 @@ class OperatorMatrix:
     @property
     def n_interior(self) -> int:
         return self.couple_quad.shape[0]
+
+    @property
+    def tail_mass(self) -> np.ndarray:
+        """Closed-form row masses int_{rho > 1} K(r_i, rho) drho (cached, read-only).
+
+        Built on first access: only zero-exterior work reads them, so a
+        power-tail run never builds the Psi table behind them.
+        """
+        if self._tail_mass is None:
+            self._tail_mass = _exterior_mass(self.params, self.grid.interior)
+            self._tail_mass.flags.writeable = False
+        return self._tail_mass
 
     @property
     def matrix(self) -> np.ndarray:
@@ -696,6 +735,22 @@ def _exterior_mass(p: ProblemParams, radii: np.ndarray) -> np.ndarray:
     return sphere_area(n) / (2.0 * s) * ((1.0 - r) * (1.0 + r)) ** (-2.0 * s) * psi
 
 
+def _add_stencil(out: np.ndarray, c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> None:
+    """Add far-panel contributions (rows, npan) to their columns of out (rows, npan + 1).
+
+    Panel p feeds its stencil nodes p-1, p, p+1 (panel 0: nodes 0, 1, 2)
+    through c0, c1, c2.  Six slice adds, ordered so that every column sums
+    its panels in ascending order, as one ``np.add.at`` over the stencil does.
+    """
+    npan = c0.shape[1]
+    out[:, 0] += c0[:, 0]
+    out[:, 1] += c1[:, 0]
+    out[:, 2] += c2[:, 0]
+    out[:, 2:] += c2[:, 1:]
+    out[:, 1:npan] += c1[:, 1:]
+    out[:, : npan - 1] += c0[:, 1:]
+
+
 def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     """Assemble the dense radial operator for (n, s) on the grid.
 
@@ -723,9 +778,9 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     half = 0.5 * np.diff(r)
     rho_far = mid[:, None] + half[:, None] * xs_far[None, :]          # (npan, q)
     w_far = half[:, None] * ws_far[None, :]                           # (npan, q)
-    stencil = np.stack([np.arange(npan) - 1, np.arange(npan), np.arange(npan) + 1], axis=1)
-    stencil[0] = [0, 1, 2]
-    x0, x1, x2 = r[stencil[:, 0], None], r[stencil[:, 1], None], r[stencil[:, 2], None]
+    # Stencil of panel p: nodes p-1, p, p+1 (panel 0: nodes 0, 1, 2).
+    first = np.maximum(np.arange(npan) - 1, 0)
+    x0, x1, x2 = r[first, None], r[first + 1, None], r[first + 2, None]
     # Quadrature weight times Lagrange basis, one table per stencil node.
     lag = np.empty((3, npan, q_far))
     lag[0] = w_far * ((rho_far - x1) * (rho_far - x2) / ((x0 - x1) * (x0 - x2)))
@@ -742,11 +797,7 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
         kmat = _kernel(p, r[rows, None, None], rho_far)
         kmat[b, rows - 1] = 0.0
         kmat[b, rows] = 0.0
-        contrib_q = np.stack([np.einsum("bpq,pq->bp", kmat, lag_j) for lag_j in lag], axis=2)
-        flat_q = cq[blk].reshape(-1)
-        base = (b * (npan + 1))[:, None, None]
-        np.add.at(flat_q, (base + stencil[None, :, :]).ravel(), contrib_q.ravel())
-        cq[blk] = flat_q.reshape(rows.size, npan + 1)
+        _add_stencil(cq[blk], *(np.einsum("bpq,pq->bp", kmat, lag_j) for lag_j in lag))
 
     # Near field, all rows at once (2 q_near + 8 kernel values per row): the
     # two panels touching r_i against the parabola through r_{i-1}, r_i, r_{i+1}.
@@ -795,7 +846,6 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
         normalization=c,
         couple_quad=cq[:, 1:npan].copy(),
         couple_quad_bnd=cq[:, npan].copy(),
-        tail_mass=_exterior_mass(p, r[1:npan]),
         weights=_hat_masses(grid, n, sphere_area(n)),
     )
 

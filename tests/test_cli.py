@@ -35,6 +35,13 @@ def test_constants_subcritical(tmp_path, capsys):
     assert "classification,BoundedSubcritical" in csv
 
 
+@pytest.mark.parametrize("argv", [["constants"], ["verify-powers", "--grid", "64"]])
+def test_normalization_overflow_usage_error(tmp_path, capsys, argv):
+    assert run(tmp_path, argv[0], "--n", "1300", "--s", "0.5", *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "n > 437" in err and "--help" in err
+
+
 def test_threshold_table(tmp_path, capsys):
     assert run(tmp_path, "threshold", "--n-max", "10") == 0
     out = capsys.readouterr().out

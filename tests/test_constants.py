@@ -105,6 +105,15 @@ def test_large_dimension_no_overflow():
     assert math.isfinite(a) and math.isfinite(b)
 
 
+def test_normalization_overflow_is_typed():
+    # c_{n,s} passes the largest double between n = 437 and 438 at s = 0.5.
+    for n in (300, 437):
+        assert math.isfinite(operator_normalization(ProblemParams(n, 0.5)))
+    for n in (438, 600, 1300):
+        with pytest.raises(DomainError, match="n > 437 at s = 0.5"):
+            operator_normalization(ProblemParams(n, 0.5))
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         ProblemParams(0, 0.5)

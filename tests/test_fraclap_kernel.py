@@ -3,13 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import hyp2f1, roots_jacobi
 
 from fracgelfand import DomainError, ProblemParams, angular_kernel, sphere_area
-from fracgelfand.fraclap import _gauss_jacobi, _phi
+from fracgelfand.fraclap import _gauss_jacobi, _phi, _PhiTable
 
 
 def test_sphere_area_against_mpmath():
@@ -137,6 +137,50 @@ def test_phi_polynomial_cases_are_hyp2f1():
         assert np.array_equal(_phi(a, b, c)(z), hyp2f1(a, b, c, z))
     # Psi = 2F1(-s, n/2-s; n/2; z) is a polynomial only at (1, 0.5), where it is 1.
     assert np.array_equal(_phi(-0.5, 0.0, 0.5)(z), np.ones_like(z))
+
+
+def gathered_phi(table, z):
+    """Reference evaluator of a Phi table: every entry gathers its piece's coefficients."""
+    w = 1.0 - np.asarray(z, dtype=float)
+    k = np.maximum(-np.frexp(np.maximum(w, 2.0**-54))[1], 0).astype(np.intp)
+    x = np.ldexp(w, k + 2) - 3.0
+    out = table._coef[-1].take(k)
+    for cj in table._coef[-2::-1]:
+        out *= x
+        out += cj.take(k)
+    return out
+
+
+def _phi_inputs():
+    # Every piece of the table: uniform z, then w = 1 - z in each octave
+    # [2^-k, 2^(1-k)), k = 1..55, and the piece edges z = 0, w = 1/2,
+    # w = 2^-53 and z = 1.
+    rng = np.random.default_rng(3)
+    w = np.ldexp(1.0 + rng.random(600), -rng.integers(1, 56, 600))
+    flat = np.concatenate([rng.random(600), 1.0 - w, [0.0, 0.5, 1.0 - 2.0**-53, 1.0]])
+    rng.shuffle(flat)
+    return [
+        np.array(0.0), np.array(0.5), np.array(1.0 - 2.0**-53), np.array(1.0), np.array(0.3),
+        flat,
+        flat[:1200].reshape(2, 3, 10, 20),
+        flat[:1200].reshape(30, 40).T,
+        flat[::7],
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@example(1, 0.3)
+@example(64, 0.5)
+@given(st.integers(min_value=1, max_value=64), _ORDERS)
+def test_split_phi_matches_gathered_evaluator(n, s):
+    # The first-octave fast path and the gathered redo of later pieces give
+    # the one-pass gathered Horner's values bit for bit, in the input's shape.
+    for b in (0.5 * n - s - 1.0, 0.5 * n - s):
+        table = _PhiTable(-s, b, 0.5 * n)
+        for z in _phi_inputs():
+            got, want = table(z), gathered_phi(table, z)
+            assert np.shape(got) == np.shape(z)
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("q", [10, 12])

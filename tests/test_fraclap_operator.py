@@ -19,7 +19,13 @@ from fracgelfand import (
     quadratic_form,
     sphere_area,
 )
-from fracgelfand.fraclap import _assemble_energy, _exterior_blocks, _exterior_mass
+from fracgelfand.fraclap import (
+    _add_stencil,
+    _assemble_energy,
+    _exterior_blocks,
+    _exterior_mass,
+    _phi,
+)
 
 
 def window(grid, lo=0.2, hi=0.8):
@@ -144,6 +150,43 @@ def test_exterior_mass_matches_closed_form(operator_cache, n, s):
     c = operator_normalization(ProblemParams(n, s))
     rel = np.abs(c * _exterior_mass(ProblemParams(n, s), pts) / dyda_exterior_mass(n, s, pts) - 1.0)
     assert rel.max() <= 1e-11
+
+
+def test_stencil_slice_adds_match_add_at():
+    # The far field's slice adds sum each column in the order of one
+    # np.add.at over the panel stencil, bit for bit; magnitudes spread over
+    # 16 decades make any other order round differently.
+    rng = np.random.default_rng(5)
+    rows, npan = 7, 40
+    contrib = [rng.standard_normal((rows, npan)) * 10.0 ** rng.integers(-8, 8, (rows, npan))
+               for _ in range(3)]
+    start = rng.standard_normal((rows, npan + 1))
+    stencil = np.stack([np.arange(npan) - 1, np.arange(npan), np.arange(npan) + 1], axis=1)
+    stencil[0] = [0, 1, 2]
+    want = start.copy()
+    base = (np.arange(rows) * (npan + 1))[:, None, None]
+    np.add.at(want.reshape(-1), (base + stencil[None]).ravel(), np.stack(contrib, axis=2).ravel())
+    got = start.copy()
+    _add_stencil(got, *contrib)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_tail_mass_is_built_on_first_use():
+    # A power-tail run reads only the kernel's Phi table; the row masses, and
+    # the Psi table behind them, wait for the first zero-tail use.
+    p, grid = ProblemParams(1, 0.3), RadialGrid.graded(64)
+    _phi.cache_clear()
+    op = assemble(p, grid)
+    u = RadialFunction.from_callable(grid, lambda r: r**-0.2, TailSpec.power(0.2),
+                                     singular_at_origin=True)
+    op.apply(u)
+    assert _phi.cache_info().currsize == 1
+    mass = op.tail_mass
+    assert _phi.cache_info().currsize == 2
+    assert mass.tobytes() == _exterior_mass(p, grid.interior).tobytes()
+    assert op.tail_mass is mass and not mass.flags.writeable
+    total = op.couple_quad.sum(axis=1) + op.couple_quad_bnd + mass
+    assert np.array_equal(op.matrix, op.normalization * (np.diag(total) - op.couple_quad))
 
 
 @pytest.mark.parametrize("n, s", _EXTERIOR_CASES + [(1, 0.02), (3, 0.01)])
