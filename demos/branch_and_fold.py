@@ -30,12 +30,11 @@ print(f"\nfold detected: {branch.fold_detected} "
 print(f"extremal parameter estimate: lambda* = {branch.lambda_star_estimate:.6f}")
 
 # the initial slope of the branch is the reciprocal torsion center value
-cfg_small = ContinuationConfig(params=p, grid=cfg.grid, peak_start=0.005, peak_end=0.1,
-                               _op=cfg.operator())
+cfg_small = ContinuationConfig(params=p, grid=cfg.grid, peak_start=0.005, peak_end=0.1)
 from fracgelfand import solve_at_peak
 
-pt1 = solve_at_peak(cfg_small, 0.01)
-pt2 = solve_at_peak(cfg_small, 0.02)
+pt1 = solve_at_peak(cfg_small, 0.01, op=cfg.operator())
+pt2 = solve_at_peak(cfg_small, 0.02, op=cfg.operator())
 slope = 2.0 * (pt1.lam / 0.01) - pt2.lam / 0.02
 print(f"small-peak slope lambda/m -> {slope:.6f} "
       f"(closed form 1/z(0) = {1.0 / torsion_center_value(p):.6f})")

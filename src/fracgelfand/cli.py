@@ -48,12 +48,13 @@ from .gelfand import (
     torsion_center_value,
     trace_branch,
 )
-from .threshold import classify, threshold_table
+from .threshold import ROOT_TOL, classify, threshold_table
 
 _POWER_TOL = 1e-2
 _INEQ_SLACK = 1e-3
 _EPS_TABLE = (1e-2, 1e-3, 1e-4)
 _VERIFY_EPS = (0.05, 0.1, 0.2)
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 _GNUPLOT_SCRIPT = """set terminal pngcairo size 900,600
 set output 'bifurcation.png'
@@ -116,7 +117,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     rows = threshold_table(args.n_max)
-    config = {"subcommand": "threshold", "n_max": args.n_max, "tol": 1e-8}
+    config = {"subcommand": "threshold", "n_max": args.n_max, "tol": ROOT_TOL}
     out = _outdir(args)
     _write_metadata(out, config)
 
@@ -177,12 +178,21 @@ def cmd_verify_powers(args: argparse.Namespace) -> int:
         return 0
 
     alphas = args.alpha or [(p.n - 2.0 * p.s) / 2.0]
+    grid = RadialGrid.graded(args.grid)
+    operator_normalization(p)   # an overflowing c_{n,s} is the first error to report
     for alpha in alphas:
         if not 0.0 < alpha < p.n - 2.0 * p.s:
             raise DomainError(
                 f"alpha must lie in (0, n-2s) = (0, {p.n - 2.0 * p.s:g}), got {alpha:g}"
             )
-    grid = RadialGrid.graded(args.grid)
+        # C(n,s,alpha) <= H: below `top`, r^-alpha and its image C r^(-alpha-2s)
+        # stay finite at r_1.
+        log_r1 = math.log(grid.nodes[1])
+        top = (_LOG_MAX_FLOAT - max(0.0, math.log(hardy_constant(p)))) / -log_r1 - 2.0 * p.s
+        if alpha >= top:
+            raise DomainError(f"alpha = {alpha:g}: r^-alpha or its image overflows a double at "
+                              f"r_1 = {grid.nodes[1]:.6g}; the largest admissible alpha on "
+                              f"this grid is {top:.10g}")
     config = {"subcommand": "verify-powers", "n": p.n, "s": p.s,
               "alphas": list(alphas), "grid": args.grid, "tol": _POWER_TOL}
     _write_metadata(out, config)

@@ -78,6 +78,7 @@ __all__ = [
 _PANEL_ORDER = 6
 _TAIL_SEG_A_ORDER = 12     # Gauss order per panel on (1, 2]
 _TAIL_SEG_B_ORDER = 8      # Gauss order per dyadic panel beyond 2
+_FAR_DEPTH = 26            # dyadic panels on (2, 2^27]; closed form beyond
 _SLIVER_ORDER = 8
 _PHI_DEGREE = 16           # Chebyshev degree per piece of the Phi table
 _PHI_PIECES = 54           # octaves [2^-(k+1), 2^-k] of 1 - z, k < 53, then z = 1
@@ -145,7 +146,7 @@ def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing nodes r_0 = 0 < ... < r_N = 1 on the unit radius."""
+    """Strictly increasing nodes r_0 = 0 < ... < r_N = 1, equal by value."""
 
     nodes: np.ndarray
 
@@ -159,6 +160,9 @@ class RadialGrid:
         if not np.all(np.diff(nodes) > 0.0):
             raise DomainError("grid nodes must increase strictly")
         _check_dense_budget(self.n_panels)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RadialGrid) and np.array_equal(self.nodes, other.nodes)
 
     @property
     def n_panels(self) -> int:
@@ -302,16 +306,11 @@ class RadialFunction:
         self.values = values
 
     @classmethod
-    def from_callable(cls, grid: RadialGrid, fn, tail: TailSpec | None = None,
+    def from_callable(cls, grid: RadialGrid, fn, tail: TailSpec = TailSpec.zero(),
                       singular_at_origin: bool = False) -> "RadialFunction":
-        tail = tail if tail is not None else TailSpec.zero()
-        nodes = grid.nodes
-        values = np.empty_like(nodes)
-        if singular_at_origin:
-            values[0] = np.inf
-            values[1:] = [fn(r) for r in nodes[1:]]
-        else:
-            values[:] = [fn(r) for r in nodes]
+        first = 1 if singular_at_origin else 0   # a singular origin value is inf
+        values = np.full_like(grid.nodes, np.inf)
+        values[first:] = [fn(r) for r in grid.nodes[first:]]
         return cls(grid=grid, values=values, tail=tail, singular_at_origin=singular_at_origin)
 
     @property
@@ -511,57 +510,57 @@ def angular_kernel(p: ProblemParams, r: float, rho: float) -> float:
 # operator
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Assembled collocation operator on a grid's interior nodes.
 
-    ``matrix`` is the dense interior action A for zero exterior data (the
-    operator applied to functions vanishing at the boundary node and
-    outside), built on first access and cached.  ``apply_interior`` and
+    Stores what assembly computes for (params, grid), copied and read-only:
+    ``couple_quad``, the nonnegative-kernel couplings between interior nodes
+    (quadratic interpolant, origin fold applied), and ``couple_quad_bnd``,
+    those to the boundary node.  The rest is derived on first access, cached
+    and read-only: c_{n,s}, hat masses, exterior row masses, the dense matrix
+    A for zero exterior data and the energy form.  ``apply_interior`` and
     ``apply`` take any exterior datum and evaluate in difference form, which
-    annihilates constants exactly.  ``couple_quad`` holds the
-    nonnegative-kernel couplings between interior nodes (quadratic
-    interpolant, origin fold applied), ``couple_quad_bnd`` those to the
-    boundary node, ``weights`` the radial hat masses
-    |S^{n-1}| int phi_i r^{n-1} dr.  ``tail_mass``, the closed-form exterior
-    row masses, is built on first access like ``matrix``.
+    annihilates constants exactly.
     """
 
     params: ProblemParams
     grid: RadialGrid
-    normalization: float
     couple_quad: np.ndarray       # (Ni, Ni) interior couplings, origin fold applied
     couple_quad_bnd: np.ndarray   # (Ni,) coupling to the boundary node
-    weights: np.ndarray           # (Ni,) radial hat masses
-    _tail_mass: np.ndarray | None = None
-    _matrix: np.ndarray | None = None
-    _stability_form: np.ndarray | None = None
-    _scaled_stability_form: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("couple_quad", "couple_quad_bnd"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
 
     @property
     def n_interior(self) -> int:
         return self.couple_quad.shape[0]
 
-    @property
+    @functools.cached_property
+    def normalization(self) -> float:
+        """The constant c_{n,s} in front of the principal-value integral."""
+        return operator_normalization(self.params)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Radial hat masses |S^{n-1}| int phi_i r^{n-1} dr (read-only)."""
+        return _read_only(_hat_masses(self.grid, self.params.n))
+
+    @functools.cached_property
     def tail_mass(self) -> np.ndarray:
-        """Closed-form row masses int_{rho > 1} K(r_i, rho) drho (cached, read-only).
+        """Closed-form row masses int_{rho > 1} K(r_i, rho) drho (read-only).
 
-        Built on first access: only zero-exterior work reads them, so a
-        power-tail run never builds the Psi table behind them.
+        Only zero-exterior work reads them, so a power-tail run never builds
+        the Psi table behind them.
         """
-        if self._tail_mass is None:
-            self._tail_mass = _exterior_mass(self.params, self.grid.interior)
-            self._tail_mass.flags.writeable = False
-        return self._tail_mass
+        return _read_only(_exterior_mass(self.params, self.grid.interior))
 
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
         """Dense interior matrix A; A@1 is the action on the ball's indicator (read-only)."""
-        if self._matrix is None:
-            total = self.couple_quad.sum(axis=1) + self.couple_quad_bnd + self.tail_mass
-            self._matrix = self.normalization * (np.diag(total) - self.couple_quad)
-            self._matrix.flags.writeable = False
-        return self._matrix
+        total = self.couple_quad.sum(axis=1) + self.couple_quad_bnd + self.tail_mass
+        return _read_only(self.normalization * (np.diag(total) - self.couple_quad))
 
     def apply_interior(self, u_int: np.ndarray, tail: TailSpec) -> np.ndarray:
         """Difference-form action at interior nodes.
@@ -588,7 +587,7 @@ class OperatorMatrix:
         return self.normalization * out
 
     def apply(self, u: RadialFunction) -> RadialFunction:
-        if u.grid.nodes.shape != self.grid.nodes.shape or not np.array_equal(u.grid.nodes, self.grid.nodes):
+        if u.grid != self.grid:
             raise DomainError("function grid does not match operator grid")
         out_int = self.apply_interior(u.interior, u.tail)
         values = np.empty_like(u.values)
@@ -607,37 +606,36 @@ class OperatorMatrix:
         return RadialFunction(grid=self.grid, values=values, tail=TailSpec.zero(),
                               singular_at_origin=u.singular_at_origin)
 
-    @property
+    @functools.cached_property
     def stability_form(self) -> np.ndarray:
-        """Symmetric PSD matrix S of the zero-tail energy form.
+        """Symmetric PSD matrix S of the zero-tail energy form (read-only).
 
-        Assembled as the Galerkin double integral of the difference kernel
-        over piecewise-linear hats (built lazily, cached).  Every quadrature
-        contribution is a nonnegative multiple of an outer product, so the
-        matrix is positive semidefinite by construction, which a weighted
-        symmetrization of the collocation rows does not guarantee once the
-        radial masses near the origin differ by many orders of magnitude.
+        The Galerkin double integral of the difference kernel over
+        piecewise-linear hats: every quadrature contribution is a nonnegative
+        multiple of an outer product, so S is PSD by construction, which a
+        weighted symmetrization of the collocation rows is not once the
+        radial masses near the origin differ by orders of magnitude.
         """
-        if self._stability_form is None:
-            self._stability_form = _assemble_energy(self.params, self.grid)
-        return self._stability_form
+        return _read_only(_assemble_energy(self.params, self.grid))
 
-    @property
+    @functools.cached_property
     def scaled_stability_form(self) -> np.ndarray:
-        """D S D with D = diag(weights)^{-1/2}, symmetrized (cached, read-only).
+        """D S D with D = diag(weights)^{-1/2}, symmetrized (read-only).
 
         The energy form in the basis the radial hat masses make orthonormal:
         the constant part of the stability pencil.
         """
-        if self._scaled_stability_form is None:
-            d = 1.0 / np.sqrt(self.weights)
-            scaled = d[:, None] * self.stability_form * d[None, :]
-            self._scaled_stability_form = 0.5 * (scaled + scaled.T)
-            self._scaled_stability_form.flags.writeable = False
-        return self._scaled_stability_form
+        d = 1.0 / np.sqrt(self.weights)
+        scaled = d[:, None] * self.stability_form * d[None, :]
+        return _read_only(0.5 * (scaled + scaled.T))
 
 
-def _hat_masses(grid: RadialGrid, n: int, area: float) -> np.ndarray:
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _hat_masses(grid: RadialGrid, n: int) -> np.ndarray:
     """Exact |S^{n-1}| int phi_i(r) r^{n-1} dr for interior hats."""
     r = grid.nodes
     rn = r ** n
@@ -655,7 +653,7 @@ def _hat_masses(grid: RadialGrid, n: int, area: float) -> np.ndarray:
         return (r[b_idx] * (rn[b_idx] - rn[a_idx]) / n - (rn1[b_idx] - rn1[a_idx]) / (n + 1)) / hb
 
     idx = np.arange(1, r.size - 1)
-    return area * (seg_rising(idx - 1, idx) + seg_falling(idx, idx + 1))
+    return sphere_area(n) * (seg_rising(idx - 1, idx) + seg_falling(idx, idx + 1))
 
 
 def _row_blocks(n_rows: int, row_entries: int):
@@ -680,11 +678,10 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
     full relative precision however small d is.  Every row gets the panel
     count of the row closest to the boundary; a row's surplus panels have
     zero width at rho = 2 and so zero weights.  (2, R] uses rho = 2/t with
-    dyadic panels in t, the same for every row, min(400, 25/s + 8) of them.
+    _FAR_DEPTH dyadic panels in t for every row and s, R = 2^(_FAR_DEPTH+1).
     Beyond R, where K = |S^{n-1}| rho^{-1-2s} (1 + O(rho^{-2})), a last column
     carries the closed-form mass |S^{n-1}| R^{-2s} / (2s) and the datum's
-    mean there, which is finite for every s (``TailSpec.far_mean``); it is
-    what remains of the row mass once the panel cap binds, s below ~0.06.
+    mean there (``TailSpec.far_mean``), O(R^-2) = 2^-54 relative off.
     """
     radii = np.asarray(radii, dtype=float)
     d_min = 1.0 - float(radii.max())
@@ -695,14 +692,13 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
     xs, ws = leggauss(_TAIL_SEG_A_ORDER)
 
     xf, wf = leggauss(_TAIL_SEG_B_ORDER)
-    depth = min(400, int(25.0 / p.s) + 8)
-    t_hi = 0.5 ** np.arange(depth)
+    t_hi = 0.5 ** np.arange(_FAR_DEPTH)
     t_mid, t_half = 0.75 * t_hi, 0.25 * t_hi
     t = (t_mid[:, None] + t_half[:, None] * xf).ravel()
     rho_far = 2.0 / t
     w_far = (t_half[:, None] * wf).ravel() * (2.0 / t**2)
     g_far = tail.values(rho_far, p.s)
-    big_r = 2.0 ** (depth + 1)
+    big_r = 2.0 ** (_FAR_DEPTH + 1)
     g_rem = tail.far_mean(big_r, p.s)
     w_rem = sphere_area(p.n) * big_r ** (-2.0 * p.s) / (2.0 * p.s)
 
@@ -759,8 +755,8 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     """
     if not 0.0 < p.s < 1.0:
         raise DomainError(f"discretized operator requires 0 < s < 1, got s={p.s}")
-    n, s = p.n, p.s
-    c = operator_normalization(p)
+    operator_normalization(p)   # refuses an overflowing c_{n,s} before any work
+    s = p.s
     r = grid.nodes
     npan = grid.n_panels
     ni = npan - 1
@@ -840,14 +836,8 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     cq[:, 1] += e1 * cq[:, 0]
     cq[:, 2] += e2 * cq[:, 0]
 
-    return OperatorMatrix(
-        params=p,
-        grid=grid,
-        normalization=c,
-        couple_quad=cq[:, 1:npan].copy(),
-        couple_quad_bnd=cq[:, npan].copy(),
-        weights=_hat_masses(grid, n, sphere_area(n)),
-    )
+    return OperatorMatrix(params=p, grid=grid, couple_quad=cq[:, 1:npan],
+                          couple_quad_bnd=cq[:, npan])
 
 
 def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
@@ -1008,7 +998,7 @@ def quadratic_form(op: OperatorMatrix, eta: RadialFunction, zeta: RadialFunction
     for fn in (eta, zeta):
         if fn.tail.kind is not TailKind.ZERO:
             raise DomainError("quadratic form requires zero-tail test functions")
-        if fn.grid.nodes.shape != op.grid.nodes.shape or not np.array_equal(fn.grid.nodes, op.grid.nodes):
+        if fn.grid != op.grid:
             raise DomainError("function grid does not match operator grid")
     smat = op.stability_form
     return float(eta.interior @ smat @ zeta.interior)

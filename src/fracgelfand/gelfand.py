@@ -213,7 +213,7 @@ class Branch:
 
 @dataclass
 class ContinuationConfig:
-    """Settings for one branch trace."""
+    """Settings for one branch trace; ``operator()`` assembles once and caches."""
 
     params: ProblemParams
     grid: RadialGrid
@@ -221,7 +221,7 @@ class ContinuationConfig:
     peak_end: float = 6.0
     peak_step: float = 0.25
     newton_tol: float = 1e-10
-    _op: OperatorMatrix | None = field(default=None, repr=False, compare=False)
+    _op: OperatorMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.peak_start < self.peak_end:
@@ -400,9 +400,7 @@ def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> 
 
 def stability_eigenvalue(op: OperatorMatrix, point: BranchPoint) -> float:
     """Smallest eigenvalue of the stability pencil at a solved point."""
-    if point.profile.grid.nodes.shape != op.grid.nodes.shape or not np.array_equal(
-        point.profile.grid.nodes, op.grid.nodes
-    ):
+    if point.profile.grid != op.grid:
         raise DomainError("branch point grid does not match operator grid")
     return _smallest_pencil_eig(op, point.profile.values, point.lam)
 
@@ -410,9 +408,10 @@ def stability_eigenvalue(op: OperatorMatrix, point: BranchPoint) -> float:
 def solve_at_peak(cfg: ContinuationConfig, m: float,
                   warm_start: BranchPoint | None = None,
                   op: OperatorMatrix | None = None) -> BranchPoint:
-    """Solve the problem with prescribed center value u(0) = m.
+    """Solve the problem with prescribed center value u(0) = m, 0 < m < inf.
 
-    lam is recovered as part of the Newton solve.  Cold starts scale the
+    Runs on ``cfg.operator()``, or on ``op``, which must match the config's
+    params and grid.  lam is recovered as part of the Newton solve.  Cold starts scale the
     torsion profile (operator response to the constant source).  Warm starts
     extrapolate (u, lam) linearly in m from the previous branch point along
     its recorded secant slope, when it has one, and record their own: so a
@@ -421,9 +420,11 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
     extrapolation (a long step can overshoot), it starts again from the
     previous point itself, whose failure is the one raised.
     """
-    if m <= 0.0:
-        raise DomainError(f"center value must be positive, got {m}")
-    operator = op if op is not None else cfg.operator()
+    if not 0.0 < m < math.inf:
+        raise DomainError(f"center value must be positive and finite, got {m}")
+    operator = cfg.operator() if op is None else op
+    if operator.params != cfg.params or operator.grid != cfg.grid:
+        raise DomainError("operator does not match the config's params and grid")
     e1, e2 = origin_fold_weights(operator.grid)
     if warm_start is not None:
         starts = [(warm_start.profile.interior, warm_start.lam)]
@@ -463,10 +464,9 @@ def trace_branch(cfg: ContinuationConfig) -> Branch:
     peaks = np.arange(cfg.peak_start, cfg.peak_end + 0.5 * cfg.peak_step, cfg.peak_step)
     branch = Branch(params=cfg.params)
     previous: BranchPoint | None = None
-    operator = cfg.operator()
     for m in peaks:
         try:
-            point = solve_at_peak(cfg, float(m), warm_start=previous, op=operator)
+            point = solve_at_peak(cfg, float(m), warm_start=previous)
         except (NoConvergenceError, InfeasibleError, EigenSolveError) as exc:
             raise BranchTraceError(
                 f"continuation stopped at center value m={float(m):.6g}: {exc}", branch
@@ -510,8 +510,11 @@ def stability_inequality_check(op: OperatorMatrix, point: BranchPoint,
     the two orderings agree as double integrals, but applying the discrete
     operator to psi^2 ~ r^{2s-n+eps} directly is dominated by origin
     discretization error at any fixed grid.  For a stable point the contract
-    is lhs <= rhs up to quadrature tolerance.  Unstable input is rejected.
+    is lhs <= rhs up to quadrature tolerance.  Unstable input is rejected,
+    as is a point on another grid than the operator's.
     """
+    if point.profile.grid != op.grid:
+        raise DomainError("branch point grid does not match operator grid")
     if not point.stable:
         raise DomainError(
             f"inequality check requires a stable point (stability_eig = "
@@ -611,17 +614,10 @@ def singular_solution_residual(p: ProblemParams, grid: RadialGrid) -> float:
     """Relative residual of u = log r^{-2s}, lam = lam0, on r in [0.1, 0.9]."""
     if not p.supercritical:
         raise DomainError("singular solution requires n > 2s")
-    op = assemble(p, grid)
     s = p.s
-    values = np.empty(grid.nodes.size)
-    values[0] = np.inf
-    values[1:] = -2.0 * s * np.log(grid.nodes[1:])
-    u = RadialFunction(grid=grid, values=values, tail=TailSpec.log_power(1.0),
-                       singular_at_origin=True)
-    lam = lambda0(p)
-    action = op.apply_interior(u.interior, u.tail)
     r = grid.interior
-    target = lam * r ** (-2.0 * s)
+    action = assemble(p, grid).apply_interior(-2.0 * s * np.log(r), TailSpec.log_power(1.0))
+    target = lambda0(p) * r ** (-2.0 * s)
     rel = np.abs(action - target) / target
     mask = (r >= 0.1) & (r <= 0.9)
     return float(rel[mask].max())

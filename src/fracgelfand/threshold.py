@@ -31,6 +31,7 @@ __all__ = [
 _S_LO = 1e-6
 _S_HI = 1.0 - 1e-12
 _SCAN_SAMPLES = 200
+ROOT_TOL = 1e-8   # bracket width at which bisection for critical_s stops
 
 
 class Regime(enum.Enum):
@@ -76,17 +77,16 @@ def _s_upper(n: int) -> float:
     return min(_S_HI, n / 2.0 - 1e-9)
 
 
-def critical_s(n: int, tol: float = 1e-8) -> float | None:
+def critical_s(n: int) -> float | None:
     """Root of margin(n, .) in s, or None if the margin has constant sign.
 
-    A 200-sample scan brackets the sign change, then bisection refines it to
-    ``tol``.  The margin is smooth and crosses zero at most once on the
-    admissible interval (verified by the scan).
+    A 200-sample scan brackets the sign change, then bisection narrows the
+    bracket to ``ROOT_TOL`` (1e-8) and returns its midpoint.  The margin is
+    smooth and crosses zero at most once on the admissible interval (verified
+    by the scan).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     hi = _s_upper(n)
     if hi <= _S_LO:
         return None
@@ -102,7 +102,7 @@ def critical_s(n: int, tol: float = 1e-8) -> float | None:
     if bracket is None:
         return None
     lo, hi, flo = bracket
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
         fmid = _margin_ns(n, mid)
         if fmid == 0.0:
@@ -133,8 +133,8 @@ class ThresholdRow:
     all_s_bounded: bool
 
 
-def threshold_table(n_max: int, tol: float = 1e-8) -> list[ThresholdRow]:
-    """One row per dimension n in [1, n_max].
+def threshold_table(n_max: int) -> list[ThresholdRow]:
+    """One row per dimension n in [1, n_max], critical s from ``critical_s``.
 
     ``all_s_bounded`` is True when every s in (0, 1) yields a bounded
     extremal solution: either because n <= 2s applies at the top of the
@@ -145,7 +145,7 @@ def threshold_table(n_max: int, tol: float = 1e-8) -> list[ThresholdRow]:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     rows = []
     for n in range(1, n_max + 1):
-        root = critical_s(n, tol)
+        root = critical_s(n)
         if root is None:
             # Constant-sign margin: bounded for all s iff the sign is positive
             # (sample mid-interval), or the whole range is subcritical.

@@ -48,7 +48,7 @@ def continuation_branches():
         m_fold = float(coarse.peaks[coarse.fold_index])
         fine_cfg = ContinuationConfig(
             params=p, grid=grid, peak_start=m_fold - 0.25,
-            peak_end=m_fold + 0.25, peak_step=0.02, _op=cfg.operator(),
+            peak_end=m_fold + 0.25, peak_step=0.02,
         )
         refined = trace_branch(fine_cfg)
         out[(n, s)] = {"op": cfg.operator(), "coarse": coarse, "refined": refined}
@@ -191,11 +191,11 @@ def test_criterion_6_branch_fold_and_stability(continuation_branches):
         assert abs(mu_at_max) <= 2e-2
 
         cfg = ContinuationConfig(params=ProblemParams(n, s), grid=entry["op"].grid,
-                                 peak_start=0.005, peak_end=0.1, _op=entry["op"])
+                                 peak_start=0.005, peak_end=0.1)
         from fracgelfand import solve_at_peak
 
-        pt1 = solve_at_peak(cfg, 0.01)
-        pt2 = solve_at_peak(cfg, 0.02)
+        pt1 = solve_at_peak(cfg, 0.01, op=entry["op"])
+        pt2 = solve_at_peak(cfg, 0.02, op=entry["op"])
         slope = 2.0 * (pt1.lam / 0.01) - pt2.lam / 0.02
         target = 1.0 / torsion_center_value(ProblemParams(n, s))
         print(f"(n,s)=({n},{s}): small-peak slope {slope:.6f} vs 1/z(0) {target:.6f}")

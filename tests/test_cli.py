@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,30 @@ def test_verify_powers_tolerance_failure(tmp_path, capsys):
 def test_verify_powers_alpha_domain(tmp_path, capsys):
     assert run(tmp_path, "verify-powers", "--n", "3", "--s", "0.5", "--alpha", "2.5") == 2
     assert "alpha must lie in" in capsys.readouterr().err
+
+
+def test_verify_powers_refuses_overflowing_power(tmp_path, capsys):
+    # At n = 200 the midpoint alpha = 99.5 puts r_1^-alpha beyond a double on
+    # 64 panels: refused before metadata or assembly, without a warning.
+    argv = ("verify-powers", "--n", "200", "--s", "0.5", "--grid", "64")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(tmp_path, *argv) == 2
+    assert caught == []
+    assert not (tmp_path / "run_metadata.json").exists()
+    err = capsys.readouterr().err
+    limit = float(err.split("largest admissible alpha on this grid is ")[1].split()[0])
+    assert 80.0 < limit < 99.5
+    # Just inside the limit the run completes: no overflow, an honest FAIL
+    # (64 panels are far too coarse at n = 200).
+    inside = tmp_path / "inside"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(inside, *argv, "--alpha", repr(limit * (1.0 - 1e-9))) == 1
+    assert caught == []
+    assert "FAIL" in capsys.readouterr().out
+    assert (inside / "run_metadata.json").exists()
+    assert run(tmp_path, *argv, "--alpha", repr(limit * (1.0 + 1e-9))) == 2
 
 
 def test_verify_powers_eps_table(tmp_path, capsys):
@@ -296,9 +321,7 @@ print(json.dumps({"codes": codes, "scipy_modules": loaded}))
 
 
 def test_runtime_needs_no_scipy(tmp_path):
-    src = str(Path(fracgelfand.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -307,3 +330,30 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert report["scipy_modules"] == []
     meta = json.loads((tmp_path / "run_metadata.json").read_text())
     assert "scipy" not in meta["versions"]
+
+
+def _src_env() -> dict:
+    src = str(Path(fracgelfand.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _worker_trace(*argv: str) -> dict:
+    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    proc = subprocess.run([sys.executable, str(worker), "trace", *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])["summary"]
+
+
+def test_benchmark_worker_replays_the_public_api():
+    # The benchmark's traced mode replays each workload through ContinuationConfig,
+    # cfg.operator(), solve_at_peak(..., op=) and stability_eigenvalue; the
+    # branch replay must reproduce the library's own trace_branch.
+    summary = _worker_trace("branch", "--n", "1", "--s", "0.5", "--grid", "32",
+                            "--peak-max", "0.5", "--verify")
+    reference = summary["reference"]
+    assert len(summary["points"]) == 2
+    assert summary["points"] == reference["points"]
+    assert summary["lambda_star_estimate"] == reference["lambda_star_estimate"]
+    summary = _worker_trace("verify-powers", "--n", "1", "--s", "0.3", "--grid", "64")
+    assert summary["power_rel_err"] <= 1e-2

@@ -69,6 +69,14 @@ def test_oversized_grid_refused_before_allocation():
         RadialGrid.graded(20000)
 
 
+def test_grids_compare_by_value():
+    grid = RadialGrid.graded(32)
+    assert grid == RadialGrid.graded(32)
+    assert grid == RadialGrid(nodes=list(grid.nodes))
+    assert grid != RadialGrid.graded(32, grading=3.0)
+    assert grid != RadialGrid.graded(33)
+
+
 def test_graded_grid_shape():
     grid = RadialGrid.graded(64, grading=2.0)
     assert grid.n_panels == 64
@@ -171,6 +179,33 @@ def test_stencil_slice_adds_match_add_at():
     assert got.tobytes() == want.tobytes()
 
 
+def test_operator_stores_assembly_output_only_and_is_read_only(operator_cache):
+    # params, grid and the two coupling arrays are the whole constructor;
+    # the rest is derived on first access, cached and read-only.
+    import dataclasses
+
+    from fracgelfand import OperatorMatrix
+
+    assert [f.name for f in dataclasses.fields(OperatorMatrix)] == [
+        "params", "grid", "couple_quad", "couple_quad_bnd"]
+    op = operator_cache(3, 0.5, 32)
+    for name in ("couple_quad", "couple_quad_bnd", "weights", "tail_mass", "matrix",
+                 "stability_form", "scaled_stability_form"):
+        arr = getattr(op, name)
+        assert getattr(op, name) is arr
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert op.normalization == operator_normalization(op.params)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.couple_quad = np.zeros_like(op.couple_quad)
+    # The constructor copies its arrays: the caller's stay its own.
+    cq = np.ones((31, 31))
+    own = OperatorMatrix(params=op.params, grid=op.grid, couple_quad=cq,
+                         couple_quad_bnd=np.ones(31))
+    cq[0, 0] = 2.0
+    assert own.couple_quad[0, 0] == 1.0 and cq.flags.writeable
+
+
 def test_tail_mass_is_built_on_first_use():
     # A power-tail run reads only the kernel's Phi table; the row masses, and
     # the Psi table behind them, wait for the first zero-tail use.
@@ -193,8 +228,9 @@ def test_tail_mass_is_built_on_first_use():
 def test_exterior_quadrature_matches_closed_form(n, s):
     """Row sums of the quadrature that nonzero exterior data are integrated with.
 
-    At s = 0.02 and 0.01 the dyadic far field is capped, and the closed-form
-    remainder beyond it carries the rest of the mass."""
+    At s = 0.02 and 0.01 the closed-form remainder beyond the dyadic far
+    field, R = 2^27, carries about half the mass or more (R^-2s = 0.47 and
+    0.69 of it at r = 0)."""
     p = ProblemParams(n, s)
     r = RadialGrid.graded(256).interior
     mass = np.empty_like(r)
@@ -208,8 +244,8 @@ def test_exterior_quadrature_matches_closed_form(n, s):
 def test_exterior_quadrature_tail_moments_at_origin(s):
     """At r = 0 the kernel is exactly |S^{n-1}| rho^{-1-2s}, so each tail's
     exterior integral is known: |S|/(2s + alpha) for rho^{-alpha} and |S|/(2s)
-    for the log datum -2s log rho.  Below s ~ 0.06 most of it lies beyond the
-    last dyadic panel, in the closed-form remainder."""
+    for the log datum -2s log rho.  At s = 0.01 and below, most of it lies
+    beyond the last dyadic panel, in the closed-form remainder."""
     for n in (1, 3):
         p = ProblemParams(n, s)
         for tail, exact in ((TailSpec.power(0.0), 1.0 / (2.0 * s)),
@@ -232,8 +268,9 @@ def test_matrix_row_sums_match_constant_response(operator_cache):
 
 @pytest.mark.parametrize("n, s", [(1, 0.02), (3, 0.01)])
 def test_constant_tail_matches_row_sums_at_small_s(operator_cache, n, s):
-    # Where the far-field panel cap binds: A@1 uses the closed-form row mass,
-    # the constant tail the exterior quadrature with its far-field remainder.
+    # Small s, where the far-field remainder carries much of the mass: A@1
+    # uses the closed-form row mass, the constant tail the exterior quadrature
+    # with its far-field remainder.
     op = operator_cache(n, s, 32)
     lhs = op.matrix @ np.ones(op.n_interior)
     rhs = op.apply_interior(np.zeros(op.n_interior), TailSpec.power(0.0, -1.0))
@@ -316,9 +353,12 @@ def test_apply_wraps_interior(operator_cache):
         op.grid, lambda r: r**-0.3, tail=TailSpec.power(0.3), singular_at_origin=True
     )
     assert op.apply(sing).values[0] == np.inf
-    mismatched = RadialFunction.from_callable(RadialGrid.graded(48), lambda r: r)
-    with pytest.raises(DomainError):
-        op.apply(mismatched)
+    for grid in (RadialGrid.graded(48), RadialGrid.graded(32, grading=3.0)):
+        with pytest.raises(DomainError, match="grid"):
+            op.apply(RadialFunction.from_callable(grid, lambda r: r))
+    # A grid equal by value is accepted, whichever object holds the nodes.
+    same = RadialFunction.from_callable(RadialGrid.graded(32), lambda r: (1.0 - r * r) ** 0.5)
+    assert np.array_equal(op.apply(same).values, out.values)
 
 
 # ---------------------------------------------------------------- energy form

@@ -51,25 +51,23 @@ TORSION_ORACLE = {
 
 
 @pytest.fixture(scope="module")
-def branch_1d(operator_cache):
-    op = operator_cache(1, 0.5, 96)
+def branch_1d():
     cfg = ContinuationConfig(
-        params=ProblemParams(1, 0.5), grid=op.grid,
-        peak_start=0.25, peak_end=3.5, peak_step=0.25, _op=op,
+        params=ProblemParams(1, 0.5), grid=RadialGrid.graded(96),
+        peak_start=0.25, peak_end=3.5, peak_step=0.25,
     )
-    return op, trace_branch(cfg)
+    return cfg.operator(), trace_branch(cfg)
 
 
 @pytest.fixture(scope="module")
-def partial_12(operator_cache):
-    op = operator_cache(12, 0.5, 96)
+def partial_12():
     cfg = ContinuationConfig(
-        params=ProblemParams(12, 0.5), grid=op.grid,
-        peak_start=1.0, peak_end=16.0, peak_step=1.0, _op=op,
+        params=ProblemParams(12, 0.5), grid=RadialGrid.graded(96),
+        peak_start=1.0, peak_end=16.0, peak_step=1.0,
     )
     with pytest.raises(BranchTraceError) as excinfo:
         trace_branch(cfg)
-    return op, excinfo.value
+    return cfg.operator(), excinfo.value
 
 
 def test_torsion_center_oracle():
@@ -117,8 +115,8 @@ def test_config_validation(operator_cache):
 
 def test_solve_at_peak_basic(operator_cache):
     op = operator_cache(3, 0.5, 96)
-    cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=op.grid, _op=op)
-    pt = solve_at_peak(cfg, 0.5)
+    cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=op.grid)
+    pt = solve_at_peak(cfg, 0.5, op=op)
     assert pt.residual_norm <= cfg.newton_tol
     assert pt.peak == pytest.approx(0.5, abs=1e-9)
     assert pt.profile.values[0] == pytest.approx(0.5, abs=1e-9)
@@ -138,8 +136,8 @@ def test_dirichlet_path_builds_no_exterior_quadrature(monkeypatch):
     p = ProblemParams(3, 0.5)
     op = assemble(p, RadialGrid.graded(48))
     assert np.all(np.isfinite(op.stability_form))
-    cfg = ContinuationConfig(params=p, grid=op.grid, _op=op)
-    pt = solve_at_peak(cfg, 0.5)
+    cfg = ContinuationConfig(params=p, grid=op.grid)
+    pt = solve_at_peak(cfg, 0.5, op=op)
     assert pt.stable
     lhs, rhs = stability_inequality_check(op, pt, rho0=0.5, eps=0.1)
     assert lhs <= rhs
@@ -147,9 +145,9 @@ def test_dirichlet_path_builds_no_exterior_quadrature(monkeypatch):
 
 def test_warm_start_agrees_with_cold(branch_1d):
     op, branch = branch_1d
-    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid, _op=op)
-    warm = solve_at_peak(cfg, 1.0, warm_start=branch.points[2])
-    cold = solve_at_peak(cfg, 1.0)
+    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid)
+    warm = solve_at_peak(cfg, 1.0, warm_start=branch.points[2], op=op)
+    cold = solve_at_peak(cfg, 1.0, op=op)
     assert warm.lam == pytest.approx(cold.lam, abs=1e-9)
     assert np.max(np.abs(warm.profile.values - cold.profile.values)) < 1e-9
 
@@ -157,10 +155,11 @@ def test_warm_start_agrees_with_cold(branch_1d):
 def test_warm_start_chain_replays_trace_branch(operator_cache):
     # Chaining solve_at_peak from each previous point over trace_branch's
     # peaks must reproduce trace_branch bit for bit: the secant predictor
-    # may use nothing but the warm start.
+    # may use nothing but the warm start.  trace_branch assembles the
+    # config's own operator, which must equal the shared one bit for bit.
     op = operator_cache(1, 0.5, 64)
     cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid, peak_start=0.05,
-                             peak_end=3.0, peak_step=0.05, _op=op)
+                             peak_end=3.0, peak_step=0.05)
     chained = Branch(params=cfg.params)
     previous = None
     for m in np.arange(cfg.peak_start, cfg.peak_end + 0.5 * cfg.peak_step, cfg.peak_step):
@@ -177,8 +176,8 @@ def test_long_warm_start_step_falls_back_to_the_point(operator_cache, monkeypatc
     # The secant slope at m = 0.5 (from m = 0.25) overshoots a jump to m = 3,
     # past the fold; Newton then starts again from the m = 0.5 point.
     op = operator_cache(1, 0.5, 128)
-    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid, _op=op)
-    near = solve_at_peak(cfg, 0.5, warm_start=solve_at_peak(cfg, 0.25))
+    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid)
+    near = solve_at_peak(cfg, 0.5, warm_start=solve_at_peak(cfg, 0.25, op=op), op=op)
     calls = []
 
     def counting(*args):
@@ -186,19 +185,44 @@ def test_long_warm_start_step_falls_back_to_the_point(operator_cache, monkeypatc
         return _newton_solve(*args)
 
     monkeypatch.setattr(gelfand, "_newton_solve", counting)
-    far = solve_at_peak(cfg, 3.0, warm_start=near)
+    far = solve_at_peak(cfg, 3.0, warm_start=near, op=op)
     assert len(calls) == 2
     assert np.array_equal(calls[1], near.profile.interior + (3.0 - near.peak))
-    cold = solve_at_peak(cfg, 3.0)
+    cold = solve_at_peak(cfg, 3.0, op=op)
     assert far.lam == pytest.approx(cold.lam, abs=1e-9)
 
 
 def test_invalid_center_value(operator_cache):
     op = operator_cache(1, 0.5, 96)
-    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid, _op=op)
-    for m in (0.0, -1.0):
-        with pytest.raises(DomainError):
-            solve_at_peak(cfg, m)
+    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid)
+    for m in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="center value"):
+            solve_at_peak(cfg, m, op=op)
+
+
+def test_solve_at_peak_refuses_a_foreign_operator(operator_cache):
+    # An operator of other params or on another grid would solve another
+    # problem and label it with the config's.
+    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=RadialGrid.graded(32))
+    for op in (operator_cache(3, 0.5, 32), operator_cache(1, 0.5, 32, grading=3.0),
+               operator_cache(1, 0.5, 48)):
+        with pytest.raises(DomainError, match="operator"):
+            solve_at_peak(cfg, 0.5, op=op)
+    own = operator_cache(1, 0.5, 32)
+    assert solve_at_peak(cfg, 0.5, op=own).lam == solve_at_peak(cfg, 0.5).lam
+
+
+def test_config_has_no_operator_argument():
+    grid = RadialGrid.graded(32)
+    with pytest.raises(TypeError):
+        ContinuationConfig(params=ProblemParams(1, 0.5), grid=grid, _op=None)
+    # Configs compare by value, grids included, and not by their cached operator.
+    a = ContinuationConfig(params=ProblemParams(1, 0.5), grid=grid)
+    b = ContinuationConfig(params=ProblemParams(1, 0.5), grid=RadialGrid.graded(32))
+    a.operator()
+    assert a == b
+    assert a != ContinuationConfig(params=ProblemParams(1, 0.5),
+                                   grid=RadialGrid.graded(32, grading=3.0))
 
 
 def test_negative_center_value_is_infeasible(operator_cache):
@@ -253,8 +277,9 @@ def test_stability_eigenvalue_deterministic_and_checked(branch_1d, operator_cach
     op, branch = branch_1d
     pt = branch.points[3]
     assert stability_eigenvalue(op, pt) == stability_eigenvalue(op, pt)
-    with pytest.raises(DomainError):
-        stability_eigenvalue(operator_cache(1, 0.5, 64), pt)
+    for other in (operator_cache(1, 0.5, 64), operator_cache(1, 0.5, 96, grading=3.0)):
+        with pytest.raises(DomainError, match="grid"):
+            stability_eigenvalue(other, pt)
 
 
 def dense_mass(op, values):
@@ -331,9 +356,9 @@ def test_stability_eigenvalue_overflow_is_typed(branch_1d):
 
 def test_small_peak_slope_matches_torsion(operator_cache):
     op = operator_cache(3, 0.5, 128)
-    cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=op.grid, _op=op)
-    pt1 = solve_at_peak(cfg, 0.01)
-    pt2 = solve_at_peak(cfg, 0.02)
+    cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=op.grid)
+    pt1 = solve_at_peak(cfg, 0.01, op=op)
+    pt2 = solve_at_peak(cfg, 0.02, op=op)
     # Richardson in m kills the O(m) bias of the secant slope.
     slope = 2.0 * (pt1.lam / 0.01) - pt2.lam / 0.02
     assert slope == pytest.approx(1.0 / torsion_center_value(ProblemParams(3, 0.5)), rel=2e-2)
@@ -361,8 +386,8 @@ def test_singular_regime_stays_stable(partial_12):
 
 def test_singular_regime_stability_under_refinement(operator_cache):
     op = operator_cache(12, 0.5, 128)
-    cfg = ContinuationConfig(params=ProblemParams(12, 0.5), grid=op.grid, peak_end=8.0, _op=op)
-    pt = solve_at_peak(cfg, 6.0)
+    cfg = ContinuationConfig(params=ProblemParams(12, 0.5), grid=op.grid, peak_end=8.0)
+    pt = solve_at_peak(cfg, 6.0, op=op)
     assert pt.stability_eig > -1e-3
     assert 2.0 < pt.stability_eig < 4.5
 
@@ -455,6 +480,14 @@ def test_inequality_holds_at_stable_point(branch_1d):
     lhs, rhs = stability_inequality_check(op, pt, 0.5, 0.1)
     assert rhs > 0.0
     assert lhs <= rhs + 1e-3 * abs(rhs)
+
+
+def test_inequality_rejects_point_on_another_grid(branch_1d, operator_cache):
+    # Same node count, other grading: the point's values sit on other radii.
+    _, branch = branch_1d
+    with pytest.raises(DomainError, match="grid"):
+        stability_inequality_check(operator_cache(1, 0.5, 96, grading=3.0),
+                                   branch.points[1], 0.5, 0.1)
 
 
 def test_inequality_rejects_unstable_point(branch_1d):

@@ -13,6 +13,7 @@ from fracgelfand import (
     margin,
     threshold_table,
 )
+from fracgelfand.threshold import ROOT_TOL
 
 # Independent mpmath bisection of ln(lambda0/H) = 0, frozen at 1e-12.
 CRITICAL_S_8 = 0.282066718154768
@@ -20,8 +21,9 @@ CRITICAL_S_9 = 0.632376106083033
 
 
 def test_critical_roots():
-    assert critical_s(8) == pytest.approx(CRITICAL_S_8, abs=1e-6)
-    assert critical_s(9) == pytest.approx(CRITICAL_S_9, abs=1e-6)
+    # Bisection stops at a bracket of width ROOT_TOL and returns its midpoint.
+    assert abs(critical_s(8) - CRITICAL_S_8) <= ROOT_TOL
+    assert abs(critical_s(9) - CRITICAL_S_9) <= ROOT_TOL
 
 
 def test_roots_are_sign_changes():
@@ -95,21 +97,10 @@ def test_table_shape_and_verdicts():
     assert rows[8].critical_s == pytest.approx(CRITICAL_S_9, abs=1e-6)
 
 
-def test_table_tolerance_propagates():
-    coarse = threshold_table(9, tol=1e-2)[7].critical_s
-    fine = threshold_table(9, tol=1e-10)[7].critical_s
-    assert abs(fine - CRITICAL_S_8) < abs(coarse - CRITICAL_S_8) + 1e-2
-    assert fine == pytest.approx(CRITICAL_S_8, abs=1e-9)
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         critical_s(0)
     with pytest.raises(ValueError):
         critical_s(True)
     with pytest.raises(ValueError):
-        critical_s(8, tol=0.0)
-    with pytest.raises(ValueError):
         threshold_table(0)
-    with pytest.raises(ValueError):
-        threshold_table(5, tol=-1.0)
