@@ -6,103 +6,18 @@ threshold analyzer (threshold), a dense radial discretization of the
 fractional Laplacian with prescribed exterior data (fraclap), peak-continuation
 of the solution branch with fold detection and stability analysis (gelfand),
 and a deterministic command-line front end (cli).
+
+Each module's ``__all__`` is the one declaration of its public names; this
+file re-exports them.
 """
 
-from .constants import (
-    DomainError,
-    ProblemParams,
-    RegimeError,
-    epsilon_expansion,
-    hardy_constant,
-    lambda0,
-    operator_normalization,
-    power_coefficient,
-)
-from .fraclap import (
-    OperatorMatrix,
-    RadialFunction,
-    RadialGrid,
-    TailKind,
-    TailSpec,
-    angular_kernel,
-    apply,
-    assemble,
-    quadratic_form,
-    sphere_area,
-)
-from .gelfand import (
-    Branch,
-    BranchPoint,
-    BranchTraceError,
-    ContinuationConfig,
-    EigenSolveError,
-    InfeasibleError,
-    NoConvergenceError,
-    SingularProfileReport,
-    proof_test_function,
-    singular_profile_diagnostic,
-    singular_solution_residual,
-    solve_at_peak,
-    stability_eigenvalue,
-    stability_inequality_check,
-    torsion_center_value,
-    trace_branch,
-)
-from .specfun import log_gamma
-from .threshold import (
-    Regime,
-    RegularityVerdict,
-    ThresholdRow,
-    classify,
-    critical_s,
-    margin,
-    threshold_table,
-)
+from . import constants, fraclap, gelfand, threshold
+from .constants import *  # noqa: F401,F403
+from .fraclap import *  # noqa: F401,F403
+from .gelfand import *  # noqa: F401,F403
+from .threshold import *  # noqa: F401,F403
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "DomainError",
-    "ProblemParams",
-    "RegimeError",
-    "epsilon_expansion",
-    "hardy_constant",
-    "lambda0",
-    "operator_normalization",
-    "power_coefficient",
-    "OperatorMatrix",
-    "RadialFunction",
-    "RadialGrid",
-    "TailKind",
-    "TailSpec",
-    "angular_kernel",
-    "apply",
-    "assemble",
-    "quadratic_form",
-    "sphere_area",
-    "Branch",
-    "BranchPoint",
-    "BranchTraceError",
-    "ContinuationConfig",
-    "EigenSolveError",
-    "InfeasibleError",
-    "NoConvergenceError",
-    "SingularProfileReport",
-    "proof_test_function",
-    "singular_profile_diagnostic",
-    "singular_solution_residual",
-    "solve_at_peak",
-    "stability_eigenvalue",
-    "stability_inequality_check",
-    "torsion_center_value",
-    "trace_branch",
-    "log_gamma",
-    "Regime",
-    "RegularityVerdict",
-    "ThresholdRow",
-    "classify",
-    "critical_s",
-    "margin",
-    "threshold_table",
-]
+__all__ = ["__version__", *constants.__all__, *threshold.__all__,
+           *fraclap.__all__, *gelfand.__all__]

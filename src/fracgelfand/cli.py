@@ -34,7 +34,7 @@ from .constants import (
     operator_normalization,
     power_coefficient,
 )
-from .fraclap import RadialFunction, RadialGrid, TailSpec, apply, assemble
+from .fraclap import OperatorMatrix, RadialFunction, RadialGrid, TailSpec, apply, assemble
 from .gelfand import (
     BranchTraceError,
     ContinuationConfig,
@@ -138,8 +138,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
-def _power_map_error(p: ProblemParams, alpha: float, grid: RadialGrid) -> float:
-    op = assemble(p, grid)
+def _power_map_error(op: OperatorMatrix, alpha: float) -> float:
+    p, grid = op.params, op.grid
     u = RadialFunction.from_callable(
         grid, lambda r: r ** (-alpha), TailSpec.power(alpha), singular_at_origin=True
     )
@@ -185,10 +185,11 @@ def cmd_verify_powers(args: argparse.Namespace) -> int:
             raise DomainError(
                 f"alpha must lie in (0, n-2s) = (0, {p.n - 2.0 * p.s:g}), got {alpha:g}"
             )
-        # C(n,s,alpha) <= H: below `top`, r^-alpha and its image C r^(-alpha-2s)
-        # stay finite at r_1.
-        log_r1 = math.log(grid.nodes[1])
-        top = (_LOG_MAX_FLOAT - max(0.0, math.log(hardy_constant(p)))) / -log_r1 - 2.0 * p.s
+    # C(n,s,alpha) <= H: below `top`, r^-alpha and its image C r^(-alpha-2s)
+    # stay finite at r_1.
+    log_r1 = math.log(grid.nodes[1])
+    top = (_LOG_MAX_FLOAT - max(0.0, math.log(hardy_constant(p)))) / -log_r1 - 2.0 * p.s
+    for alpha in alphas:
         if alpha >= top:
             raise DomainError(f"alpha = {alpha:g}: r^-alpha or its image overflows a double at "
                               f"r_1 = {grid.nodes[1]:.6g}; the largest admissible alpha on "
@@ -199,8 +200,9 @@ def cmd_verify_powers(args: argparse.Namespace) -> int:
 
     lines = [_config_line(config), "alpha,max_rel_error,tol,passed"]
     failed = []
+    op = assemble(p, grid)
     for alpha in alphas:
-        err = _power_map_error(p, alpha, grid)
+        err = _power_map_error(op, alpha)
         ok = err <= _POWER_TOL
         if not ok:
             failed.append((alpha, err))
@@ -302,13 +304,13 @@ def cmd_branch(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
+    if not 0.0 < args.peak < math.inf:
+        raise DomainError(f"--peak must satisfy 0 < peak < inf, got {args.peak}")
+    # One solve, which reads only params, grid and newton_tol: the peak range
+    # keeps its defaults.
     cfg = ContinuationConfig(
         params=_params(args),
         grid=RadialGrid.graded(args.grid, grading=args.grading),
-        # One solve: the range only has to validate, so it is a single step.
-        peak_start=min(args.peak, 0.1),
-        peak_end=args.peak + 1.0,
-        peak_step=args.peak + 1.0,
         newton_tol=args.newton_tol,
     )
     config = {

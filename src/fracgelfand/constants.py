@@ -13,7 +13,7 @@ Gamma-function identities used throughout this library:
                             |xi|^{2s},
 * ``epsilon_expansion``  -- near-endpoint behaviour of the power coefficient.
 
-All formulas are composed in log space (see ``specfun``) and exponentiated
+All formulas are composed in log space with ``math.lgamma`` and exponentiated
 once, so they remain finite for dimensions far beyond double-precision
 Gamma overflow.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import log_gamma
 
 __all__ = [
     "DomainError",
@@ -87,7 +86,8 @@ def lambda0(p: ProblemParams) -> float:
     """
     _require_supercritical(p)
     n, s = p.n, p.s
-    log_val = 2.0 * s * LOG2 + log_gamma(n / 2.0) + log_gamma(1.0 + s) - log_gamma((n - 2.0 * s) / 2.0)
+    log_val = (2.0 * s * LOG2 + math.lgamma(n / 2.0) + math.lgamma(1.0 + s)
+               - math.lgamma((n - 2.0 * s) / 2.0))
     return math.exp(log_val)
 
 
@@ -95,7 +95,8 @@ def hardy_constant(p: ProblemParams) -> float:
     """Fractional Hardy constant H = 2^{2s} (Gamma((n+2s)/4)/Gamma((n-2s)/4))^2."""
     _require_supercritical(p)
     n, s = p.n, p.s
-    log_val = 2.0 * s * LOG2 + 2.0 * (log_gamma((n + 2.0 * s) / 4.0) - log_gamma((n - 2.0 * s) / 4.0))
+    log_val = 2.0 * s * LOG2 + 2.0 * (math.lgamma((n + 2.0 * s) / 4.0)
+                                      - math.lgamma((n - 2.0 * s) / 4.0))
     return math.exp(log_val)
 
 
@@ -112,17 +113,18 @@ def power_coefficient(p: ProblemParams, alpha: float) -> float:
         raise DomainError(f"alpha must lie in (0, n-2s) = (0, {n - 2.0 * s}), got {alpha!r}")
     log_val = (
         2.0 * s * LOG2
-        + log_gamma((alpha + 2.0 * s) / 2.0)
-        + log_gamma((n - alpha) / 2.0)
-        - log_gamma((n - alpha - 2.0 * s) / 2.0)
-        - log_gamma(alpha / 2.0)
+        + math.lgamma((alpha + 2.0 * s) / 2.0)
+        + math.lgamma((n - alpha) / 2.0)
+        - math.lgamma((n - alpha - 2.0 * s) / 2.0)
+        - math.lgamma(alpha / 2.0)
     )
     return math.exp(log_val)
 
 
 def _normalization(n: int, s: float) -> float | None:
     """c_{n,s}, or None where it overflows a double."""
-    log_val = 2.0 * s * LOG2 + math.log(s) + log_gamma(n / 2.0 + s) - (n / 2.0) * LOG_PI - log_gamma(1.0 - s)
+    log_val = (2.0 * s * LOG2 + math.log(s) + math.lgamma(n / 2.0 + s) - (n / 2.0) * LOG_PI
+               - math.lgamma(1.0 - s))
     try:
         return math.exp(log_val)
     except OverflowError:

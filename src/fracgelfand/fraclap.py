@@ -58,7 +58,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .constants import DomainError, ProblemParams, operator_normalization
-from .specfun import log_gamma
 
 __all__ = [
     "RadialGrid",
@@ -94,13 +93,13 @@ def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2).
 
     Within 1.5e-15 relative of 40-digit values for n <= 60 by ``math.gamma``;
-    exponentiating ``log_gamma`` instead amplifies its 3-5e-16 absolute error
+    exponentiating ``math.lgamma`` instead amplifies its 3-5e-16 absolute error
     at the half-integers to 1.2e-14.  Past n = 340, where Gamma(n/2)
     overflows, the log form is the only one.
     """
     if n <= 340:
         return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
-    return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - log_gamma(n / 2.0))
+    return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(n / 2.0))
 
 
 def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -146,12 +145,13 @@ def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing nodes r_0 = 0 < ... < r_N = 1, equal by value."""
+    """Strictly increasing nodes r_0 = 0 < ... < r_N = 1, copied, read-only
+    and equal by value."""
 
     nodes: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = _read_only(np.array(self.nodes, dtype=float))
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 17:
             raise DomainError("grid needs at least 16 panels (17 nodes)")
@@ -519,9 +519,9 @@ class OperatorMatrix:
     (quadratic interpolant, origin fold applied), and ``couple_quad_bnd``,
     those to the boundary node.  The rest is derived on first access, cached
     and read-only: c_{n,s}, hat masses, exterior row masses, the dense matrix
-    A for zero exterior data and the energy form.  ``apply_interior`` and
-    ``apply`` take any exterior datum and evaluate in difference form, which
-    annihilates constants exactly.
+    A for zero exterior data and the energy form.  ``apply_interior``, and
+    the module-level ``apply`` built on it, take any exterior datum and
+    evaluate in difference form, which annihilates constants exactly.
     """
 
     params: ProblemParams
@@ -585,26 +585,6 @@ class OperatorMatrix:
                 rel *= wk
                 out[rows] += rel.sum(axis=1)
         return self.normalization * out
-
-    def apply(self, u: RadialFunction) -> RadialFunction:
-        if u.grid != self.grid:
-            raise DomainError("function grid does not match operator grid")
-        out_int = self.apply_interior(u.interior, u.tail)
-        values = np.empty_like(u.values)
-        values[1:-1] = out_int
-        # Endpoint rows are not collocated; fill with extrapolations so the
-        # result is a plottable RadialFunction.  The origin value is flagged
-        # singular when the input was (the operator output then blows up too).
-        if u.singular_at_origin:
-            values[0] = np.inf
-        else:
-            e1, e2 = origin_fold_weights(self.grid)
-            values[0] = e1 * out_int[0] + e2 * out_int[1]
-        r = self.grid.nodes
-        slope = (out_int[-1] - out_int[-2]) / (r[-2] - r[-3])
-        values[-1] = out_int[-1] + slope * (r[-1] - r[-2])
-        return RadialFunction(grid=self.grid, values=values, tail=TailSpec.zero(),
-                              singular_at_origin=u.singular_at_origin)
 
     @functools.cached_property
     def stability_form(self) -> np.ndarray:
@@ -985,8 +965,28 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
 
 
 def apply(op: OperatorMatrix, u: RadialFunction) -> RadialFunction:
-    """Operator action (-Delta)^s u at interior nodes (module-level form)."""
-    return op.apply(u)
+    """Operator action (-Delta)^s u as a RadialFunction on the operator's grid.
+
+    Interior values come from ``op.apply_interior``.  Endpoint rows are not
+    collocated; they are filled with extrapolations so the result is a
+    plottable RadialFunction.  The origin value is flagged singular when the
+    input was (the operator output then blows up too).
+    """
+    if u.grid != op.grid:
+        raise DomainError("function grid does not match operator grid")
+    out_int = op.apply_interior(u.interior, u.tail)
+    values = np.empty_like(u.values)
+    values[1:-1] = out_int
+    if u.singular_at_origin:
+        values[0] = np.inf
+    else:
+        e1, e2 = origin_fold_weights(op.grid)
+        values[0] = e1 * out_int[0] + e2 * out_int[1]
+    r = op.grid.nodes
+    slope = (out_int[-1] - out_int[-2]) / (r[-2] - r[-3])
+    values[-1] = out_int[-1] + slope * (r[-1] - r[-2])
+    return RadialFunction(grid=op.grid, values=values, tail=TailSpec.zero(),
+                          singular_at_origin=u.singular_at_origin)
 
 
 def quadratic_form(op: OperatorMatrix, eta: RadialFunction, zeta: RadialFunction) -> float:

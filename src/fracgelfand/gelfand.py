@@ -43,7 +43,6 @@ from .fraclap import (
     quadratic_form,
     sphere_area,
 )
-from .specfun import log_gamma
 
 __all__ = [
     "BranchPoint",
@@ -110,10 +109,10 @@ def torsion_center_value(p: ProblemParams) -> float:
     branch slope is lam/m -> 1/z(0).
     """
     logz = (
-        log_gamma(0.5 * p.n)
+        math.lgamma(0.5 * p.n)
         - 2.0 * p.s * math.log(2.0)
-        - log_gamma(1.0 + p.s)
-        - log_gamma(0.5 * (p.n + 2.0 * p.s))
+        - math.lgamma(1.0 + p.s)
+        - math.lgamma(0.5 * (p.n + 2.0 * p.s))
     )
     return math.exp(logz)
 
@@ -141,10 +140,10 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    """Ordered continuation output (points by increasing peak)."""
+    """Ordered continuation output for one (n, s): points by increasing peak."""
 
+    params: ProblemParams
     points: list[BranchPoint] = field(default_factory=list)
-    params: ProblemParams | None = None
 
     @property
     def peaks(self) -> np.ndarray:
@@ -204,10 +203,9 @@ class Branch:
                  "residual_norm": pt.residual_norm, "newton_iters": pt.newton_iters}
                 for pt in self.points
             ],
+            "n": self.params.n,
+            "s": self.params.s,
         }
-        if self.params is not None:
-            data["n"] = self.params.n
-            data["s"] = self.params.s
         return json.dumps(data, indent=2)
 
 
@@ -411,8 +409,9 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
     """Solve the problem with prescribed center value u(0) = m, 0 < m < inf.
 
     Runs on ``cfg.operator()``, or on ``op``, which must match the config's
-    params and grid.  lam is recovered as part of the Newton solve.  Cold starts scale the
-    torsion profile (operator response to the constant source).  Warm starts
+    params and grid; ``warm_start`` must lie on the config's grid.  lam is
+    recovered as part of the Newton solve.  Cold starts scale the torsion
+    profile (operator response to the constant source).  Warm starts
     extrapolate (u, lam) linearly in m from the previous branch point along
     its recorded secant slope, when it has one, and record their own: so a
     chain of warm-started calls is a secant-predictor continuation, and
@@ -425,6 +424,8 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
     operator = cfg.operator() if op is None else op
     if operator.params != cfg.params or operator.grid != cfg.grid:
         raise DomainError("operator does not match the config's params and grid")
+    if warm_start is not None and warm_start.profile.grid != cfg.grid:
+        raise DomainError("warm start lies on another grid than the config's")
     e1, e2 = origin_fold_weights(operator.grid)
     if warm_start is not None:
         starts = [(warm_start.profile.interior, warm_start.lam)]
@@ -574,8 +575,6 @@ def singular_profile_diagnostic(branch: Branch, sigma: float) -> SingularProfile
         raise DomainError(f"need 0 < sigma < 1, got {sigma}")
     if not branch.points:
         raise DomainError("branch has no points")
-    if branch.params is None:
-        raise DomainError("branch carries no problem parameters")
     s = branch.params.s
     by_peak = sorted(branch.points, key=lambda pt: pt.peak)
     top = by_peak[-1]

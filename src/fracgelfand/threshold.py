@@ -12,10 +12,10 @@ dimensions 10 and above for none).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .constants import ProblemParams, RegimeError
-from .specfun import log_gamma
 
 __all__ = [
     "Regime",
@@ -60,11 +60,11 @@ def margin(p: ProblemParams) -> float:
         raise RegimeError(f"margin needs n > 2s, got n={p.n}, s={p.s}")
     n, s = p.n, p.s
     return (
-        log_gamma(n / 2.0)
-        + log_gamma(1.0 + s)
-        - log_gamma((n - 2.0 * s) / 2.0)
-        - 2.0 * log_gamma((n + 2.0 * s) / 4.0)
-        + 2.0 * log_gamma((n - 2.0 * s) / 4.0)
+        math.lgamma(n / 2.0)
+        + math.lgamma(1.0 + s)
+        - math.lgamma((n - 2.0 * s) / 2.0)
+        - 2.0 * math.lgamma((n + 2.0 * s) / 4.0)
+        + 2.0 * math.lgamma((n - 2.0 * s) / 4.0)
     )
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fracgelfand
+from fracgelfand import assemble, cli
 from fracgelfand.cli import main
 
 
@@ -152,6 +153,25 @@ def test_verify_powers_refuses_overflowing_power(tmp_path, capsys):
     assert run(tmp_path, *argv, "--alpha", repr(limit * (1.0 + 1e-9))) == 2
 
 
+def test_verify_powers_assembles_once_for_all_alphas(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(p, grid):
+        calls.append(p)
+        return assemble(p, grid)
+
+    monkeypatch.setattr(cli, "assemble", counting)
+    argv = ("verify-powers", "--n", "3", "--s", "0.5", "--grid", "64")
+    alphas = ("0.5", "0.75", "1.0")
+    assert run(tmp_path, *argv, *[x for a in alphas for x in ("--alpha", a)]) == 0
+    assert len(calls) == 1
+    rows = (tmp_path / "verify_powers.csv").read_text().split("\n")[2:5]
+    for alpha, row in zip(alphas, rows):
+        assert run(tmp_path / alpha, *argv, "--alpha", alpha) == 0
+        assert (tmp_path / alpha / "verify_powers.csv").read_text().split("\n")[2] == row
+    assert len(calls) == 4
+
+
 def test_verify_powers_eps_table(tmp_path, capsys):
     assert run(tmp_path, "verify-powers", "--n", "3", "--s", "0.5", "--eps-table") == 0
     out = capsys.readouterr().out
@@ -233,6 +253,14 @@ def test_stability_unstable_point(tmp_path, capsys):
     data = json.loads((tmp_path / "stability.json").read_text())
     assert data["stable"] is False
     assert "inequality" not in data
+
+
+@pytest.mark.parametrize("peak", ["nan", "0", "-1", "inf"])
+def test_stability_peak_domain(tmp_path, capsys, peak):
+    rc = run(tmp_path, "stability", "--n", "1", "--s", "0.5", "--grid", "32", "--peak", peak)
+    assert rc == 2
+    assert "--peak" in capsys.readouterr().err
+    assert not (tmp_path / "run_metadata.json").exists()
 
 
 def test_stability_numerical_failure(tmp_path, capsys):

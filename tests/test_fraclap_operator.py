@@ -12,6 +12,7 @@ from fracgelfand import (
     RadialGrid,
     TailKind,
     TailSpec,
+    apply,
     assemble,
     lambda0,
     operator_normalization,
@@ -75,6 +76,15 @@ def test_grids_compare_by_value():
     assert grid == RadialGrid(nodes=list(grid.nodes))
     assert grid != RadialGrid.graded(32, grading=3.0)
     assert grid != RadialGrid.graded(33)
+
+
+def test_grid_copies_and_freezes_its_nodes():
+    source = np.linspace(0.0, 1.0, 33)
+    grid = RadialGrid(nodes=source)
+    source[1] = 0.5
+    assert grid.nodes[1] == 1.0 / 32
+    with pytest.raises(ValueError):
+        grid.nodes[1] = 0.5
 
 
 def test_graded_grid_shape():
@@ -214,7 +224,7 @@ def test_tail_mass_is_built_on_first_use():
     op = assemble(p, grid)
     u = RadialFunction.from_callable(grid, lambda r: r**-0.2, TailSpec.power(0.2),
                                      singular_at_origin=True)
-    op.apply(u)
+    apply(op, u)
     assert _phi.cache_info().currsize == 1
     mass = op.tail_mass
     assert _phi.cache_info().currsize == 2
@@ -345,20 +355,20 @@ def test_log_power_map(operator_cache):
 def test_apply_wraps_interior(operator_cache):
     op = operator_cache(2, 0.5, 32)
     u = RadialFunction.from_callable(op.grid, lambda r: (1.0 - r * r) ** 0.5)
-    out = op.apply(u)
+    out = apply(op, u)
     assert isinstance(out, RadialFunction)
     assert np.allclose(out.values[1:-1], op.apply_interior(u.interior, u.tail))
     assert math.isfinite(out.values[0]) and math.isfinite(out.values[-1])
     sing = RadialFunction.from_callable(
         op.grid, lambda r: r**-0.3, tail=TailSpec.power(0.3), singular_at_origin=True
     )
-    assert op.apply(sing).values[0] == np.inf
+    assert apply(op, sing).values[0] == np.inf
     for grid in (RadialGrid.graded(48), RadialGrid.graded(32, grading=3.0)):
         with pytest.raises(DomainError, match="grid"):
-            op.apply(RadialFunction.from_callable(grid, lambda r: r))
+            apply(op, RadialFunction.from_callable(grid, lambda r: r))
     # A grid equal by value is accepted, whichever object holds the nodes.
     same = RadialFunction.from_callable(RadialGrid.graded(32), lambda r: (1.0 - r * r) ** 0.5)
-    assert np.array_equal(op.apply(same).values, out.values)
+    assert np.array_equal(apply(op, same).values, out.values)
 
 
 # ---------------------------------------------------------------- energy form

@@ -212,6 +212,16 @@ def test_solve_at_peak_refuses_a_foreign_operator(operator_cache):
     assert solve_at_peak(cfg, 0.5, op=own).lam == solve_at_peak(cfg, 0.5).lam
 
 
+def test_solve_at_peak_refuses_a_warm_start_from_another_grid(operator_cache):
+    # Its interior values would be read as nodal values of the config's grid.
+    foreign = ContinuationConfig(params=ProblemParams(1, 0.5),
+                                 grid=RadialGrid.graded(32, grading=3.0))
+    point = solve_at_peak(foreign, 0.5, op=operator_cache(1, 0.5, 32, grading=3.0))
+    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=RadialGrid.graded(32))
+    with pytest.raises(DomainError, match="warm start"):
+        solve_at_peak(cfg, 0.75, warm_start=point, op=operator_cache(1, 0.5, 32))
+
+
 def test_config_has_no_operator_argument():
     grid = RadialGrid.graded(32)
     with pytest.raises(TypeError):
@@ -419,8 +429,6 @@ def test_singular_diagnostic_validation(branch_1d):
             singular_profile_diagnostic(branch, sigma)
     with pytest.raises(DomainError):
         singular_profile_diagnostic(Branch(params=ProblemParams(1, 0.5)), 0.5)
-    with pytest.raises(DomainError):
-        singular_profile_diagnostic(Branch(points=list(branch.points)), 0.5)
 
 
 def test_singular_diagnostic_warns_on_coarse_grid():
