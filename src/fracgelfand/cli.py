@@ -3,11 +3,17 @@
 Subcommands: constants, threshold, verify-powers, branch, stability, diagnose.
 Every run resolves an output directory (--outdir flag, else the
 FRACGELFAND_OUTDIR environment variable, else the working directory), writes a
-run_metadata.json recording all inputs, versions and tolerances, and emits its
-artifacts there.  CSV artifacts carry 12 significant digits and embed the run
-configuration as a leading comment line; tables print 6.  Nothing written
-contains a timestamp, so re-running with an identical configuration reproduces
-every artifact byte for byte.
+run_metadata.json with the versions and the run's config, and emits its
+artifacts there.  The config is every parsed argument but the output directory,
+plus what the subcommand derives from them (tolerances, alphas, eps values), so
+the parser is the one declaration of a run's inputs.  CSV artifacts carry 12
+significant digits and embed the config as a leading comment line; tables print
+6.  Nothing written contains a timestamp, so re-running with an identical
+configuration reproduces every artifact byte for byte.
+
+branch and diagnose share one trace: when continuation stops partway, both
+report the failure on stderr, write their artifacts from the points solved so
+far (diagnose writes none when there are no points), and exit 1.
 
 Exit codes: 0 success, 1 numerical or tolerance failure, 2 usage error.
 """
@@ -36,6 +42,7 @@ from .constants import (
 )
 from .fraclap import OperatorMatrix, RadialFunction, RadialGrid, TailSpec, apply, assemble
 from .gelfand import (
+    Branch,
     BranchTraceError,
     ContinuationConfig,
     EigenSolveError,
@@ -65,14 +72,17 @@ plot 'bifurcation.dat' using 1:2 with linespoints pointtype 7 pointsize 0.6 noti
 """
 
 
-def _outdir(args: argparse.Namespace) -> Path:
-    raw = args.outdir or os.environ.get("FRACGELFAND_OUTDIR") or "."
-    path = Path(raw)
+def _config(args: argparse.Namespace, **derived) -> dict:
+    """A run's inputs: every parsed argument but the output directory, plus
+    what the subcommand derives from them."""
+    config = {k: v for k, v in vars(args).items() if k not in ("outdir", "handler")}
+    return {**config, **derived}
+
+
+def _outdir(args: argparse.Namespace, config: dict) -> Path:
+    """Resolve and create the output directory, and write run_metadata.json there."""
+    path = Path(args.outdir or os.environ.get("FRACGELFAND_OUTDIR") or ".")
     path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_metadata(outdir: Path, config: dict) -> None:
     record = {
         "config": config,
         "versions": {
@@ -81,7 +91,8 @@ def _write_metadata(outdir: Path, config: dict) -> None:
             "python": sys.version.split()[0],
         },
     }
-    (outdir / "run_metadata.json").write_text(json.dumps(record, indent=2, sort_keys=True))
+    (path / "run_metadata.json").write_text(json.dumps(record, indent=2, sort_keys=True))
+    return path
 
 
 def _config_line(config: dict) -> str:
@@ -94,15 +105,14 @@ def _params(args: argparse.Namespace) -> ProblemParams:
 
 def cmd_constants(args: argparse.Namespace) -> int:
     p = _params(args)
-    config = {"subcommand": "constants", "n": p.n, "s": p.s}
     rows = [("normalization", operator_normalization(p)),
             ("torsion_center", torsion_center_value(p))]
     verdict = classify(p)
     if p.supercritical:
         rows = [("lambda0", lambda0(p)), ("hardy_constant", hardy_constant(p)),
                 ("margin", verdict.margin)] + rows
-    out = _outdir(args)
-    _write_metadata(out, config)
+    config = _config(args)
+    out = _outdir(args, config)
 
     lines = [_config_line(config), "quantity,value"]
     lines += [f"{name},{value:.12g}" for name, value in rows]
@@ -117,9 +127,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     rows = threshold_table(args.n_max)
-    config = {"subcommand": "threshold", "n_max": args.n_max, "tol": ROOT_TOL}
-    out = _outdir(args)
-    _write_metadata(out, config)
+    config = _config(args, tol=ROOT_TOL)
+    out = _outdir(args, config)
 
     lines = [_config_line(config), "n,critical_s,all_s_bounded"]
     for row in rows:
@@ -153,12 +162,9 @@ def _power_map_error(op: OperatorMatrix, alpha: float) -> float:
 
 def cmd_verify_powers(args: argparse.Namespace) -> int:
     p = _params(args)
-    out = _outdir(args)
-
     if args.eps_table:
-        config = {"subcommand": "verify-powers", "n": p.n, "s": p.s,
-                  "eps_table": True, "eps_values": list(_EPS_TABLE)}
-        _write_metadata(out, config)
+        config = _config(args, eps_values=list(_EPS_TABLE))
+        out = _outdir(args, config)
         h = hardy_constant(p)
         l0 = lambda0(p)
         table = [(eps, *epsilon_expansion(p, eps)) for eps in _EPS_TABLE]
@@ -194,9 +200,8 @@ def cmd_verify_powers(args: argparse.Namespace) -> int:
             raise DomainError(f"alpha = {alpha:g}: r^-alpha or its image overflows a double at "
                               f"r_1 = {grid.nodes[1]:.6g}; the largest admissible alpha on "
                               f"this grid is {top:.10g}")
-    config = {"subcommand": "verify-powers", "n": p.n, "s": p.s,
-              "alphas": list(alphas), "grid": args.grid, "tol": _POWER_TOL}
-    _write_metadata(out, config)
+    config = _config(args, alphas=list(alphas), tol=_POWER_TOL)
+    out = _outdir(args, config)
 
     lines = [_config_line(config), "alpha,max_rel_error,tol,passed"]
     failed = []
@@ -229,24 +234,22 @@ def _branch_config(args: argparse.Namespace) -> ContinuationConfig:
     )
 
 
+def _trace(cfg: ContinuationConfig) -> tuple[Branch, BranchTraceError | None]:
+    """The traced branch, or the partial one with the error that stopped it
+    (reported on stderr)."""
+    try:
+        return trace_branch(cfg), None
+    except BranchTraceError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        print(f"partial branch with {len(exc.partial.points)} points saved", file=sys.stderr)
+        return exc.partial, exc
+
+
 def cmd_branch(args: argparse.Namespace) -> int:
     cfg = _branch_config(args)
-    config = {
-        "subcommand": "branch", "n": args.n, "s": args.s, "grid": args.grid,
-        "grading": args.grading, "peak_min": args.peak_min, "peak_max": args.peak_max,
-        "peak_step": args.peak_step, "newton_tol": args.newton_tol,
-        "verify": bool(args.verify),
-        "diagnose_sigma": args.diagnose_sigma, "rho0": args.rho0,
-    }
-    out = _outdir(args)
-    _write_metadata(out, config)
-
-    trace_error: BranchTraceError | None = None
-    try:
-        branch = trace_branch(cfg)
-    except BranchTraceError as exc:
-        trace_error = exc
-        branch = exc.partial
+    config = _config(args)
+    out = _outdir(args, config)
+    branch, failure = _trace(cfg)
 
     (out / "branch.csv").write_text(_config_line(config) + "\n" + branch.to_csv())
     extra = json.loads(branch.to_json())
@@ -256,12 +259,8 @@ def cmd_branch(args: argparse.Namespace) -> int:
     (out / "bifurcation.dat").write_text("\n".join(dat_lines) + "\n")
     (out / "bifurcation.gp").write_text(_GNUPLOT_SCRIPT)
 
-    rc = 0
-    if trace_error is not None:
-        print(f"solver failure: {trace_error}", file=sys.stderr)
-        print(f"partial branch with {len(branch.points)} points saved", file=sys.stderr)
-        rc = 1
-    else:
+    rc = 0 if failure is None else 1
+    if failure is None:
         star = branch.lambda_star_estimate
         print(f"{len(branch.points)} branch points; fold detected: {branch.fold_detected}")
         if math.isfinite(star):
@@ -285,20 +284,6 @@ def cmd_branch(args: argparse.Namespace) -> int:
         if not all_ok:
             rc = max(rc, 1)
 
-    if args.diagnose_sigma is not None and branch.points:
-        report = singular_profile_diagnostic(branch, args.diagnose_sigma)
-        print(f"singular diagnostic (sigma={args.diagnose_sigma:g}): "
-              f"threshold radius {report.threshold_radius}, "
-              f"probe ratios {[f'{x:.5g}' for x in report.probe_ratios]}, "
-              f"increasing trend: {report.increasing_trend}")
-        extra["singular_diagnostic"] = {
-            "sigma": report.sigma,
-            "threshold_radius": report.threshold_radius,
-            "probe_radius": report.probe_radius,
-            "probe_ratios": [float(x) for x in report.probe_ratios],
-            "increasing_trend": report.increasing_trend,
-        }
-
     (out / "branch.json").write_text(json.dumps(extra, indent=2))
     return rc
 
@@ -313,13 +298,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
         grid=RadialGrid.graded(args.grid, grading=args.grading),
         newton_tol=args.newton_tol,
     )
-    config = {
-        "subcommand": "stability", "n": args.n, "s": args.s, "grid": args.grid,
-        "grading": args.grading, "peak": args.peak, "rho0": args.rho0,
-        "eps": args.eps, "newton_tol": args.newton_tol,
-    }
-    out = _outdir(args)
-    _write_metadata(out, config)
+    config = _config(args)
+    out = _outdir(args, config)
 
     point = solve_at_peak(cfg, args.peak)
     stable = point.stable
@@ -347,30 +327,23 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    p = _params(args)
-    out = _outdir(args)
-
     if args.singular_residual:
+        p = _params(args)
         grid = RadialGrid.graded(args.grid, grading=args.grading)
-        config = {"subcommand": "diagnose", "n": args.n, "s": args.s,
-                  "grid": args.grid, "grading": args.grading,
-                  "mode": "singular_residual"}
-        _write_metadata(out, config)
+        config = _config(args)
+        out = _outdir(args, config)
         res = singular_solution_residual(p, grid)
         print(f"singular solution relative residual on [0.1, 0.9]: {res:.6g}")
         (out / "diagnose.json").write_text(json.dumps(
             {"config": config, "relative_residual": res}, indent=2))
         return 0
 
-    config = {
-        "subcommand": "diagnose", "n": args.n, "s": args.s, "grid": args.grid,
-        "grading": args.grading, "mode": "profile_trend", "sigma": args.sigma,
-        "peak_min": args.peak_min, "peak_max": args.peak_max,
-        "peak_step": args.peak_step, "newton_tol": args.newton_tol,
-    }
     cfg = _branch_config(args)
-    _write_metadata(out, config)
-    branch = trace_branch(cfg)
+    config = _config(args)
+    out = _outdir(args, config)
+    branch, failure = _trace(cfg)
+    if not branch.points:
+        return 1
     report = singular_profile_diagnostic(branch, args.sigma)
     print(f"{len(branch.points)} points to peak {branch.peaks[-1]:.4g}; "
           f"fold detected: {branch.fold_detected}")
@@ -386,7 +359,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         "probe_ratios": [float(x) for x in report.probe_ratios],
         "increasing_trend": report.increasing_trend,
     }, indent=2))
-    return 0
+    return 0 if failure is None else 1
 
 
 def _add_common(sub: argparse.ArgumentParser, grid_default: int = 128) -> None:
@@ -438,8 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_continuation(sub)
     sub.add_argument("--verify", action="store_true",
                      help="check stability and the energy inequality at pre-fold points")
-    sub.add_argument("--diagnose-sigma", type=float, default=None,
-                     help="attach the singular-profile diagnostic at this sigma")
     sub.add_argument("--rho0", type=float, default=0.5)
     sub.set_defaults(handler=cmd_branch)
 
@@ -472,8 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage: run 'fracgelfand {args.subcommand} --help' for valid inputs",
               file=sys.stderr)
         return 2
-    except (NoConvergenceError, InfeasibleError, BranchTraceError, EigenSolveError,
-            np.linalg.LinAlgError) as exc:
+    except (NoConvergenceError, InfeasibleError, EigenSolveError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -66,7 +66,6 @@ __all__ = [
     "RadialFunction",
     "OperatorMatrix",
     "sphere_area",
-    "angular_kernel",
     "assemble",
     "apply",
     "quadratic_form",
@@ -280,13 +279,15 @@ class TailSpec:
         return -self.coeff * (2.0 * s * math.log(radius) + 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialFunction:
     """Nodal values on a radial grid plus the exterior datum.
 
     Values must be finite at every node; the origin node alone may be
     non-finite when ``singular_at_origin`` is set (profiles like r^{-a} or
-    log 1/r).  The operator never evaluates such functions at r = 0.
+    log 1/r).  The operator never evaluates such functions at r = 0.  Like the
+    grid's nodes, the values are copied and read-only, so no later write to
+    the caller's array reaches them.
     """
 
     grid: RadialGrid
@@ -295,7 +296,8 @@ class RadialFunction:
     singular_at_origin: bool = False
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = _read_only(np.array(self.values, dtype=float))
+        object.__setattr__(self, "values", values)
         if values.shape != self.grid.nodes.shape:
             raise DomainError(
                 f"values shape {values.shape} does not match grid with {self.grid.nodes.size} nodes"
@@ -303,7 +305,6 @@ class RadialFunction:
         check = values[1:] if self.singular_at_origin else values
         if not np.all(np.isfinite(check)):
             raise DomainError("nodal values must be finite (except r_0 when flagged singular)")
-        self.values = values
 
     @classmethod
     def from_callable(cls, grid: RadialGrid, fn, tail: TailSpec = TailSpec.zero(),

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import fracgelfand
-from fracgelfand import assemble, cli
+from fracgelfand import BranchTraceError, assemble, cli, singular_profile_diagnostic, trace_branch
 from fracgelfand.cli import main
+from fracgelfand.threshold import ROOT_TOL
 
 
 def run(tmp_path, *argv):
@@ -207,18 +208,21 @@ def test_branch_artifacts(tmp_path, capsys):
     assert "bifurcation.dat" in (tmp_path / "bifurcation.gp").read_text()
 
 
-def test_branch_verify_and_diagnose(tmp_path, capsys):
+def test_branch_verify(tmp_path, capsys):
     rc = run(tmp_path, "branch", "--n", "1", "--s", "0.5", "--grid", "96",
-             "--peak-max", "1.5", "--verify", "--diagnose-sigma", "0.9")
+             "--peak-max", "1.5", "--verify")
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
-    assert "singular diagnostic" in out
     data = json.loads((tmp_path / "branch.json").read_text())
     assert data["verify_passed"] is True
-    diag = data["singular_diagnostic"]
-    assert diag["sigma"] == 0.9
-    assert len(diag["probe_ratios"]) == 3
+
+
+def test_branch_diagnose_sigma_is_usage_error(tmp_path):
+    # The profile diagnostic is `diagnose`'s alone.
+    with pytest.raises(SystemExit) as excinfo:
+        run(tmp_path, "branch", "--n", "1", "--s", "0.5", "--diagnose-sigma", "0.5")
+    assert excinfo.value.code == 2
 
 
 def test_branch_partial_failure(tmp_path, capsys):
@@ -297,6 +301,60 @@ def test_diagnose_profile_trend(tmp_path, capsys):
     assert data["increasing_trend"] is True
     assert len(data["probe_ratios"]) == 3
     assert data["fold_detected"] is False
+
+
+def test_diagnose_partial_branch(tmp_path, capsys):
+    # (12, 0.5) on 64 panels stops partway; the diagnostic comes from the
+    # points solved before the failure, and the exit code still reports it.
+    argv = ("--n", "12", "--s", "0.5", "--grid", "64",
+            "--peak-min", "1.0", "--peak-max", "16.0", "--peak-step", "1.0")
+    assert run(tmp_path, "diagnose", *argv) == 1
+    captured = capsys.readouterr()
+    assert "solver failure" in captured.err and "partial branch" in captured.err
+    args = cli.build_parser().parse_args(["branch", *argv])
+    with pytest.raises(BranchTraceError) as excinfo:
+        trace_branch(cli._branch_config(args))
+    partial = excinfo.value.partial
+    assert len(partial.points) >= 3
+    assert f"{len(partial.points)} points to peak" in captured.out
+    report = singular_profile_diagnostic(partial, 0.5)
+    data = json.loads((tmp_path / "diagnose.json").read_text())
+    assert data["probe_ratios"] == [float(x) for x in report.probe_ratios]
+    assert len(data["probe_ratios"]) == 3
+    assert data["threshold_radius"] == report.threshold_radius
+
+
+def test_diagnose_without_points_writes_no_diagnostic(tmp_path, capsys):
+    # A cold start at m = 9 already fails: nothing to diagnose.
+    rc = run(tmp_path, "diagnose", "--n", "12", "--s", "0.5", "--grid", "64",
+             "--peak-min", "9.0", "--peak-max", "10.0", "--peak-step", "1.0")
+    assert rc == 1
+    assert "partial branch with 0 points" in capsys.readouterr().err
+    assert (tmp_path / "run_metadata.json").exists()
+    assert not (tmp_path / "diagnose.json").exists()
+
+
+@pytest.mark.parametrize("argv, derived", [
+    (("constants", "--n", "3", "--s", "0.5"), {}),
+    (("threshold", "--n-max", "4"), {"tol": ROOT_TOL}),
+    (("verify-powers", "--n", "3", "--s", "0.5", "--grid", "64"), {"alphas": [1.0], "tol": 1e-2}),
+    (("verify-powers", "--n", "3", "--s", "0.5", "--eps-table"),
+     {"eps_values": [1e-2, 1e-3, 1e-4]}),
+    (("branch", "--n", "1", "--s", "0.5", "--grid", "32", "--peak-max", "0.5"), {}),
+    (("stability", "--n", "1", "--s", "0.5", "--grid", "32", "--peak", "0.5"), {}),
+    (("diagnose", "--n", "3", "--s", "0.5", "--grid", "32", "--singular-residual"), {}),
+    (("diagnose", "--n", "12", "--s", "0.5", "--grid", "64",
+      "--peak-min", "1.0", "--peak-max", "3.0", "--peak-step", "1.0"), {}),
+], ids=["constants", "threshold", "verify-powers", "eps-table", "branch", "stability",
+        "singular-residual", "profile-trend"])
+def test_config_is_the_parsed_arguments(tmp_path, argv, derived):
+    # run_metadata.json records every parsed argument but the output
+    # directory, plus what the subcommand derives from them.
+    assert run(tmp_path, *argv) == 0
+    parsed = vars(cli.build_parser().parse_args(list(argv)))
+    del parsed["outdir"], parsed["handler"]
+    meta = json.loads((tmp_path / "run_metadata.json").read_text())
+    assert meta["config"] == {**parsed, **derived}
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import hyp2f1, roots_jacobi
 
-from fracgelfand import DomainError, ProblemParams, angular_kernel, sphere_area
-from fracgelfand.fraclap import _gauss_jacobi, _phi, _PhiTable
+from fracgelfand import DomainError, ProblemParams, sphere_area
+from fracgelfand.fraclap import _gauss_jacobi, _phi, _PhiTable, angular_kernel
 
 
 def test_sphere_area_against_mpmath():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -85,6 +86,18 @@ def test_grid_copies_and_freezes_its_nodes():
     assert grid.nodes[1] == 1.0 / 32
     with pytest.raises(ValueError):
         grid.nodes[1] = 0.5
+
+
+def test_function_copies_and_freezes_its_values():
+    grid = RadialGrid.graded(32)
+    source = 1.0 - grid.nodes**2
+    f = RadialFunction(grid=grid, values=source)
+    source[3] = np.nan
+    assert f.values[3] == 1.0 - grid.nodes[3] ** 2
+    with pytest.raises(ValueError):
+        f.values[3] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.values = source
 
 
 def test_graded_grid_shape():
