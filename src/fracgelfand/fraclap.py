@@ -22,7 +22,8 @@ Discretization (per collocation row r_i):
   the Golub-Welsch eigenproblem), the leftover one-sided sliver with
   Gauss-Legendre;
 * all other panels inside the ball use per-panel Gauss-Legendre against a
-  piecewise-quadratic 3-node Lagrange interpolant of u;
+  piecewise-quadratic 3-node Lagrange interpolant of u: 6 points up to 48
+  half-widths from the row, 4 beyond, where the two rules agree to roundoff;
 * for zero exterior data (the Dirichlet problem) the exterior integral is
   u(r) times the row mass int_{rho > 1} K drho = (-Delta)^s 1_B / c_{n,s} in
   Dyda's closed form (*Fract. Calc. Appl. Anal.* 15 (2012) 536-555), which
@@ -71,18 +72,23 @@ __all__ = [
     "quadratic_form",
 ]
 
-# Gauss order per far panel in the ball; the near-field Gauss-Jacobi core
-# uses twice as many nodes, the energy form's separated pairs one fewer.
+# Gauss order per far panel in the ball, and the lower one for panels at
+# least _FAR_SEPARATION half-widths from every row of a block, where the two
+# agree to roundoff.  The near-field Gauss-Jacobi core uses twice
+# _PANEL_ORDER nodes, the energy form's separated pairs one fewer.
 _PANEL_ORDER = 6
+_FAR_ORDER = 4
+_FAR_SEPARATION = 48.0
 _TAIL_SEG_A_ORDER = 12     # Gauss order per panel on (1, 2]
 _TAIL_SEG_B_ORDER = 8      # Gauss order per dyadic panel beyond 2
 _FAR_DEPTH = 26            # dyadic panels on (2, 2^27]; closed form beyond
 _SLIVER_ORDER = 8
 _PHI_DEGREE = 16           # Chebyshev degree per piece of the Phi table
 _PHI_PIECES = 54           # octaves [2^-(k+1), 2^-k] of 1 - z, k < 53, then z = 1
-# Kernel entries evaluated at once.  Bounds every block temporary and keeps
-# the hypergeometric table's working set in cache.
-_BLOCK_ENTRIES = 1 << 14
+# Kernel entries per block of rows.  Bounds every block temporary, and is
+# large enough that the far field's two kernel calls per block amortize
+# their fixed cost over its 4-point entries.
+_BLOCK_ENTRIES = 1 << 15
 # Largest dense interior matrix (N-1)^2 float64 values a grid may imply; the
 # solvers hold several such matrices at once.
 _DENSE_BUDGET_BYTES = 1 << 29
@@ -479,16 +485,24 @@ def _kernel(p: ProblemParams, r: np.ndarray | float, rho: np.ndarray,
     (rho/M)^{n-1} * (M / ((r+rho) dist))^{1+2s} * Phi so the power terms stay
     O(1) even for dimension-sized exponents at large radii.
     """
+    # In place, in the operation order of the plain product: every temporary
+    # is a whole block, and each one allocated anew costs page faults.
     big = np.maximum(r, rho)
-    small = np.minimum(r, rho)
-    z = (small / big) ** 2
-    gap = (r + rho) * (np.abs(r - rho) if dist is None else dist)
-    return (
-        sphere_area(p.n)
-        * (rho / big) ** (p.n - 1)
-        * (big / gap) ** (1.0 + 2.0 * p.s)
-        * _phi(-p.s, 0.5 * p.n - p.s - 1.0, 0.5 * p.n)(z)
-    )
+    z = np.minimum(r, rho)
+    z /= big
+    z *= z
+    out = rho / big
+    out **= p.n - 1
+    out *= sphere_area(p.n)
+    gap = r + rho
+    gap *= np.abs(r - rho) if dist is None else dist
+    big /= gap
+    del gap
+    big **= 1.0 + 2.0 * p.s
+    out *= big
+    del big
+    out *= _phi(-p.s, 0.5 * p.n - p.s - 1.0, 0.5 * p.n)(z)
+    return out
 
 
 def angular_kernel(p: ProblemParams, r: float, rho: float) -> float:
@@ -576,6 +590,7 @@ class OperatorMatrix:
         diff = u_int[:, None] - u_int[None, :]
         diff *= self.couple_quad
         out = diff.sum(axis=1)
+        del diff   # the exterior blocks below need not stack on it
         g1 = tail.boundary_value(self.params.s)
         out += self.couple_quad_bnd * (u_int - g1)
         if tail.kind is TailKind.ZERO:
@@ -743,38 +758,55 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     ni = npan - 1
     e1, e2 = origin_fold_weights(grid)
 
-    q_far = _PANEL_ORDER
-    xs_far, ws_far = leggauss(q_far)
     q_near = 2 * _PANEL_ORDER
     xj, wj = _gauss_jacobi(q_near, 1.0 - 2.0 * s)
     xs_sl, ws_sl = leggauss(_SLIVER_ORDER)
 
-    # Grid-wide far-panel quadrature: nodes, weights and interpolation tables
-    # are row-independent; only the kernel values change per row.
+    # Grid-wide far-panel quadrature, one per order: nodes (q, 1, npan) and
+    # weight times Lagrange basis (3, q, npan), one table per stencil node
+    # p-1, p, p+1 of panel p (panel 0: nodes 0, 1, 2).  Only the kernel
+    # values change per row.
     mid = 0.5 * (r[:-1] + r[1:])
     half = 0.5 * np.diff(r)
-    rho_far = mid[:, None] + half[:, None] * xs_far[None, :]          # (npan, q)
-    w_far = half[:, None] * ws_far[None, :]                           # (npan, q)
-    # Stencil of panel p: nodes p-1, p, p+1 (panel 0: nodes 0, 1, 2).
     first = np.maximum(np.arange(npan) - 1, 0)
-    x0, x1, x2 = r[first, None], r[first + 1, None], r[first + 2, None]
-    # Quadrature weight times Lagrange basis, one table per stencil node.
-    lag = np.empty((3, npan, q_far))
-    lag[0] = w_far * ((rho_far - x1) * (rho_far - x2) / ((x0 - x1) * (x0 - x2)))
-    lag[1] = w_far * ((rho_far - x0) * (rho_far - x2) / ((x1 - x0) * (x1 - x2)))
-    lag[2] = w_far * ((rho_far - x0) * (rho_far - x1) / ((x2 - x0) * (x2 - x1)))
+    x0, x1, x2 = r[first], r[first + 1], r[first + 2]
 
+    def far_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
+        xs, ws = leggauss(q)
+        rho = mid + half * xs[:, None]
+        w = half * ws[:, None]
+        return rho[:, None, :], np.stack([
+            w * ((rho - x1) * (rho - x2) / ((x0 - x1) * (x0 - x2))),
+            w * ((rho - x0) * (rho - x2) / ((x1 - x0) * (x1 - x2))),
+            w * ((rho - x0) * (rho - x1) / ((x2 - x0) * (x2 - x1)))])
+
+    rho_hi, lag_hi = far_rule(_PANEL_ORDER)
+    rho_lo, lag_lo = far_rule(_FAR_ORDER)
     cq = np.zeros((ni, npan + 1))
 
-    # Far field over row blocks; the panels adjacent to r_i belong to the
-    # near field.
-    for blk in _row_blocks(ni, npan * q_far):
+    # Far field over row blocks.  Panels [lo, hi), from the first to the last
+    # one closer than _FAR_SEPARATION half-widths to some row of the block,
+    # get _PANEL_ORDER points, the two adjacent to each row (near field)
+    # zeroed; every other panel is at least that far from every row and gets
+    # _FAR_ORDER points.
+    for blk in _row_blocks(ni, npan * _FAR_ORDER):
         rows = np.arange(blk.start + 1, blk.stop + 1)
         b = np.arange(rows.size)
-        kmat = _kernel(p, r[rows, None, None], rho_far)
-        kmat[b, rows - 1] = 0.0
-        kmat[b, rows] = 0.0
-        _add_stencil(cq[blk], *(np.einsum("bpq,pq->bp", kmat, lag_j) for lag_j in lag))
+        dist = np.maximum(0.0, np.maximum(r[rows[0]] - mid, mid - r[rows[-1]]))
+        near = np.flatnonzero(dist < _FAR_SEPARATION * half)
+        lo, hi = near[0], near[-1] + 1
+        ri = r[rows, None]
+        coef = np.empty((3, rows.size, npan))
+        kmat = _kernel(p, ri, rho_hi[..., lo:hi])          # (node, row, panel)
+        kmat[:, b, rows - 1 - lo] = 0.0
+        kmat[:, b, rows - lo] = 0.0
+        np.einsum("qbp,jqp->jbp", kmat, lag_hi[..., lo:hi], out=coef[..., lo:hi])
+        far = np.r_[0:lo, hi:npan]   # take, unlike [..., far], keeps C order
+        c_far = np.einsum("qbp,jqp->jbp", _kernel(p, ri, rho_lo.take(far, axis=-1)),
+                          lag_lo.take(far, axis=-1))
+        coef[..., :lo] = c_far[..., :lo]
+        coef[..., hi:] = c_far[..., lo:]
+        _add_stencil(cq[blk], *coef)
 
     # Near field, all rows at once (2 q_near + 8 kernel values per row): the
     # two panels touching r_i against the parabola through r_{i-1}, r_i, r_{i+1}.
@@ -852,7 +884,9 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     smat = np.zeros((npan + 1, npan + 1))
 
     def kap_full(rv: np.ndarray, pv: np.ndarray) -> np.ndarray:
-        return pref * rv ** (n - 1) * _kernel(p, rv, pv)
+        k = _kernel(p, rv, pv)   # scaled in place, as in _kernel
+        k *= pref * rv ** (n - 1)
+        return k
 
     def kap_reg(rv: np.ndarray, pv: np.ndarray) -> np.ndarray:
         return pref * rv ** (n - 1) * _kernel(p, rv, pv, dist=1.0)
@@ -882,9 +916,8 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
         # coincident points, so no 0/0), and zero weight.
         sep = (pj >= pi[:, None] + 2)[:, None, :, None]
         rho = np.where(sep, pts[pj], 1.0)
-        tmat = (wts[pi, :, None, None] * np.where(sep, wts[pj], 0.0)) * kap_full(
-            pts[pi, :, None, None], rho
-        )                                                 # (b, q, nj, q)
+        tmat = kap_full(pts[pi, :, None, None], rho)      # (b, q, nj, q)
+        tmat *= wts[pi, :, None, None] * np.where(sep, wts[pj], 0.0)
         sep_mass[pi] += tmat.sum(axis=(2, 3))
         sep_mass[pj] += tmat.sum(axis=(0, 1))
         # cross[j, i, x, y] = sum_ab hats[pi][i, x, a] tmat[i, a, j, b] hats[pj][j, y, b],

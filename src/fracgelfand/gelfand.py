@@ -83,7 +83,7 @@ class NoConvergenceError(RuntimeError):
 
 
 class InfeasibleError(RuntimeError):
-    """A converged state violated lam > 0."""
+    """A converged state violated lam > 0 or u > 0 in the ball."""
 
     def __init__(self, message: str, lam: float):
         super().__init__(message)
@@ -310,6 +310,9 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
         )
     if lam <= 0.0:
         raise InfeasibleError(f"converged state has lam = {lam:.6g} <= 0", lam)
+    # Maximum principle: lam e^u > 0 with zero exterior data forces u > 0.
+    if u.min() <= 0.0:
+        raise InfeasibleError(f"converged state has min u = {u.min():.6g} <= 0", lam)
     return u, lam, fnorm, iters
 
 

@@ -21,6 +21,7 @@ from fracgelfand import (
     quadratic_form,
     sphere_area,
 )
+from fracgelfand import fraclap
 from fracgelfand.fraclap import (
     _add_stencil,
     _assemble_energy,
@@ -200,6 +201,53 @@ def test_stencil_slice_adds_match_add_at():
     got = start.copy()
     _add_stencil(got, *contrib)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, s, grading", [(1, 0.3, 2.0), (3, 0.05, 2.0), (7, 0.5, 2.0),
+                                           (12, 0.5, 2.0), (3, 0.5, 3.0)])
+def test_far_field_order_split_matches_six_points(monkeypatch, n, s, grading):
+    # Panels at least 48 half-widths from every row of a block get 4-point
+    # Gauss instead of 6; there the two rules agree to roundoff, so no
+    # coupling moves by more than 1e-12 of its row's largest one.
+    p, grid = ProblemParams(n, s), RadialGrid.graded(256, grading)
+    got = assemble(p, grid)
+    monkeypatch.setattr(fraclap, "_FAR_ORDER", fraclap._PANEL_ORDER)
+    want = assemble(p, grid)
+    got = np.column_stack([got.couple_quad, got.couple_quad_bnd])
+    want = np.column_stack([want.couple_quad, want.couple_quad_bnd])
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert (np.abs(got - want) / scale).max() <= 1e-12
+
+
+def test_far_field_regions_cover_each_panel_once(monkeypatch):
+    # Far-field kernel calls take nodes laid out (node, row, panel); assembly
+    # zeroes the panels adjacent to each row in place afterwards.  Over the
+    # calls of both orders, every other panel of every row is integrated
+    # exactly once.
+    p, grid = ProblemParams(3, 0.5), RadialGrid.graded(256, 3.0)
+    calls = []
+    kernel = fraclap._kernel
+
+    def recording(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        if np.ndim(args[2]) == 3:
+            calls.append((args[1], args[2], out))
+        return out
+
+    monkeypatch.setattr(fraclap, "_kernel", recording)
+    assemble(p, grid)
+    nodes, npan = grid.nodes, grid.n_panels
+    count = np.zeros((npan - 1, npan), dtype=int)   # interior row (node - 1) x panel
+    for r, rho, kmat in calls:
+        rows = np.searchsorted(nodes, r.ravel())
+        assert np.array_equal(nodes[rows], r.ravel())
+        panels = np.searchsorted(nodes, rho[0, 0]) - 1
+        count[np.ix_(rows - 1, panels)] += (kmat != 0.0).all(axis=0)
+    assert {rho.shape[0] for _, rho, _ in calls} == {4, 6}
+    want = np.ones_like(count)
+    k = np.arange(npan - 1)
+    want[k, k] = want[k, k + 1] = 0
+    assert np.array_equal(count, want)
 
 
 def test_operator_stores_assembly_output_only_and_is_read_only(operator_cache):
