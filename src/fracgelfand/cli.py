@@ -245,7 +245,14 @@ def _trace(cfg: ContinuationConfig) -> tuple[Branch, BranchTraceError | None]:
         return exc.partial, exc
 
 
+def _check_rho0(rho0: float) -> None:
+    if not 0.0 < rho0 < 1.0:
+        raise DomainError(f"--rho0 must satisfy 0 < rho0 < 1, got {rho0}")
+
+
 def cmd_branch(args: argparse.Namespace) -> int:
+    if args.verify:
+        _check_rho0(args.rho0)
     cfg = _branch_config(args)
     config = _config(args)
     out = _outdir(args, config)
@@ -291,6 +298,9 @@ def cmd_branch(args: argparse.Namespace) -> int:
 def cmd_stability(args: argparse.Namespace) -> int:
     if not 0.0 < args.peak < math.inf:
         raise DomainError(f"--peak must satisfy 0 < peak < inf, got {args.peak}")
+    _check_rho0(args.rho0)
+    if not 0.0 < args.eps < math.inf:
+        raise DomainError(f"--eps must satisfy 0 < eps < inf, got {args.eps}")
     # One solve, which reads only params, grid and newton_tol: the peak range
     # keeps its defaults.
     cfg = ContinuationConfig(

@@ -87,7 +87,8 @@ _PHI_DEGREE = 16           # Chebyshev degree per piece of the Phi table
 _PHI_PIECES = 54           # octaves [2^-(k+1), 2^-k] of 1 - z, k < 53, then z = 1
 # Kernel entries per block of rows.  Bounds every block temporary, and is
 # large enough that the far field's two kernel calls per block amortize
-# their fixed cost over its 4-point entries.
+# their fixed cost over its 4-point entries.  A temporary of this size
+# (256 KiB) is above glibc's initial mmap threshold; _row_blocks raises it.
 _BLOCK_ENTRIES = 1 << 15
 # Largest dense interior matrix (N-1)^2 float64 values a grid may imply; the
 # solvers hold several such matrices at once.
@@ -485,8 +486,9 @@ def _kernel(p: ProblemParams, r: np.ndarray | float, rho: np.ndarray,
     (rho/M)^{n-1} * (M / ((r+rho) dist))^{1+2s} * Phi so the power terms stay
     O(1) even for dimension-sized exponents at large radii.
     """
-    # In place, in the operation order of the plain product: every temporary
-    # is a whole block, and each one allocated anew costs page faults.
+    # In place, in the operation order of the plain product (so bitwise the
+    # same): every temporary is a whole block, and each one saved is a block
+    # less written to and read back from memory.
     big = np.maximum(r, rho)
     z = np.minimum(r, rho)
     z /= big
@@ -590,7 +592,7 @@ class OperatorMatrix:
         diff = u_int[:, None] - u_int[None, :]
         diff *= self.couple_quad
         out = diff.sum(axis=1)
-        del diff   # the exterior blocks below need not stack on it
+        del diff   # (N-1)^2 floats, freed before the exterior blocks allocate
         g1 = tail.boundary_value(self.params.s)
         out += self.couple_quad_bnd * (u_int - g1)
         if tail.kind is TailKind.ZERO:
@@ -655,8 +657,17 @@ def _hat_masses(grid: RadialGrid, n: int) -> np.ndarray:
 def _row_blocks(n_rows: int, row_entries: int):
     """Slices of consecutive rows holding at most _BLOCK_ENTRIES entries.
 
-    A row wider than the budget makes a block by itself.
+    A row wider than the budget makes a block by itself.  In a fresh process
+    too, each block reuses the memory of the block before it (see below).
     """
+    # glibc serves an allocation above its mmap threshold (128 KiB at start)
+    # by mmap and unmaps it on free, so in a fresh process every block's
+    # temporaries would page-fault in anew.  Freeing an mmapped chunk (up to
+    # 32 MiB) raises the mmap threshold to its size and the trim threshold to
+    # twice that (mallopt(3), dynamic thresholds); from then on the blocks'
+    # temporaries come from the heap and stay there for the next block.
+    # np.empty touches no page; under another allocator this changes nothing.
+    np.empty(4 * _BLOCK_ENTRIES)   # 1 MiB, freed at once
     step = max(1, _BLOCK_ENTRIES // row_entries)
     for lo in range(0, n_rows, step):
         yield slice(lo, min(n_rows, lo + step))

@@ -490,8 +490,8 @@ def proof_test_function(p: ProblemParams, grid: RadialGrid, rho0: float,
     """
     if not 0.0 < rho0 < 1.0:
         raise DomainError(f"need 0 < rho0 < 1, got {rho0}")
-    if eps <= 0.0:
-        raise DomainError(f"need eps > 0, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"need 0 < eps < inf, got {eps}")
     expo = 0.5 * (2.0 * p.s - p.n + eps)
     rho1 = 0.5 * (1.0 + rho0)
     r = grid.nodes

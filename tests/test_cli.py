@@ -267,6 +267,33 @@ def test_stability_peak_domain(tmp_path, capsys, peak):
     assert not (tmp_path / "run_metadata.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("--peak", "0.5", "--eps", "nan"),
+    ("--peak", "0.5", "--eps", "inf"),
+    ("--peak", "0.5", "--rho0", "nan"),
+    ("--peak", "2.0", "--rho0", "2"),     # unstable point: no inequality is run
+    ("--peak", "2.0", "--eps", "0"),
+])
+def test_stability_test_function_domain(tmp_path, capsys, argv):
+    # Refused before the solve, whether or not the point turns out stable.
+    rc = run(tmp_path, "stability", "--n", "1", "--s", "0.5", "--grid", "32", *argv)
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "m =" not in out
+    assert argv[2] in err
+    assert not (tmp_path / "run_metadata.json").exists()
+
+
+def test_branch_verify_rho0_domain(tmp_path, capsys):
+    rc = run(tmp_path, "branch", "--n", "1", "--s", "0.5", "--grid", "32", "--peak-max", "0.5",
+             "--verify", "--rho0", "2")
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "branch points" not in out
+    assert "--rho0" in err
+    assert not (tmp_path / "run_metadata.json").exists()
+
+
 def test_stability_numerical_failure(tmp_path, capsys):
     # Cold starts far beyond the fold do not converge; exit 1, no artifact lie.
     rc = run(tmp_path, "stability", "--n", "1", "--s", "0.5", "--grid", "96",

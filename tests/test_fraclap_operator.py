@@ -1,11 +1,17 @@
 import dataclasses
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+import fracgelfand
 from fracgelfand import (
     DomainError,
     ProblemParams,
@@ -524,3 +530,28 @@ def test_assembly_rejects_classical_limit():
 def test_tail_kind_enum_round_trip():
     for kind in TailKind:
         assert TailKind(kind.value) is kind
+
+
+_COLD_ASSEMBLY_SCRIPT = """
+import resource
+from fracgelfand import ProblemParams, RadialGrid, assemble
+p, grid = ProblemParams(1, 0.3), RadialGrid.graded(512)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assemble(p, grid)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_cold_assembly_reuses_block_temporaries():
+    # In a fresh process glibc would unmap each block's freed temporaries and
+    # fault them in again in the next block (~10k minor faults at N = 512);
+    # once _row_blocks has raised its mmap threshold they stay on the heap
+    # (~2k).  MALLOC_* settings would fix the thresholds, so none is passed.
+    src = str(Path(fracgelfand.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_ASSEMBLY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.strip().splitlines()[-1]) < 5000

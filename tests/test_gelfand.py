@@ -463,8 +463,9 @@ def test_proof_test_function_shape(operator_cache):
     assert proof_test_function(ProblemParams(3, 0.5), op.grid, 0.5, 0.1).singular_at_origin
     with pytest.raises(DomainError):
         proof_test_function(ProblemParams(1, 0.5), op.grid, 1.0, 0.1)
-    with pytest.raises(DomainError):
-        proof_test_function(ProblemParams(1, 0.5), op.grid, 0.5, 0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            proof_test_function(ProblemParams(1, 0.5), op.grid, 0.5, eps)
 
 
 def test_proof_function_energy_scales_at_most_inversely(operator_cache):
