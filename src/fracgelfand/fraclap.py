@@ -21,9 +21,14 @@ Discretization (per collocation row r_i):
   (the odd/even split makes the principal value exact; the rule comes from
   the Golub-Welsch eigenproblem), the leftover one-sided sliver with
   Gauss-Legendre;
-* all other panels inside the ball use per-panel Gauss-Legendre against a
-  piecewise-quadratic 3-node Lagrange interpolant of u: 6 points up to 48
-  half-widths from the row, 4 beyond, where the two rules agree to roundoff;
+* all other panels inside the ball are integrated against a
+  piecewise-quadratic 3-node Lagrange interpolant of u, by panel clustering
+  (Hackbusch-Nowak, *Numer. Math.* 54 (1989) 463-491): over a binary tree of
+  panel ranges, a cluster at least its own width from the row replaces
+  K(r_i, .) by its 16-point Chebyshev interpolant, whose exact moments
+  against the panels' stencil bases are formed once per cluster; panels of
+  leaves (16 panels) nearer the row use 6-point Gauss-Legendre, with which
+  the interpolant agrees to roundoff;
 * for zero exterior data (the Dirichlet problem) the exterior integral is
   u(r) times the row mass int_{rho > 1} K drho = (-Delta)^s 1_B / c_{n,s} in
   Dyda's closed form (*Fract. Calc. Appl. Anal.* 15 (2012) 536-555), which
@@ -72,13 +77,15 @@ __all__ = [
     "quadratic_form",
 ]
 
-# Gauss order per far panel in the ball, and the lower one for panels at
-# least _FAR_SEPARATION half-widths from every row of a block, where the two
-# agree to roundoff.  The near-field Gauss-Jacobi core uses twice
-# _PANEL_ORDER nodes, the energy form's separated pairs one fewer.
+# Gauss order per far panel in the ball.  The near-field Gauss-Jacobi core
+# uses twice as many nodes, the energy form's separated pairs one fewer.
 _PANEL_ORDER = 6
-_FAR_ORDER = 4
-_FAR_SEPARATION = 48.0
+# Far-field panel clustering: the binary tree of panel ranges stops at
+# leaves of at most _LEAF_PANELS panels, and a cluster far enough from a row
+# replaces the row's kernel by its interpolant in _CLUSTER_ORDER Chebyshev
+# points.
+_LEAF_PANELS = 16
+_CLUSTER_ORDER = 16
 _TAIL_SEG_A_ORDER = 12     # Gauss order per panel on (1, 2]
 _TAIL_SEG_B_ORDER = 8      # Gauss order per dyadic panel beyond 2
 _FAR_DEPTH = 26            # dyadic panels on (2, 2^27]; closed form beyond
@@ -86,9 +93,11 @@ _SLIVER_ORDER = 8
 _PHI_DEGREE = 16           # Chebyshev degree per piece of the Phi table
 _PHI_PIECES = 54           # octaves [2^-(k+1), 2^-k] of 1 - z, k < 53, then z = 1
 # Kernel entries per block of rows.  Bounds every block temporary, and is
-# large enough that the far field's two kernel calls per block amortize
-# their fixed cost over its 4-point entries.  A temporary of this size
-# (256 KiB) is above glibc's initial mmap threshold; _row_blocks raises it.
+# large enough that a kernel call amortizes its fixed cost (tens of
+# microseconds) over its entries; the far field groups the row blocks of
+# its clusters, a few hundred entries each, up to it.  A temporary of this
+# size (256 KiB) is above glibc's initial mmap threshold; _row_blocks
+# raises it.
 _BLOCK_ENTRIES = 1 << 15
 # Largest dense interior matrix (N-1)^2 float64 values a grid may imply; the
 # solvers hold several such matrices at once.
@@ -183,18 +192,21 @@ class RadialGrid:
         """Algebraically graded grid clustering nodes at both r=0 and r=1.
 
         The map t^p / (t^p + (1-t)^p), p = grading >= 1 (1 is uniform), gives
-        spacing ~ (1/N)^p at both ends and ~ p/N in the middle.
+        spacing ~ (1/N)^p at both ends and ~ p/N in the middle.  A grading so
+        strong that nodes coincide in floating point is refused.
         """
         if n_panels < 16:
             raise DomainError(f"need at least 16 panels, got {n_panels}")
         _check_dense_budget(n_panels)
         p = float(grading)
-        if not p >= 1.0:
-            raise DomainError(f"grading exponent must be >= 1, got {p}")
+        if not (p >= 1.0 and math.isfinite(p)):
+            raise DomainError(f"grading exponent must be finite and >= 1, got {p}")
         t = np.linspace(0.0, 1.0, n_panels + 1)
         tp = t**p
-        omp = (1.0 - t) ** p
-        nodes = tp / (tp + omp)
+        # Both powers underflow near t = 1/2 only for p > 1000, where the
+        # nodes toward r = 1 have already rounded to 1 and the check in
+        # __post_init__ refuses the grid; the floor keeps that 0/0 out.
+        nodes = tp / np.maximum(tp + (1.0 - t) ** p, np.finfo(float).tiny)
         nodes[0], nodes[-1] = 0.0, 1.0
         return cls(nodes=nodes)
 
@@ -654,8 +666,8 @@ def _hat_masses(grid: RadialGrid, n: int) -> np.ndarray:
     return sphere_area(n) * (seg_rising(idx - 1, idx) + seg_falling(idx, idx + 1))
 
 
-def _row_blocks(n_rows: int, row_entries: int):
-    """Slices of consecutive rows holding at most _BLOCK_ENTRIES entries.
+def _row_blocks(stop: int, row_entries: int, start: int = 0):
+    """Slices of consecutive rows start..stop-1 holding at most _BLOCK_ENTRIES entries.
 
     A row wider than the budget makes a block by itself.  In a fresh process
     too, each block reuses the memory of the block before it (see below).
@@ -669,8 +681,8 @@ def _row_blocks(n_rows: int, row_entries: int):
     # np.empty touches no page; under another allocator this changes nothing.
     np.empty(4 * _BLOCK_ENTRIES)   # 1 MiB, freed at once
     step = max(1, _BLOCK_ENTRIES // row_entries)
-    for lo in range(0, n_rows, step):
-        yield slice(lo, min(n_rows, lo + step))
+    for lo in range(start, stop, step):
+        yield slice(lo, min(stop, lo + step))
 
 
 def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
@@ -738,20 +750,62 @@ def _exterior_mass(p: ProblemParams, radii: np.ndarray) -> np.ndarray:
     return sphere_area(n) / (2.0 * s) * ((1.0 - r) * (1.0 + r)) ** (-2.0 * s) * psi
 
 
-def _add_stencil(out: np.ndarray, c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> None:
-    """Add far-panel contributions (rows, npan) to their columns of out (rows, npan + 1).
+def _add_stencil(out: np.ndarray, lo: int, c0: np.ndarray, c1: np.ndarray,
+                 c2: np.ndarray) -> None:
+    """Add contributions (rows, m) of panels lo..lo+m-1 to their node columns in out.
 
     Panel p feeds its stencil nodes p-1, p, p+1 (panel 0: nodes 0, 1, 2)
-    through c0, c1, c2.  Six slice adds, ordered so that every column sums
-    its panels in ascending order, as one ``np.add.at`` over the stencil does.
+    through c0, c1, c2, and out's columns are the nodes from the first
+    panel's first stencil node on: max(lo - 1, 0) .. lo + m.  Slice adds,
+    ordered so that every column sums its panels in ascending order, as one
+    ``np.add.at`` over the stencil does.
     """
-    npan = c0.shape[1]
-    out[:, 0] += c0[:, 0]
-    out[:, 1] += c1[:, 0]
-    out[:, 2] += c2[:, 0]
-    out[:, 2:] += c2[:, 1:]
-    out[:, 1:npan] += c1[:, 1:]
-    out[:, : npan - 1] += c0[:, 1:]
+    if lo == 0:
+        out[:, 0] += c0[:, 0]
+        out[:, 1] += c1[:, 0]
+        out[:, 2] += c2[:, 0]
+        c0, c1, c2 = c0[:, 1:], c1[:, 1:], c2[:, 1:]   # panel 1 feeds nodes 0, 1, 2 too
+    m = c0.shape[1]
+    out[:, 2 : m + 2] += c2
+    out[:, 1 : m + 1] += c1
+    out[:, :m] += c0
+
+
+def _far_partition(nodes: np.ndarray) -> list[tuple[tuple[slice, ...], int, int, bool]]:
+    """Far-field regions of ``assemble``: (rows, lo, hi, admissible) per cluster.
+
+    The clusters are the panel ranges lo..hi-1 of a binary tree, split at the
+    middle index down to leaves of at most _LEAF_PANELS panels; ``rows`` are
+    slices of interior rows (row k collocates at nodes[k + 1]).  A row takes
+    the first cluster on its way down from the root that is admissible for
+    it, at a distance of at least its width [nodes[lo], nodes[hi]]; the rows
+    a cluster takes form at most two ranges, one below it and one above.  A
+    leaf is integrated panel by panel (admissible False) for the rows within
+    its width, which no cluster holding it serves.  So every panel not
+    adjacent to a row is covered exactly once for that row.
+    """
+    radii = nodes[1:-1]
+    out = []
+
+    def visit(lo: int, hi: int, start: int, stop: int) -> None:
+        # Rows start..stop-1 are those that no cluster holding this one serves.
+        a, b = nodes[lo], nodes[hi]
+        r = radii[start:stop]
+        far = np.maximum(a - r, r - b) >= b - a
+        below = start + np.count_nonzero(far & (r < a))
+        above = stop - np.count_nonzero(far & (r > b))
+        rows = tuple(slice(i, j) for i, j in ((start, below), (above, stop)) if i < j)
+        if rows:
+            out.append((rows, lo, hi, True))
+        if hi - lo <= _LEAF_PANELS:
+            out.append(((slice(below, above),), lo, hi, False))
+        else:
+            mid = (lo + hi) // 2
+            visit(lo, mid, below, above)
+            visit(mid, hi, below, above)
+
+    visit(0, nodes.size - 1, 0, radii.size)
+    return out
 
 
 def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
@@ -773,10 +827,9 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     xj, wj = _gauss_jacobi(q_near, 1.0 - 2.0 * s)
     xs_sl, ws_sl = leggauss(_SLIVER_ORDER)
 
-    # Grid-wide far-panel quadrature, one per order: nodes (q, 1, npan) and
-    # weight times Lagrange basis (3, q, npan), one table per stencil node
-    # p-1, p, p+1 of panel p (panel 0: nodes 0, 1, 2).  Only the kernel
-    # values change per row.
+    # Grid-wide Gauss rules per panel: nodes (q, 1, npan) and weight times
+    # Lagrange basis (3, q, npan), one table per stencil node p-1, p, p+1 of
+    # panel p (panel 0: nodes 0, 1, 2).
     mid = 0.5 * (r[:-1] + r[1:])
     half = 0.5 * np.diff(r)
     first = np.maximum(np.arange(npan) - 1, 0)
@@ -791,33 +844,79 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
             w * ((rho - x0) * (rho - x2) / ((x1 - x0) * (x1 - x2))),
             w * ((rho - x0) * (rho - x1) / ((x2 - x0) * (x2 - x1)))])
 
-    rho_hi, lag_hi = far_rule(_PANEL_ORDER)
-    rho_lo, lag_lo = far_rule(_FAR_ORDER)
+    rho_direct, lag_direct = far_rule(_PANEL_ORDER)
+    # Moments of the stencil basis against a cluster's Lagrange basis, degree
+    # _CLUSTER_ORDER + 1, times (rho/b)^{n-1} for rows above the cluster (see
+    # below): exact under this rule up to n = 3.
+    rho_mom, lag_mom = far_rule(_CLUSTER_ORDER // 2 + 2)
+    theta = (np.arange(_CLUSTER_ORDER) + 0.5) * (np.pi / _CLUSTER_ORDER)
+    cheb = np.cos(theta)                                        # first-kind points
+    bary = np.where(np.arange(_CLUSTER_ORDER) % 2, -1.0, 1.0) * np.sin(theta)
     cq = np.zeros((ni, npan + 1))
 
-    # Far field over row blocks.  Panels [lo, hi), from the first to the last
-    # one closer than _FAR_SEPARATION half-widths to some row of the block,
-    # get _PANEL_ORDER points, the two adjacent to each row (near field)
-    # zeroed; every other panel is at least that far from every row and gets
-    # _FAR_ORDER points.
-    for blk in _row_blocks(ni, npan * _FAR_ORDER):
-        rows = np.arange(blk.start + 1, blk.stop + 1)
-        b = np.arange(rows.size)
-        dist = np.maximum(0.0, np.maximum(r[rows[0]] - mid, mid - r[rows[-1]]))
-        near = np.flatnonzero(dist < _FAR_SEPARATION * half)
-        lo, hi = near[0], near[-1] + 1
-        ri = r[rows, None]
-        coef = np.empty((3, rows.size, npan))
-        kmat = _kernel(p, ri, rho_hi[..., lo:hi])          # (node, row, panel)
-        kmat[:, b, rows - 1 - lo] = 0.0
-        kmat[:, b, rows - lo] = 0.0
-        np.einsum("qbp,jqp->jbp", kmat, lag_hi[..., lo:hi], out=coef[..., lo:hi])
-        far = np.r_[0:lo, hi:npan]   # take, unlike [..., far], keeps C order
-        c_far = np.einsum("qbp,jqp->jbp", _kernel(p, ri, rho_lo.take(far, axis=-1)),
-                          lag_lo.take(far, axis=-1))
-        coef[..., :lo] = c_far[..., :lo]
-        coef[..., hi:] = c_far[..., lo:]
-        _add_stencil(cq[blk], *coef)
+    # Far field (Hackbusch-Nowak panel clustering).  On a cluster at least
+    # its width from the row, K(r_i, .) is analytic, singular only at
+    # rho = +-r_i, and its Chebyshev interpolant converges geometrically; the
+    # row's couplings are then the kernel at the cluster's points times the
+    # interpolant's exact moments against the panels' stencil bases, summed
+    # onto the stencil nodes.  Below the row, K(r, rho) = (rho/r)^{n-1}
+    # K(rho, r), and K(rho, r) is interpolated instead: the factor that makes
+    # K tiny near rho = 0 goes into the moments as (rho/b)^{n-1}, b the
+    # cluster's top, and into the row scale (b/r)^{n-1}.  So couplings to
+    # the panels near the origin keep their relative accuracy, which a u
+    # singular there needs.  A leaf closer to the row keeps per-panel Gauss,
+    # with the two panels adjacent to the row (near field) zeroed.  Row
+    # blocks of clusters wait until the next one would take their kernel
+    # entries past _BLOCK_ENTRIES, then share one kernel call.
+    radii = grid.interior
+    pending, queued = [], 0   # (rows, columns, points, moments, row scale); their row count
+
+    def flush():
+        nonlocal queued
+        rad = np.concatenate([radii[blk] for blk, *_ in pending])[:, None]
+        pts = np.concatenate([np.broadcast_to(xi, (blk.stop - blk.start, xi.size))
+                              for blk, _, xi, *_ in pending])
+        kmat = _kernel(p, np.minimum(rad, pts), np.maximum(rad, pts))
+        at = 0
+        for blk, cols, _, moments, scale in pending:
+            block = kmat[at : at + blk.stop - blk.start]
+            block *= scale
+            cq[blk, cols] += block @ moments
+            at += blk.stop - blk.start
+        pending.clear()
+        queued = 0
+
+    for rows, lo, hi, admissible in _far_partition(r):
+        cols = slice(max(lo - 1, 0), hi + 1)
+        if admissible:
+            centre, radius = 0.5 * (r[lo] + r[hi]), 0.5 * (r[hi] - r[lo])
+            t = bary[:, None, None] / ((rho_mom[:, 0, lo:hi] - centre) / radius - cheb[:, None, None])
+            t /= t.sum(axis=0)                                  # L_k at the nodes, (k, q, panel)
+            xi = centre + radius * cheb
+            for sl in rows:
+                above = radii[sl.start] > r[hi]
+                lag = lag_mom[..., lo:hi]
+                if above:
+                    lag = lag * (rho_mom[:, 0, lo:hi] / r[hi]) ** (p.n - 1)
+                moments = np.zeros((_CLUSTER_ORDER, cols.stop - cols.start))
+                _add_stencil(moments, lo, *np.einsum("kqp,jqp->jkp", t, lag))
+                for blk in _row_blocks(sl.stop, max(_CLUSTER_ORDER, moments.shape[1]), sl.start):
+                    if (queued + blk.stop - blk.start) * _CLUSTER_ORDER > _BLOCK_ENTRIES:
+                        flush()
+                    scale = ((r[hi] / radii[blk]) ** (p.n - 1))[:, None] if above else 1.0
+                    pending.append((blk, cols, xi, moments, scale))
+                    queued += blk.stop - blk.start
+        else:
+            (sl,) = rows
+            pan = np.arange(lo, hi)
+            for blk in _row_blocks(sl.stop, _PANEL_ORDER * pan.size, sl.start):
+                k = np.arange(blk.start, blk.stop)[:, None]     # adjacent panels k, k + 1
+                kmat = _kernel(p, radii[k], rho_direct[..., lo:hi])    # (node, row, panel)
+                kmat[:, (pan == k) | (pan == k + 1)] = 0.0
+                _add_stencil(cq[blk, cols], lo,
+                             *np.einsum("qbp,jqp->jbp", kmat, lag_direct[..., lo:hi]))
+    if pending:
+        flush()
 
     # Near field, all rows at once (2 q_near + 8 kernel values per row): the
     # two panels touching r_i against the parabola through r_{i-1}, r_i, r_{i+1}.

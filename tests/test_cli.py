@@ -284,6 +284,21 @@ def test_stability_test_function_domain(tmp_path, capsys, argv):
     assert not (tmp_path / "run_metadata.json").exists()
 
 
+@pytest.mark.parametrize("grading, reason", [("inf", "finite"), ("1100", "increase strictly")])
+def test_extreme_grading_usage_error(tmp_path, grading, reason):
+    # A fresh process shows warnings as the CLI prints them; with RuntimeWarning
+    # an error, a 0/0 in the grid map would exit 1 with a traceback.
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracgelfand", "--outdir", str(tmp_path), "stability", "--n", "1",
+         "--s", "0.5", "--grid", "32", "--peak", "0.5", "--grading", grading],
+        env=dict(_src_env(), PYTHONWARNINGS="error::RuntimeWarning"),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert reason in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert not (tmp_path / "run_metadata.json").exists()
+
+
 def test_branch_verify_rho0_domain(tmp_path, capsys):
     rc = run(tmp_path, "branch", "--n", "1", "--s", "0.5", "--grid", "32", "--peak-max", "0.5",
              "--verify", "--rho0", "2")

@@ -193,7 +193,8 @@ def test_exterior_mass_matches_closed_form(operator_cache, n, s):
 def test_stencil_slice_adds_match_add_at():
     # The far field's slice adds sum each column in the order of one
     # np.add.at over the panel stencil, bit for bit; magnitudes spread over
-    # 16 decades make any other order round differently.
+    # 16 decades make any other order round differently.  Panel ranges from
+    # panel 0 (whose stencil is nodes 0, 1, 2) and from inside the grid.
     rng = np.random.default_rng(5)
     rows, npan = 7, 40
     contrib = [rng.standard_normal((rows, npan)) * 10.0 ** rng.integers(-8, 8, (rows, npan))
@@ -201,59 +202,83 @@ def test_stencil_slice_adds_match_add_at():
     start = rng.standard_normal((rows, npan + 1))
     stencil = np.stack([np.arange(npan) - 1, np.arange(npan), np.arange(npan) + 1], axis=1)
     stencil[0] = [0, 1, 2]
-    want = start.copy()
     base = (np.arange(rows) * (npan + 1))[:, None, None]
-    np.add.at(want.reshape(-1), (base + stencil[None]).ravel(), np.stack(contrib, axis=2).ravel())
-    got = start.copy()
-    _add_stencil(got, *contrib)
-    assert got.tobytes() == want.tobytes()
+    for lo, hi in ((0, npan), (0, 9), (1, 17), (23, npan)):
+        want = start.copy()
+        np.add.at(want.reshape(-1), (base + stencil[None, lo:hi]).ravel(),
+                  np.stack(contrib, axis=2)[:, lo:hi].ravel())
+        got = start.copy()
+        _add_stencil(got[:, max(lo - 1, 0) : hi + 1], lo, *(c[:, lo:hi] for c in contrib))
+        assert got.tobytes() == want.tobytes()
+
+
+def _assert_clusters_match_six_points(monkeypatch, p, grid):
+    # With the whole grid one leaf, which no row admits, every far panel gets
+    # 6-point Gauss: the direct rule that clustering replaces.  Couplings to
+    # the panels near the origin are tiny beside a row's largest one, but a
+    # power r^-alpha multiplies them by up to r_1^-alpha, so the operator's
+    # action on one is compared as well, row by row.
+    alpha = 0.5 * (p.n - 2.0 * p.s)
+    u = RadialFunction.from_callable(grid, lambda r: r**-alpha, tail=TailSpec.power(alpha),
+                                     singular_at_origin=True)
+    ops = [assemble(p, grid)]
+    monkeypatch.setattr(fraclap, "_LEAF_PANELS", grid.n_panels)
+    ops.append(assemble(p, grid))
+    got, want = (np.column_stack([op.couple_quad, op.couple_quad_bnd]) for op in ops)
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert (np.abs(got - want) / scale).max() <= 1e-12
+    got, want = (op.apply_interior(u.interior, u.tail) for op in ops)
+    assert (np.abs(got - want) / np.abs(want)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n, s, grading", [(1, 0.3, 2.0), (3, 0.05, 2.0), (7, 0.5, 2.0),
-                                           (12, 0.5, 2.0), (3, 0.5, 3.0)])
+                                           (12, 0.5, 2.0), (3, 0.5, 3.0), (10, 0.9, 2.0)])
 def test_far_field_order_split_matches_six_points(monkeypatch, n, s, grading):
-    # Panels at least 48 half-widths from every row of a block get 4-point
-    # Gauss instead of 6; there the two rules agree to roundoff, so no
-    # coupling moves by more than 1e-12 of its row's largest one.
-    p, grid = ProblemParams(n, s), RadialGrid.graded(256, grading)
-    got = assemble(p, grid)
-    monkeypatch.setattr(fraclap, "_FAR_ORDER", fraclap._PANEL_ORDER)
-    want = assemble(p, grid)
-    got = np.column_stack([got.couple_quad, got.couple_quad_bnd])
-    want = np.column_stack([want.couple_quad, want.couple_quad_bnd])
-    scale = np.abs(want).max(axis=1, keepdims=True)
-    assert (np.abs(got - want) / scale).max() <= 1e-12
+    # On clusters of panels at least their width from a row, the kernel's
+    # 16-point Chebyshev interpolant replaces 6-point Gauss per panel; no
+    # coupling moves by more than 1e-12 of its row's largest one, and the
+    # action on a power by no more than 1e-12 of itself.
+    _assert_clusters_match_six_points(monkeypatch, ProblemParams(n, s), RadialGrid.graded(256, grading))
 
 
-def test_far_field_regions_cover_each_panel_once(monkeypatch):
-    # Far-field kernel calls take nodes laid out (node, row, panel); assembly
-    # zeroes the panels adjacent to each row in place afterwards.  Over the
-    # calls of both orders, every other panel of every row is integrated
-    # exactly once.
-    p, grid = ProblemParams(3, 0.5), RadialGrid.graded(256, 3.0)
-    calls = []
+def test_far_field_clusters_match_six_points_at_1024(monkeypatch):
+    _assert_clusters_match_six_points(monkeypatch, ProblemParams(1, 0.3), RadialGrid.graded(1024))
+
+
+def test_far_field_regions_cover_each_panel_once():
+    # For every row, each panel not adjacent to it is integrated exactly once:
+    # by one cluster at least its width away, or by a leaf's per-panel Gauss,
+    # which also visits the adjacent panels (assembly zeroes them there).
+    for grid in (RadialGrid.graded(256, 3.0), RadialGrid.graded(1024)):
+        nodes, npan = grid.nodes, grid.n_panels
+        count = np.zeros((npan - 1, npan), dtype=int)   # interior row (node - 1) x panel
+        clusters = 0
+        for rows, lo, hi, admissible in fraclap._far_partition(nodes):
+            for sl in rows:
+                count[sl, lo:hi] += 1
+                if admissible:
+                    r = nodes[sl.start + 1 : sl.stop + 1]
+                    assert r.size and (np.maximum(nodes[lo] - r, r - nodes[hi])
+                                       >= nodes[hi] - nodes[lo]).all()
+            clusters += admissible
+        assert clusters > 0
+        assert np.array_equal(count, np.ones_like(count))
+
+
+def test_far_field_kernel_entries(monkeypatch):
+    # Per-panel Gauss on every far panel (6 points near a block of rows, 4
+    # beyond) takes 4,335,290 kernel entries here; clustering takes 527,376.
+    entries = []
     kernel = fraclap._kernel
 
-    def recording(*args, **kwargs):
+    def counting(*args, **kwargs):
         out = kernel(*args, **kwargs)
-        if np.ndim(args[2]) == 3:
-            calls.append((args[1], args[2], out))
+        entries.append(out.size)
         return out
 
-    monkeypatch.setattr(fraclap, "_kernel", recording)
-    assemble(p, grid)
-    nodes, npan = grid.nodes, grid.n_panels
-    count = np.zeros((npan - 1, npan), dtype=int)   # interior row (node - 1) x panel
-    for r, rho, kmat in calls:
-        rows = np.searchsorted(nodes, r.ravel())
-        assert np.array_equal(nodes[rows], r.ravel())
-        panels = np.searchsorted(nodes, rho[0, 0]) - 1
-        count[np.ix_(rows - 1, panels)] += (kmat != 0.0).all(axis=0)
-    assert {rho.shape[0] for _, rho, _ in calls} == {4, 6}
-    want = np.ones_like(count)
-    k = np.arange(npan - 1)
-    want[k, k] = want[k, k + 1] = 0
-    assert np.array_equal(count, want)
+    monkeypatch.setattr(fraclap, "_kernel", counting)
+    assemble(ProblemParams(1, 0.3), RadialGrid.graded(1024))
+    assert sum(entries) < 1_000_000
 
 
 def test_operator_stores_assembly_output_only_and_is_read_only(operator_cache):
