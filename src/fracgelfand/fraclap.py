@@ -33,9 +33,9 @@ Discretization (per collocation row r_i):
   u(r) times the row mass int_{rho > 1} K drho = (-Delta)^s 1_B / c_{n,s} in
   Dyda's closed form (*Fract. Calc. Appl. Anal.* 15 (2012) 536-555), which
   also gives the energy form's exterior density.  Nonzero exterior data are
-  integrated on each call over (1, 2], refined toward 1 at the row's boundary
-  distance, over (2, R] in rho = 2/t with dyadic panels in t, and beyond R
-  in closed form from the kernel's leading far-field term.
+  integrated on each call over (1, 2] by Gauss panels refined toward 1 at the
+  row's boundary distance, and beyond rho = 2 exactly, term by term, from the
+  kernel's series in (r/rho)^2 <= 1/4 that Euler's transformation gives.
 
 All of it runs over blocks of rows, not row by row, through one kernel.  Its
 hypergeometric factor, and the one in the closed-form mass, come from a table
@@ -50,7 +50,7 @@ exterior datum's limit g(1).  ``apply`` evaluates the operator in difference
 form (couplings times u_i - u_j), which keeps the constant-annihilation
 property at roundoff level even where the tail mass is ~ dist^{-2s} large:
 the quadrature's own sums carry both u_i and a nonzero datum, never the closed
-form (the two differ by up to ~5e-14 relative near r = 1).
+form (the two differ by up to ~7e-15 relative).
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 from .constants import DomainError, ProblemParams, operator_normalization
 
@@ -86,9 +87,8 @@ _PANEL_ORDER = 6
 # points.
 _LEAF_PANELS = 16
 _CLUSTER_ORDER = 16
-_TAIL_SEG_A_ORDER = 12     # Gauss order per panel on (1, 2]
-_TAIL_SEG_B_ORDER = 8      # Gauss order per dyadic panel beyond 2
-_FAR_DEPTH = 26            # dyadic panels on (2, 2^27]; closed form beyond
+_TAIL_ORDER = 12           # Gauss order per panel on (1, 2]
+_FAR_TERMS = 40            # terms of the kernel's series beyond rho = 2
 _SLIVER_ORDER = 8
 _PHI_DEGREE = 16           # Chebyshev degree per piece of the Phi table
 _PHI_PIECES = 54           # octaves [2^-(k+1), 2^-k] of 1 - z, k < 53, then z = 1
@@ -289,13 +289,13 @@ class TailSpec:
             return self.coeff
         return 0.0
 
-    def far_mean(self, radius: float, s: float) -> float:
-        """Mean of the datum over rho > radius under the weight rho^{-1-2s}."""
+    def far_mean(self, beta: float, s: float) -> float:
+        """Mean of the datum over rho > 2 under the weight rho^{-1-beta}, beta > 0."""
         if self.kind is TailKind.ZERO:
             return 0.0
         if self.kind is TailKind.POWER:
-            return self.coeff * radius ** (-self.alpha) * (2.0 * s / (2.0 * s + self.alpha))
-        return -self.coeff * (2.0 * s * math.log(radius) + 1.0)
+            return self.coeff * 2.0 ** (-self.alpha) * (beta / (beta + self.alpha))
+        return -2.0 * s * self.coeff * (math.log(2.0) + 1.0 / beta)
 
 
 @dataclass(frozen=True)
@@ -342,14 +342,6 @@ class RadialFunction:
 # angular kernel
 
 
-def _polyval(x, coef: list[float]):
-    """sum_j coef[j] x^j by Horner, in the operation order of numpy's ``polyval``."""
-    out = coef[-1] + x * 0.0
-    for cj in coef[-2::-1]:
-        out = cj + out * x
-    return out
-
-
 class _PhiTable:
     """Phi(z) = 2F1(a, b; c; z) on [0, 1] as a piecewise-Chebyshev table.
 
@@ -365,10 +357,9 @@ class _PhiTable:
     hypergeometric equation at each piece's centre.  No connection formula is
     involved, so nothing cancels when c - a - b is close to an integer.
 
-    Evaluation runs Horner with the first octave's scalar coefficients over
-    every entry (about three kernel entries in four lie there), then redoes
-    the entries on later pieces with per-entry gathered coefficients; every
-    value is the one a gather for every entry gives.
+    Evaluation finds each entry's piece from the binary exponent of w and runs
+    one Horner over all entries with the piece's coefficients gathered per
+    entry.
     """
 
     def __init__(self, a: float, b: float, c: float):
@@ -400,11 +391,11 @@ class _PhiTable:
         for k in range(k0, _PHI_PIECES - 1):
             # Step to the piece's centre (|step| = radius / 4 or / 2), expand there.
             tau = (0.75 * float(hi[k]) - w0) / w0
-            y = _polyval(tau, taylor)
-            dy = _polyval(tau, [j * taylor[j] for j in range(1, len(taylor))]) / w0
+            y = polyval(tau, taylor)
+            dy = polyval(tau, [j * taylor[j] for j in range(1, len(taylor))]) / w0
             w0 = 0.75 * float(hi[k])
             taylor = self._taylor(a, b, c, w0, y, dy)
-            values[k] = _polyval((w[k] - w0) / w0, taylor)
+            values[k] = polyval((w[k] - w0) / w0, taylor)
         # Evaluated by Horner in the monomial basis: the nearest singularity
         # is at x = -3 on every piece, so the coefficients decay and the
         # conversion loses nothing measurable (<= 1 ulp against Clenshaw).
@@ -417,7 +408,7 @@ class _PhiTable:
         mono[:-1] = cheb.chebfit(x, values.T, _PHI_DEGREE).T @ t_mono
         # Phi(1): the last expansion at w = 0, where its singular part
         # (w0 + t)^{1+2s} sums to below w0^{1+2s} ~ 2^-52.
-        mono[-1, 0] = _polyval(-1.0, taylor)
+        mono[-1, 0] = polyval(-1.0, taylor)
         self._coef = np.ascontiguousarray(mono.T)   # row j: x^j coefficient per piece
 
     @staticmethod
@@ -440,26 +431,14 @@ class _PhiTable:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         w = 1.0 - z.ravel()
-        # First octave, w in [1/2, 1] (z <= 1/2, most kernel entries): piece 0
-        # has scalar coefficients and x = 4w - 3, so Horner runs over every
-        # entry without a gather; entries on later pieces are redone below.
-        x = 4.0 * w - 3.0
-        first = self._coef[:, 0].tolist()
-        out = np.full_like(x, first[-1])
-        for cj in first[-2::-1]:
+        # w in [2^-(k+1), 2^-k) has binary exponent -k; w = 1 (z = 0) has
+        # exponent 1 but belongs to piece 0, and w < 2^-53 is z = 1.
+        k = np.maximum(-np.frexp(np.maximum(w, 2.0**-54))[1], 0).astype(np.intp)
+        x = np.ldexp(w, k + 2) - 3.0   # piece k mapped onto [-1, 1]
+        out = self._coef[-1].take(k)
+        for cj in self._coef[-2::-1]:
             out *= x
-            out += cj
-        far = np.flatnonzero(w < 0.5)
-        if far.size:
-            # w in [2^-(k+1), 2^-k) has binary exponent -k, k >= 1 here; w < 2^-53 is z = 1.
-            w = w[far]
-            k = -np.frexp(np.maximum(w, 2.0**-54))[1]
-            x = np.ldexp(w, k + 2) - 3.0   # piece k mapped onto [-1, 1]
-            acc = self._coef[-1].take(k)
-            for cj in self._coef[-2::-1]:
-                acc *= x
-                acc += cj.take(k)
-            out[far] = acc
+            out += cj.take(k)
         return out.reshape(z.shape)
 
 
@@ -696,11 +675,18 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
     from 1, and the kernel's singular factor uses rho - r = d + u, which keeps
     full relative precision however small d is.  Every row gets the panel
     count of the row closest to the boundary; a row's surplus panels have
-    zero width at rho = 2 and so zero weights.  (2, R] uses rho = 2/t with
-    _FAR_DEPTH dyadic panels in t for every row and s, R = 2^(_FAR_DEPTH+1).
-    Beyond R, where K = |S^{n-1}| rho^{-1-2s} (1 + O(rho^{-2})), a last column
-    carries the closed-form mass |S^{n-1}| R^{-2s} / (2s) and the datum's
-    mean there (``TailSpec.far_mean``), O(R^-2) = 2^-54 relative off.
+    zero width at rho = 2 and so zero weights.
+
+    Beyond rho = 2, Euler's transformation of Phi gives
+    K(r, rho) = |S^{n-1}| rho^{-1-2s} 2F1(n/2+s, 1+s; n/2; (r/rho)^2)
+    = |S^{n-1}| sum_k f_k r^{2k} rho^{-1-beta_k}, with
+    f_k = (n/2+s)_k (1+s)_k / ((n/2)_k k!) and beta_k = 2s + 2k, and each term
+    integrates exactly: column k has the weight
+    |S^{n-1}| f_k r^{2k} 2^{-beta_k} / beta_k and the datum's mean under
+    rho^{-1-beta_k} (``TailSpec.far_mean``).  As r/rho <= 1/2 and f_k grows
+    like k^{2s}, term k is below 4^-k k^2 of the first, so _FAR_TERMS terms
+    are exact to roundoff.  A mean per term, rather than one column for the
+    whole series, keeps a constant datum exactly constant.
     """
     radii = np.asarray(radii, dtype=float)
     d_min = 1.0 - float(radii.max())
@@ -708,20 +694,16 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
     while d_min * (2.0**n_near - 1.0) < 1.0:
         n_near += 1
     steps = 2.0 ** np.arange(n_near + 1) - 1.0
-    xs, ws = leggauss(_TAIL_SEG_A_ORDER)
+    xs, ws = leggauss(_TAIL_ORDER)
 
-    xf, wf = leggauss(_TAIL_SEG_B_ORDER)
-    t_hi = 0.5 ** np.arange(_FAR_DEPTH)
-    t_mid, t_half = 0.75 * t_hi, 0.25 * t_hi
-    t = (t_mid[:, None] + t_half[:, None] * xf).ravel()
-    rho_far = 2.0 / t
-    w_far = (t_half[:, None] * wf).ravel() * (2.0 / t**2)
-    g_far = tail.values(rho_far, p.s)
-    big_r = 2.0 ** (_FAR_DEPTH + 1)
-    g_rem = tail.far_mean(big_r, p.s)
-    w_rem = sphere_area(p.n) * big_r ** (-2.0 * p.s) / (2.0 * p.s)
+    k = np.arange(_FAR_TERMS, dtype=float)
+    beta = 2.0 * p.s + 2.0 * k
+    h = 0.5 * p.n
+    f = np.cumprod(np.r_[1.0, ((h + p.s + k) * (1.0 + p.s + k) / ((h + k) * (k + 1.0)))[:-1]])
+    w_far = sphere_area(p.n) * f * 2.0 ** (-beta) / beta
+    g_far = np.array([tail.far_mean(b, p.s) for b in beta])
 
-    for rows in _row_blocks(radii.size, n_near * _TAIL_SEG_A_ORDER + t.size + 1):
+    for rows in _row_blocks(radii.size, n_near * _TAIL_ORDER + _FAR_TERMS):
         r = radii[rows, None]
         d = 1.0 - r
         m = r.shape[0]
@@ -730,10 +712,9 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
         half = 0.5 * (breaks[:, 1:] - breaks[:, :-1])
         u = (mid[:, :, None] + half[:, :, None] * xs).reshape(m, -1)
         w_near = (half[:, :, None] * ws).reshape(m, -1)
-        g = np.concatenate([tail.values(1.0 + u, p.s), np.broadcast_to(g_far, (m, t.size)),
-                            np.full((m, 1), g_rem)], axis=1)
-        wk = np.concatenate([w_near * _kernel(p, r, 1.0 + u, dist=d + u),
-                             w_far * _kernel(p, r, rho_far), np.full((m, 1), w_rem)], axis=1)
+        g = np.concatenate([tail.values(1.0 + u, p.s), np.broadcast_to(g_far, (m, k.size))], axis=1)
+        wk = np.concatenate([w_near * _kernel(p, r, 1.0 + u, dist=d + u), w_far * (r * r) ** k],
+                            axis=1)
         yield rows, g, wk
 
 
@@ -827,28 +808,32 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     xj, wj = _gauss_jacobi(q_near, 1.0 - 2.0 * s)
     xs_sl, ws_sl = leggauss(_SLIVER_ORDER)
 
-    # Grid-wide Gauss rules per panel: nodes (q, 1, npan) and weight times
-    # Lagrange basis (3, q, npan), one table per stencil node p-1, p, p+1 of
-    # panel p (panel 0: nodes 0, 1, 2).
-    mid = 0.5 * (r[:-1] + r[1:])
+    # Grid-wide Gauss rules per panel: nodes (q, 1, npan), their offsets from
+    # the panel's left end (q, 1, npan), and weight times Lagrange basis
+    # (3, q, npan), one table per stencil node p-1, p, p+1 of panel p (panel
+    # 0: nodes 0, 1, 2).  Differences to nodes are formed as (r_p - x) +
+    # offset: near r = 1 a node's rounded value is off by up to half an ulp
+    # of 1, which on panels ~1e-9 wide (grading 3, 1024 panels) would cost
+    # ~1e-8 of a coupling.
     half = 0.5 * np.diff(r)
     first = np.maximum(np.arange(npan) - 1, 0)
     x0, x1, x2 = r[first], r[first + 1], r[first + 2]
 
-    def far_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
+    def far_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xs, ws = leggauss(q)
-        rho = mid + half * xs[:, None]
+        off = half * (1.0 + xs[:, None])
+        d0, d1, d2 = (r[:-1] - x0) + off, (r[:-1] - x1) + off, (r[:-1] - x2) + off
         w = half * ws[:, None]
-        return rho[:, None, :], np.stack([
-            w * ((rho - x1) * (rho - x2) / ((x0 - x1) * (x0 - x2))),
-            w * ((rho - x0) * (rho - x2) / ((x1 - x0) * (x1 - x2))),
-            w * ((rho - x0) * (rho - x1) / ((x2 - x0) * (x2 - x1)))])
+        return (r[:-1] + off)[:, None, :], off[:, None, :], np.stack([
+            w * (d1 * d2 / ((x0 - x1) * (x0 - x2))),
+            w * (d0 * d2 / ((x1 - x0) * (x1 - x2))),
+            w * (d0 * d1 / ((x2 - x0) * (x2 - x1)))])
 
-    rho_direct, lag_direct = far_rule(_PANEL_ORDER)
+    rho_direct, off_direct, lag_direct = far_rule(_PANEL_ORDER)
     # Moments of the stencil basis against a cluster's Lagrange basis, degree
     # _CLUSTER_ORDER + 1, times (rho/b)^{n-1} for rows above the cluster (see
     # below): exact under this rule up to n = 3.
-    rho_mom, lag_mom = far_rule(_CLUSTER_ORDER // 2 + 2)
+    rho_mom, off_mom, lag_mom = far_rule(_CLUSTER_ORDER // 2 + 2)
     theta = (np.arange(_CLUSTER_ORDER) + 0.5) * (np.pi / _CLUSTER_ORDER)
     cheb = np.cos(theta)                                        # first-kind points
     bary = np.where(np.arange(_CLUSTER_ORDER) % 2, -1.0, 1.0) * np.sin(theta)
@@ -869,16 +854,18 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     # blocks of clusters wait until the next one would take their kernel
     # entries past _BLOCK_ENTRIES, then share one kernel call.
     radii = grid.interior
-    pending, queued = [], 0   # (rows, columns, points, moments, row scale); their row count
+    # (rows, columns, cluster's left end, points' offsets from it, moments,
+    # row scale); their row count
+    pending, queued = [], 0
 
     def flush():
         nonlocal queued
         rad = np.concatenate([radii[blk] for blk, *_ in pending])[:, None]
-        pts = np.concatenate([np.broadcast_to(xi, (blk.stop - blk.start, xi.size))
-                              for blk, _, xi, *_ in pending])
-        kmat = _kernel(p, np.minimum(rad, pts), np.maximum(rad, pts))
+        gap = np.concatenate([(a - radii[blk])[:, None] + off for blk, _, a, off, *_ in pending])
+        pts = rad + gap
+        kmat = _kernel(p, np.minimum(rad, pts), np.maximum(rad, pts), dist=np.abs(gap))
         at = 0
-        for blk, cols, _, moments, scale in pending:
+        for blk, cols, _, _, moments, scale in pending:
             block = kmat[at : at + blk.stop - blk.start]
             block *= scale
             cq[blk, cols] += block @ moments
@@ -889,10 +876,13 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     for rows, lo, hi, admissible in _far_partition(r):
         cols = slice(max(lo - 1, 0), hi + 1)
         if admissible:
-            centre, radius = 0.5 * (r[lo] + r[hi]), 0.5 * (r[hi] - r[lo])
-            t = bary[:, None, None] / ((rho_mom[:, 0, lo:hi] - centre) / radius - cheb[:, None, None])
+            # The Chebyshev points and the moments' Gauss nodes by their offsets
+            # from the cluster's left end, as in the panel rules above.
+            radius = 0.5 * (r[hi] - r[lo])
+            x = ((r[lo:hi] - r[lo]) + off_mom[:, 0, lo:hi] - radius) / radius
+            t = bary[:, None, None] / (x - cheb[:, None, None])
             t /= t.sum(axis=0)                                  # L_k at the nodes, (k, q, panel)
-            xi = centre + radius * cheb
+            off = radius * (1.0 + cheb)
             for sl in rows:
                 above = radii[sl.start] > r[hi]
                 lag = lag_mom[..., lo:hi]
@@ -904,14 +894,15 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
                     if (queued + blk.stop - blk.start) * _CLUSTER_ORDER > _BLOCK_ENTRIES:
                         flush()
                     scale = ((r[hi] / radii[blk]) ** (p.n - 1))[:, None] if above else 1.0
-                    pending.append((blk, cols, xi, moments, scale))
+                    pending.append((blk, cols, r[lo], off, moments, scale))
                     queued += blk.stop - blk.start
         else:
             (sl,) = rows
             pan = np.arange(lo, hi)
             for blk in _row_blocks(sl.stop, _PANEL_ORDER * pan.size, sl.start):
                 k = np.arange(blk.start, blk.stop)[:, None]     # adjacent panels k, k + 1
-                kmat = _kernel(p, radii[k], rho_direct[..., lo:hi])    # (node, row, panel)
+                dist = np.abs((r[lo:hi] - radii[k]) + off_direct[..., lo:hi])
+                kmat = _kernel(p, radii[k], rho_direct[..., lo:hi], dist)   # (node, row, panel)
                 kmat[:, (pan == k) | (pan == k + 1)] = 0.0
                 _add_stencil(cq[blk, cols], lo,
                              *np.einsum("qbp,jqp->jbp", kmat, lag_direct[..., lo:hi]))

@@ -172,9 +172,10 @@ def _phi_inputs():
 @example(1, 0.3)
 @example(64, 0.5)
 @given(st.integers(min_value=1, max_value=64), _ORDERS)
-def test_split_phi_matches_gathered_evaluator(n, s):
-    # The first-octave fast path and the gathered redo of later pieces give
-    # the one-pass gathered Horner's values bit for bit, in the input's shape.
+def test_phi_table_matches_gathered_reference(n, s):
+    # The table's one Horner pass, with its piece index clamped at 0 for
+    # z = 0 (w = 1, binary exponent 1) and at the last piece for z = 1, gives
+    # the reference's values bit for bit, in the input's shape.
     for b in (0.5 * n - s - 1.0, 0.5 * n - s):
         table = _PhiTable(-s, b, 0.5 * n)
         for z in _phi_inputs():

@@ -281,6 +281,34 @@ def test_far_field_kernel_entries(monkeypatch):
     assert sum(entries) < 1_000_000
 
 
+def test_couplings_near_the_boundary_against_mpmath():
+    """Couplings to panels of width ~1e-9 next to r = 1 (grading 3, 1024
+    panels), where a Gauss node placed as mid + half x is off by up to half an
+    ulp of 1: 1e-9 of the distance to a row 6e-8 from the boundary, 1e-7 of a
+    panel.  Row node 1020 takes its leaf's panels 1022 and 1023 by per-panel
+    Gauss (16 and 126 half-widths away) and row node 1000 takes the leaf
+    1008..1023 as a cluster; each coupling is the sum over a node's panels of
+    the integral of K against the panel's stencil basis, here
+    K = 4 pi rho^2 / (rho^2 - r^2)^2 at (n, s) = (3, 0.5)."""
+    grid = RadialGrid.graded(1024, grading=3.0)
+    op = assemble(ProblemParams(3, 0.5), grid)
+    cq = np.column_stack([op.couple_quad, op.couple_quad_bnd])   # column j: node j + 1
+    with mpmath.workdps(30):
+        r = [mpmath.mpf(float(x)) for x in grid.nodes]
+
+        def coupling(i, j):
+            def basis(pan, rho):   # stencil nodes pan-1, pan, pan+1; the one at j
+                others = [r[m] for m in (pan - 1, pan, pan + 1) if m != j]
+                return (rho - others[0]) * (rho - others[1]) / ((r[j] - others[0]) * (r[j] - others[1]))
+
+            kern = lambda rho: 4 * mpmath.pi * rho**2 / (rho**2 - r[i] ** 2) ** 2
+            return sum(mpmath.quad(lambda rho: kern(rho) * basis(pan, rho), [r[pan], r[pan + 1]])
+                       for pan in (j - 1, j, j + 1) if pan + 1 < len(r))
+
+        for i, j in [(1020, 1023), (1020, 1024)] + [(1000, j) for j in range(1010, 1019, 2)]:
+            assert abs(float(cq[i - 1, j - 1] / coupling(i, j)) - 1.0) <= 1e-14
+
+
 def test_operator_stores_assembly_output_only_and_is_read_only(operator_cache):
     # params, grid and the two coupling arrays are the whole constructor;
     # the rest is derived on first access, cached and read-only.
@@ -326,20 +354,48 @@ def test_tail_mass_is_built_on_first_use():
     assert np.array_equal(op.matrix, op.normalization * (np.diag(total) - op.couple_quad))
 
 
-@pytest.mark.parametrize("n, s", _EXTERIOR_CASES + [(1, 0.02), (3, 0.01)])
+@pytest.mark.parametrize("n, s", _EXTERIOR_CASES + [(1, 0.02), (3, 0.01), (60, 0.5), (3, 1e-4),
+                                                   (2, 0.99)])
 def test_exterior_quadrature_matches_closed_form(n, s):
     """Row sums of the quadrature that nonzero exterior data are integrated with.
 
-    At s = 0.02 and 0.01 the closed-form remainder beyond the dyadic far
-    field, R = 2^27, carries about half the mass or more (R^-2s = 0.47 and
-    0.69 of it at r = 0)."""
+    At small s most of the mass lies beyond rho = 2 (2^-2s of it at r = 0),
+    in the far-field series' first term."""
     p = ProblemParams(n, s)
     r = RadialGrid.graded(256).interior
     mass = np.empty_like(r)
     for rows, _, wk in _exterior_blocks(p, r, TailSpec.zero()):
         mass[rows] = wk.sum(axis=1)
     rel = np.abs(operator_normalization(p) * mass / dyda_exterior_mass(n, s, r) - 1.0)
-    assert rel.max() <= 1e-11
+    assert rel.max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 12])
+@pytest.mark.parametrize("s", [1e-4, 0.5, 0.99])
+def test_exterior_far_series_against_mpmath(n, s):
+    """The exterior columns beyond rho = 2, int_2^inf g K drho, against
+    30-digit quadrature of the kernel's closed form |S^{n-1}| rho^{-1-2s}
+    (1-z)^{-1-2s} 2F1(-s, n/2-s-1; n/2; z), z = (r/rho)^2, for power and log
+    data.  rho = 2 t^{-1/(2s)} makes rho^{-1-2s} drho a multiple of dt, so
+    the slow decay at small s costs the quadrature nothing."""
+    p = ProblemParams(n, s)
+    for r in (0.5, 1.0 - 1e-6):
+        for tail in (TailSpec.power(0.0), TailSpec.power(0.7), TailSpec.log_power(1.0)):
+            (_, g, wk), = _exterior_blocks(p, np.array([r]), tail)
+            got = float((g * wk)[0, -fraclap._FAR_TERMS:].sum())
+            with mpmath.workdps(30):
+                ms, mr, half = mpmath.mpf(s), mpmath.mpf(r), mpmath.mpf(n) / 2
+
+                def integrand(t):
+                    rho = 2 * t ** (-1 / (2 * ms))
+                    z = (mr / rho) ** 2
+                    datum = (rho ** -mpmath.mpf(tail.alpha) if tail.kind is TailKind.POWER
+                             else -2 * ms * mpmath.log(rho))
+                    return datum * (1 - z) ** (-1 - 2 * ms) * mpmath.hyp2f1(-ms, half - ms - 1, half, z)
+
+                area = 2 * mpmath.pi**half / mpmath.gamma(half)
+                want = float(area * 2 ** (-2 * ms) / (2 * ms) * mpmath.quad(integrand, [0, 1]))
+            assert abs(got / want - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("s", [0.3, 0.01, 1e-3, 1e-5])
@@ -347,7 +403,8 @@ def test_exterior_quadrature_tail_moments_at_origin(s):
     """At r = 0 the kernel is exactly |S^{n-1}| rho^{-1-2s}, so each tail's
     exterior integral is known: |S|/(2s + alpha) for rho^{-alpha} and |S|/(2s)
     for the log datum -2s log rho.  At s = 0.01 and below, most of it lies
-    beyond the last dyadic panel, in the closed-form remainder."""
+    beyond rho = 2, where at r = 0 only the far-field series' first term is
+    nonzero."""
     for n in (1, 3):
         p = ProblemParams(n, s)
         for tail, exact in ((TailSpec.power(0.0), 1.0 / (2.0 * s)),
@@ -370,9 +427,9 @@ def test_matrix_row_sums_match_constant_response(operator_cache):
 
 @pytest.mark.parametrize("n, s", [(1, 0.02), (3, 0.01)])
 def test_constant_tail_matches_row_sums_at_small_s(operator_cache, n, s):
-    # Small s, where the far-field remainder carries much of the mass: A@1
-    # uses the closed-form row mass, the constant tail the exterior quadrature
-    # with its far-field remainder.
+    # Small s, where the exterior beyond rho = 2 carries much of the mass:
+    # A@1 uses the closed-form row mass, the constant tail the exterior
+    # quadrature with its far-field series.
     op = operator_cache(n, s, 32)
     lhs = op.matrix @ np.ones(op.n_interior)
     rhs = op.apply_interior(np.zeros(op.n_interior), TailSpec.power(0.0, -1.0))
