@@ -468,12 +468,13 @@ def _gauss_polynomial(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray
 
 
 def _kernel(p: ProblemParams, r: np.ndarray | float, rho: np.ndarray,
-            dist: np.ndarray | float | None = None) -> np.ndarray:
+            dist: np.ndarray | float) -> np.ndarray:
     """K(r, rho) = rho^{n-1} k(r, rho), broadcast over r and rho.
 
-    ``dist`` replaces |r - rho| in the singular factor: pass it where it is
-    known more accurately than the difference of the rounded radii, or pass 1
-    for the smooth part G = K |r - rho|^{1+2s}.  Factored as
+    ``dist`` is |r - rho| in the singular factor, formed by the caller: from
+    offsets within a panel, which keep full relative precision near r = 1
+    where the difference of the rounded radii does not, or 1 for the smooth
+    part G = K |r - rho|^{1+2s}.  Factored as
     (rho/M)^{n-1} * (M / ((r+rho) dist))^{1+2s} * Phi so the power terms stay
     O(1) even for dimension-sized exponents at large radii.
     """
@@ -488,7 +489,7 @@ def _kernel(p: ProblemParams, r: np.ndarray | float, rho: np.ndarray,
     out **= p.n - 1
     out *= sphere_area(p.n)
     gap = r + rho
-    gap *= np.abs(r - rho) if dist is None else dist
+    gap *= dist
     big /= gap
     del gap
     big **= 1.0 + 2.0 * p.s
@@ -511,7 +512,7 @@ def angular_kernel(p: ProblemParams, r: float, rho: float) -> float:
     if r == rho:
         raise DomainError("coincident radii: kernel is singular on the diagonal")
     big, small = max(r, rho), min(r, rho)
-    return float(_kernel(p, small, np.array([big]))[0]) * big ** (1 - p.n)
+    return float(_kernel(p, small, np.array([big]), big - small)[0]) * big ** (1 - p.n)
 
 
 # ----------------------------------------------------------------------
@@ -625,24 +626,31 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _hat_masses(grid: RadialGrid, n: int) -> np.ndarray:
-    """Exact |S^{n-1}| int phi_i(r) r^{n-1} dr for interior hats."""
+    """Exact |S^{n-1}| int phi_i(r) r^{n-1} dr for interior hats.
+
+    On a panel [a, a + h] each hat times r^{n-1} is a polynomial of degree n
+    in the offset, so Gauss-Legendre in n // 2 + 1 points integrates it
+    exactly, as a sum of positive terms: no difference of the powers of two
+    nearly equal radii cancels.
+    """
     r = grid.nodes
-    rn = r ** n
-    rn1 = r ** (n + 1)
-    h = np.diff(r)
+    off, w, hat = _panel_rule(np.diff(r), n // 2 + 1)
+    part = (w * (r[:-1, None] + off) ** (n - 1)) @ hat.T
+    return sphere_area(n) * (part[:-1, 1] + part[1:, 0])
 
-    def seg_rising(a_idx, b_idx):
-        # int_{r_a}^{r_b} (rho - r_a)/h * rho^{n-1} drho
-        ha = r[b_idx] - r[a_idx]
-        return ((rn1[b_idx] - rn1[a_idx]) / (n + 1) - r[a_idx] * (rn[b_idx] - rn[a_idx]) / n) / ha
 
-    def seg_falling(a_idx, b_idx):
-        # int_{r_a}^{r_b} (r_b - rho)/h * rho^{n-1} drho
-        hb = r[b_idx] - r[a_idx]
-        return (r[b_idx] * (rn[b_idx] - rn[a_idx]) / n - (rn1[b_idx] - rn1[a_idx]) / (n + 1)) / hb
+def _panel_rule(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q-point Gauss-Legendre on every panel of widths h, by offset.
 
-    idx = np.arange(1, r.size - 1)
-    return sphere_area(n) * (seg_rising(idx - 1, idx) + seg_falling(idx, idx + 1))
+    Returns the nodes' offsets from each panel's left node and their weights
+    (panels, q), and the panel's two hats at the nodes (2, q): falling (the
+    left node's) and rising (the right node's), the same on every panel.  A
+    point is then the left node plus its offset, and a distance between
+    points the difference of nodes plus the difference of offsets.
+    """
+    x, w = leggauss(q)
+    half = 0.5 * h[:, None]
+    return half * (1.0 + x), half * w, np.stack([0.5 * (1.0 - x), 0.5 * (1.0 + x)])
 
 
 def _row_blocks(stop: int, row_entries: int, start: int = 0):
@@ -673,9 +681,10 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
     geometrically refined toward 1 at the scale of the row's boundary
     distance, on which the kernel varies.  Nodes are placed by their offset u
     from 1, and the kernel's singular factor uses rho - r = d + u, which keeps
-    full relative precision however small d is.  Every row gets the panel
-    count of the row closest to the boundary; a row's surplus panels have
-    zero width at rho = 2 and so zero weights.
+    full relative precision however small d is.  Blocks are sized for the
+    panel count of the row closest to the boundary, but every row of a block
+    gets the count of the block's own row closest to it; a row's surplus
+    panels have zero width at rho = 2 and so zero weights.
 
     Beyond rho = 2, Euler's transformation of Phi gives
     K(r, rho) = |S^{n-1}| rho^{-1-2s} 2F1(n/2+s, 1+s; n/2; (r/rho)^2)
@@ -707,7 +716,10 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
         r = radii[rows, None]
         d = 1.0 - r
         m = r.shape[0]
-        breaks = np.minimum(1.0, d * steps)      # offsets from rho = 1
+        # Break k sits at d (2^k - 1); the block needs them up to the first
+        # one past 1 for its smallest d.
+        n_blk = np.count_nonzero(d.min() * steps < 1.0)
+        breaks = np.minimum(1.0, d * steps[: n_blk + 1])   # offsets from rho = 1
         mid = 0.5 * (breaks[:, :-1] + breaks[:, 1:])
         half = 0.5 * (breaks[:, 1:] - breaks[:, :-1])
         u = (mid[:, :, None] + half[:, :, None] * xs).reshape(m, -1)
@@ -932,14 +944,11 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
 
     # One-sided leftover of the wider adjacent panel, integrated against the
     # same parabola (regular there: distance >= hm from r_i).  Rows whose
-    # panels have equal widths get zero weights.
-    right = h_r > hm
-    a_edge = np.where(right, r[i] + hm, r[i - 1])
-    b_edge = np.where(right, r[i + 1], r[i] - hm)
-    halfp = np.where(right | (h_l > hm), 0.5 * (b_edge - a_edge), 0.0)[:, None]
-    rho_sl = 0.5 * (a_edge + b_edge)[:, None] + halfp * xs_sl
-    delta_sl = rho_sl - ri
-    k_sl = halfp * ws_sl * _kernel(p, ri, rho_sl)
+    # panels have equal widths get zero weights.  Its nodes are placed by
+    # their offsets from r_i, (hm, h_r) on the right or (-h_l, -hm) on the left.
+    halfp = 0.5 * (np.maximum(h_l, h_r) - hm)[:, None]
+    delta_sl = np.where(h_r > hm, hm, -h_l)[:, None] + halfp * (1.0 + xs_sl)
+    k_sl = halfp * ws_sl * _kernel(p, ri, ri + delta_sl, np.abs(delta_sl))
     c_right += (k_sl * (delta_sl * (wa_r[:, None] + wb_r[:, None] * delta_sl))).sum(axis=1)
     c_left -= (k_sl * (delta_sl * (wa_l[:, None] + wb_l[:, None] * delta_sl))).sum(axis=1)
     cq[i - 1, i + 1] += c_right
@@ -984,11 +993,6 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     pan = np.arange(npan)
     smat = np.zeros((npan + 1, npan + 1))
 
-    def kap_full(rv: np.ndarray, pv: np.ndarray) -> np.ndarray:
-        k = _kernel(p, rv, pv)   # scaled in place, as in _kernel
-        k *= pref * rv ** (n - 1)
-        return k
-
     def kap_reg(rv: np.ndarray, pv: np.ndarray) -> np.ndarray:
         return pref * rv ** (n - 1) * _kernel(p, rv, pv, dist=1.0)
 
@@ -999,40 +1003,41 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     #     = local mass of r + local mass of rho - cross terms,
     # so the masses (t summed over the other panel) accumulate per panel and
     # enter like the exterior density below; the cross terms couple hats
-    # p, p+1 of panel pi with hats of panel pj.
+    # p, p+1 of panel pi with hats of panel pj.  A pair's distance is
+    # (r_pj - r_pi) + (offset_j - offset_i), which keeps full relative
+    # precision near r = 1, where the rounded points would not.
     q = _PANEL_ORDER - 1
-    xg, wg = leggauss(q)
-    mid = 0.5 * (r[:-1] + r[1:])
-    half = 0.5 * h
-    pts = mid[:, None] + half[:, None] * xg[None, :]      # (npan, q)
-    wts = half[:, None] * wg[None, :]
-    hats = np.stack([(r[1:, None] - pts) / h[:, None],    # phi_p on panel p
-                     (pts - r[:-1, None]) / h[:, None]],  # phi_{p+1} on panel p
-                    axis=1)                               # (npan, 2, q)
+    off, wts, hat = _panel_rule(h, q)
+    pts = r[:-1, None] + off                              # (npan, q)
     sep_mass = np.zeros((npan, q))
     for rows in _row_blocks(npan - 2, q * q * npan):
         pi = np.arange(rows.start, rows.stop)
         pj = np.arange(rows.start + 2, npan)
-        # Pairs closer than pj = pi + 2 get rho = 1, off every panel pi (no
-        # coincident points, so no 0/0), and zero weight.
-        sep = (pj >= pi[:, None] + 2)[:, None, :, None]
-        rho = np.where(sep, pts[pj], 1.0)
-        tmat = kap_full(pts[pi, :, None, None], rho)      # (b, q, nj, q)
-        tmat *= wts[pi, :, None, None] * np.where(sep, wts[pj], 0.0)
+        # Pairs closer than pj = pi + 2 take the panel gap 1 in place of
+        # r_pj - r_pi, so their distance is positive (no 0/0), and zero weight.
+        sep = pj >= pi[:, None] + 2
+        dist = off[pj] - off[pi, :, None, None]
+        dist += np.where(sep, r[pj] - r[pi, None], 1.0)[:, None, :, None]
+        tmat = _kernel(p, pts[pi, :, None, None], pts[pj], dist)   # (b, q, nj, q)
+        tmat *= pref * pts[pi, :, None, None] ** (n - 1)
+        tmat *= wts[pi, :, None, None] * np.where(sep[:, None, :, None], wts[pj], 0.0)
         sep_mass[pi] += tmat.sum(axis=(2, 3))
         sep_mass[pj] += tmat.sum(axis=(0, 1))
-        # cross[j, i, x, y] = sum_ab hats[pi][i, x, a] tmat[i, a, j, b] hats[pj][j, y, b],
-        # as two stacked matmuls (several times faster than einsum here).
-        left = np.matmul(hats[pi], tmat.reshape(pi.size, q, -1)).reshape(pi.size, 2, pj.size, q)
-        cross = np.matmul(left.transpose(2, 0, 1, 3).reshape(pj.size, 2 * pi.size, q),
-                          hats[pj].transpose(0, 2, 1)).reshape(pj.size, pi.size, 2, 2)
+        # cross[i, x, j, y] = sum_ab hat[x, a] tmat[i, a, j, b] hat[y, b], as
+        # two block matmuls (several times faster than einsum here).
+        cross = (hat @ tmat.reshape(pi.size, q, -1)).reshape(pi.size, 2, pj.size, q) @ hat.T
         for x in (0, 1):
             for y in (0, 1):
-                smat[rows.start + x : rows.stop + x, pj[0] + y : npan + y] -= cross[:, :, x, y].T
-    fall, rise = hats[:, 0], hats[:, 1]
-    smat[pan, pan] += (fall * fall * sep_mass).sum(axis=1)
-    smat[pan, pan + 1] += (fall * rise * sep_mass).sum(axis=1)
-    smat[pan + 1, pan + 1] += (rise * rise * sep_mass).sum(axis=1)
+                smat[rows.start + x : rows.stop + x, pj[0] + y : npan + y] -= cross[:, x, :, y]
+
+    # --- exterior region: local positive density tau(r), whose masses
+    # enter like the separated pairs' above.
+    off_x, w_x, hat_x = _panel_rule(h, 6)
+    rq = r[:-1, None] + off_x
+    tau = w_x * pref * rq ** (n - 1) * _exterior_mass(p, rq.ravel()).reshape(rq.shape)
+    for mass, ht in ((sep_mass, hat), (tau, hat_x)):
+        for x, y in ((0, 0), (0, 1), (1, 1)):
+            smat[pan + x, pan + y] += mass @ (ht[x] * ht[y])
 
     # --- same-panel pairs: hat differences are slope*(r-rho) exactly, so the
     # pair energy is a single edge weight times the graph-Laplacian block.
@@ -1077,18 +1082,6 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     corner = pan[:-1]
     for i, j in ((2, 2), (1, 1), (1, 2), (0, 0), (0, 1), (0, 2)):
         smat[corner + i, corner + j] += (wkv * d[i] * d[j]).sum(axis=(1, 2))
-
-    # --- exterior region: local positive density tau(r) integrated
-    # against hat products on each panel.
-    xq, wq = leggauss(6)
-    rq = mid[:, None] + half[:, None] * xq
-    tau = pref * rq ** (n - 1) * _exterior_mass(p, rq.ravel()).reshape(rq.shape)
-    wtau = half[:, None] * wq * tau
-    fa = (r[1:, None] - rq) / h[:, None]
-    fb = (rq - r[:-1, None]) / h[:, None]
-    smat[pan + 1, pan + 1] += (wtau * (fb * fb)).sum(axis=1)
-    smat[pan, pan] += (wtau * (fa * fa)).sum(axis=1)
-    smat[pan, pan + 1] += (wtau * (fa * fb)).sum(axis=1)
 
     smat = np.triu(smat) + np.triu(smat, 1).T
     e1, e2 = origin_fold_weights(grid)

@@ -345,9 +345,9 @@ def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> tuple[np.ndarray, 
     nodes = op.grid.nodes
     xg, wg = _MASS_GAUSS
     e1, e2 = origin_fold_weights(op.grid)
-    ra, rb = nodes[:-1, None], nodes[1:, None]
-    half = 0.5 * (rb - ra)
-    r = 0.5 * (ra + rb) + half * xg
+    ra = nodes[:-1, None]
+    half = 0.5 * np.diff(nodes)[:, None]
+    r = ra + half * (1.0 + xg)   # Gauss nodes by their offsets from each panel's left node
     a0 = e1 * values[1] + e2 * values[2]
     b0 = (values[1] - a0) / nodes[1] ** 2
     beta = (values[2:] - values[1:-1]) / np.log(nodes[2:] / nodes[1:-1])
@@ -355,13 +355,12 @@ def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> tuple[np.ndarray, 
     dens[0] = np.exp(a0 + b0 * r[0] * r[0])
     dens[1:] = np.exp(values[1:-1, None]) * (r[1:] / ra[1:]) ** beta[:, None]
     common = sphere_area(op.params.n) * half * wg * r ** (op.params.n - 1) * dens
-    rise = (r - ra) / (rb - ra)
-    fall = 1.0 - rise
+    fall, rise = 0.5 * (1.0 - xg), 0.5 * (1.0 + xg)   # the panel's two hats at the nodes
     # Bands over all nodes 0..N, panel by panel.
     diag = np.zeros(nodes.size)
-    diag[:-1] = np.einsum("ij,ij->i", common, fall * fall)
-    diag[1:] += np.einsum("ij,ij->i", common, rise * rise)
-    off = np.einsum("ij,ij->i", common, rise * fall)
+    diag[:-1] = common @ (fall * fall)
+    diag[1:] += common @ (rise * rise)
+    off = common @ (rise * fall)
     # Origin fold (the congruence u_0 = e1 u_1 + e2 u_2), then the interior.
     m00, m01 = diag[0], off[0]
     diag[1] = (diag[1] + e1 * m01) + e1 * (m01 + e1 * m00)
@@ -509,13 +508,13 @@ def stability_inequality_check(op: OperatorMatrix, point: BranchPoint,
     """Both sides of the stable-solution energy inequality.
 
     lhs = integral of u against the operator action on psi^2, rhs = energy of
-    psi, with psi the proof test profile.  The lhs pairing is evaluated in its
-    adjoint form (operator applied to the solved profile, weighted by psi^2):
-    the two orderings agree as double integrals, but applying the discrete
-    operator to psi^2 ~ r^{2s-n+eps} directly is dominated by origin
-    discretization error at any fixed grid.  For a stable point the contract
-    is lhs <= rhs up to quadrature tolerance.  Unstable input is rejected,
-    as is a point on another grid than the operator's.
+    psi, with psi the proof test profile.  The lhs pairing is read from the
+    solved equation (-Delta)^s u = lam e^u as lam int e^u psi^2, which equals
+    the operator's action on u weighted by psi^2 up to the Newton residual;
+    applying the discrete operator to psi^2 ~ r^{2s-n+eps} instead would be
+    dominated by origin discretization error at any fixed grid.  For a stable
+    point the contract is lhs <= rhs up to quadrature tolerance.  Unstable
+    input is rejected, as is a point on another grid than the operator's.
     """
     if point.profile.grid != op.grid:
         raise DomainError("branch point grid does not match operator grid")
@@ -525,8 +524,7 @@ def stability_inequality_check(op: OperatorMatrix, point: BranchPoint,
             f"{point.stability_eig:.3e})"
         )
     psi = proof_test_function(op.params, op.grid, rho0, eps)
-    action_u = op.apply_interior(point.profile.interior, point.profile.tail)
-    lhs = float(np.dot(op.weights, psi.interior**2 * action_u))
+    lhs = float(point.lam * np.dot(op.weights, psi.interior**2 * np.exp(point.profile.interior)))
     rhs = quadratic_form(op, psi, psi)
     return lhs, rhs
 

@@ -184,7 +184,7 @@ def test_exterior_mass_matches_closed_form(operator_cache, n, s):
     assert rel.max() <= 1e-11
     nodes = op.grid.nodes
     xq, _ = leggauss(6)
-    pts = (0.5 * (nodes[:-1] + nodes[1:])[:, None] + 0.5 * np.diff(nodes)[:, None] * xq).ravel()
+    pts = (nodes[:-1, None] + 0.5 * np.diff(nodes)[:, None] * (1.0 + xq)).ravel()
     c = operator_normalization(ProblemParams(n, s))
     rel = np.abs(c * _exterior_mass(ProblemParams(n, s), pts) / dyda_exterior_mass(n, s, pts) - 1.0)
     assert rel.max() <= 1e-11
@@ -309,6 +309,82 @@ def test_couplings_near_the_boundary_against_mpmath():
             assert abs(float(cq[i - 1, j - 1] / coupling(i, j)) - 1.0) <= 1e-14
 
 
+def _recorded_kernel_calls(monkeypatch, keep):
+    """Arguments and copied output of every kernel call for which keep(r, rho) holds."""
+    calls = []
+    kernel = fraclap._kernel
+
+    def recording(p, r, rho, *args, **kwargs):
+        out = kernel(p, r, rho, *args, **kwargs)
+        if keep(np.asarray(r), np.asarray(rho)):
+            calls.append((np.array(r), np.array(rho), out.copy()))
+        return out
+
+    monkeypatch.setattr(fraclap, "_kernel", recording)
+    return calls
+
+
+def test_sliver_rule_near_the_boundary_against_exact_arithmetic(monkeypatch):
+    """The near field's one-sided sliver, the part of a row's wider adjacent
+    panel beyond the symmetric core: its 8-point Gauss rule in floats against
+    the same rule in exact arithmetic, node by node, on the rows next to r = 1
+    at grading 3 (panels ~1e-9 wide).  The rule's nodes split
+    [r_i + hm, r_{i+1}] or [r_{i-1}, r_i - hm], hm the smaller panel width;
+    K = 4 pi rho^2 / (rho^2 - r^2)^2 at (n, s) = (3, 0.5)."""
+    grid = RadialGrid.graded(1024, grading=3.0)
+    ni = grid.n_panels - 1
+    calls = _recorded_kernel_calls(
+        monkeypatch, lambda r, rho: rho.shape == (ni, fraclap._SLIVER_ORDER))
+    assemble(ProblemParams(3, 0.5), grid)
+    (_, _, kern), = calls
+    xs, _ = leggauss(fraclap._SLIVER_ORDER)
+    with mpmath.workdps(40):
+        r = [mpmath.mpf(float(x)) for x in grid.nodes]
+        for i in range(ni - 20, ni + 1):                    # row node i, kernel row i - 1
+            h_l, h_r = r[i] - r[i - 1], r[i + 1] - r[i]
+            hm = min(h_l, h_r)
+            a, b = (r[i] + hm, r[i + 1]) if h_r > hm else (r[i - 1], r[i] - hm)
+            for k, x in enumerate(xs):
+                rho = a + (b - a) * (1 + mpmath.mpf(float(x))) / 2
+                want = 4 * mpmath.pi * rho**2 / (rho**2 - r[i] ** 2) ** 2
+                assert abs(float(kern[i - 1, k] / want) - 1.0) <= 1e-14
+
+
+def test_energy_separated_pairs_near_the_boundary_against_mpmath(monkeypatch):
+    """Kernel values of the energy form's separated panel pairs at the rule's
+    points r_p + h_p (1 + x) / 2, for the ten panels next to r = 1 at
+    grading 3 (panels ~1e-9 wide, where a rounded point is off by up to half
+    an ulp of 1); K = 4 pi rho^2 / (rho^2 - r^2)^2 at (n, s) = (3, 0.5)."""
+    grid = RadialGrid.graded(1024, grading=3.0)
+    nodes, npan = grid.nodes, grid.n_panels
+    first = npan - 12
+    calls = _recorded_kernel_calls(monkeypatch, lambda r, rho: r.ndim == 4 and r.max() > nodes[first])
+    _assemble_energy(ProblemParams(3, 0.5), grid)
+    xg, _ = leggauss(fraclap._PANEL_ORDER - 1)
+    checked = 0
+    with mpmath.workdps(40):
+        r = [mpmath.mpf(float(x)) for x in nodes]
+        x = [mpmath.mpf(float(v)) for v in xg]
+
+        def point(pan, k):
+            return r[pan] + (r[pan + 1] - r[pan]) * (1 + x[k]) / 2
+
+        for rows, _, kern in calls:                    # (b, q, 1, 1) and (b, q, nj, q)
+            pans = np.searchsorted(nodes, rows[:, 0, 0, 0]) - 1
+            for i, pi in enumerate(pans):
+                for j in range(kern.shape[2]):
+                    pj = pans[0] + 2 + j
+                    if pi < first or pj < pi + 2:
+                        continue
+                    for a in range(xg.size):
+                        for b in range(xg.size):
+                            ra, rb = point(pi, a), point(pj, b)
+                            want = 4 * mpmath.pi * rb**2 / (rb**2 - ra**2) ** 2
+                            assert abs(float(kern[i, a, j, b] / want) - 1.0) <= 1e-14
+                            checked += 1
+    assert checked == 25 * sum(range(1, 11))
+
+
 def test_operator_stores_assembly_output_only_and_is_read_only(operator_cache):
     # params, grid and the two coupling arrays are the whole constructor;
     # the rest is derived on first access, cached and read-only.
@@ -413,6 +489,19 @@ def test_exterior_quadrature_tail_moments_at_origin(s):
             (_, g, wk), = _exterior_blocks(p, np.array([0.0]), tail)
             got = float((g * wk).sum()) / sphere_area(n)
             assert abs(got / exact - 1.0) <= 1e-11
+
+
+def test_exterior_near_panels_per_row_block(monkeypatch):
+    """Each row block of the (1, 2] quadrature takes the panel count of its
+    own row nearest the boundary.  At N = 1024 the rows need 3,538 panels
+    (42,456 kernel entries), and the blocks take 55,980 entries; counted from
+    the grid's last row alone, every row would take 20 panels (245,520
+    entries, 83% with zero weight)."""
+    calls = _recorded_kernel_calls(monkeypatch, lambda r, rho: True)
+    for _ in _exterior_blocks(ProblemParams(1, 0.3), RadialGrid.graded(1024).interior,
+                              TailSpec.power(0.2)):
+        pass
+    assert sum(out.size for *_, out in calls) <= 56_000
 
 
 def test_matrix_row_sums_match_constant_response(operator_cache):
@@ -521,6 +610,34 @@ def test_apply_wraps_interior(operator_cache):
 
 
 # ---------------------------------------------------------------- energy form
+
+
+@pytest.mark.parametrize("n, panels, grading, tol",
+                         [(n, 1024, g, 1e-14) for n in (1, 3, 12, 60) for g in (2.0, 3.0)]
+                         + [(200, 64, 2.0, 5e-14)])
+def test_hat_masses_against_exact_antiderivative(n, panels, grading, tol):
+    """|S^{n-1}| int phi_i r^{n-1} dr from the antiderivative at 60 digits,
+    where the powers of neighbouring radii near r = 1 cancel harmlessly.
+    Masses below 1e-290, near the origin at large n, are not compared."""
+    grid = RadialGrid.graded(panels, grading=grading)
+    got = fraclap._hat_masses(grid, n)
+    with mpmath.workdps(60):
+        r = [mpmath.mpf(float(x)) for x in grid.nodes]
+        pn = [x**n for x in r]
+        pn1 = [x ** (n + 1) for x in r]
+
+        def rising(a, b):   # int_{r_a}^{r_b} (rho - r_a) / (r_b - r_a) rho^{n-1} drho
+            return ((pn1[b] - pn1[a]) / (n + 1) - r[a] * (pn[b] - pn[a]) / n) / (r[b] - r[a])
+
+        def falling(a, b):  # int_{r_a}^{r_b} (r_b - rho) / (r_b - r_a) rho^{n-1} drho
+            return (r[b] * (pn[b] - pn[a]) / n - (pn1[b] - pn1[a]) / (n + 1)) / (r[b] - r[a])
+
+        area = mpmath.mpf(sphere_area(n))
+        want = np.array([float(area * (rising(i - 1, i) + falling(i, i + 1)))
+                         for i in range(1, len(r) - 1)])
+    big = want > 1e-290
+    assert big.sum() > panels // 2
+    assert (np.abs(got[big] / want[big] - 1.0)).max() <= tol
 
 
 def test_quadratic_form_symmetry_and_psd(operator_cache):

@@ -491,6 +491,21 @@ def test_inequality_holds_at_stable_point(branch_1d):
     assert lhs <= rhs + 1e-3 * abs(rhs)
 
 
+def test_inequality_lhs_is_the_operator_pairing_at_solved_points(branch_1d):
+    # lhs = lam int e^u psi^2 from the solved equation; at a solved point it
+    # is the operator's action on u weighted by psi^2, up to the residual.
+    op, branch = branch_1d
+    psi = proof_test_function(op.params, op.grid, 0.5, 0.1)
+    for pt in branch.points:
+        if not pt.stable:
+            continue
+        action_u = op.apply_interior(pt.profile.interior, pt.profile.tail)
+        want = float(np.dot(op.weights, psi.interior**2 * action_u))
+        lhs, _ = stability_inequality_check(op, pt, 0.5, 0.1)
+        assert type(lhs) is float
+        assert lhs == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 def test_inequality_rejects_point_on_another_grid(branch_1d, operator_cache):
     # Same node count, other grading: the point's values sit on other radii.
     _, branch = branch_1d
