@@ -563,7 +563,8 @@ class OperatorMatrix:
         Only zero-exterior work reads them, so a power-tail run never builds
         the Psi table behind them.
         """
-        return _read_only(_exterior_mass(self.params, self.grid.interior))
+        interior = self.grid.interior
+        return _read_only(_exterior_mass(self.params, interior, 1.0 - interior))
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -607,17 +608,6 @@ class OperatorMatrix:
         radial masses near the origin differ by orders of magnitude.
         """
         return _read_only(_assemble_energy(self.params, self.grid))
-
-    @functools.cached_property
-    def scaled_stability_form(self) -> np.ndarray:
-        """D S D with D = diag(weights)^{-1/2}, symmetrized (read-only).
-
-        The energy form in the basis the radial hat masses make orthonormal:
-        the constant part of the stability pencil.
-        """
-        d = 1.0 / np.sqrt(self.weights)
-        scaled = d[:, None] * self.stability_form * d[None, :]
-        return _read_only(0.5 * (scaled + scaled.T))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -730,17 +720,18 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
         yield rows, g, wk
 
 
-def _exterior_mass(p: ProblemParams, radii: np.ndarray) -> np.ndarray:
+def _exterior_mass(p: ProblemParams, radii: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """int_{rho > 1} K(r, rho) drho at each radius r < 1 (the zero-tail row mass).
 
     Dyda's (-Delta)^s 1_B / c_{n,s} after Euler's transformation (its Gamma
     factors cancel against c_{n,s}): |S^{n-1}|/(2s) ((1-r)(1+r))^{-2s} Psi(r^2)
-    with Psi = 2F1(-s, n/2-s; n/2; .) > 0 on [0, 1).  1 - r is exact near r = 1.
+    with Psi = 2F1(-s, n/2-s; n/2; .) > 0 on [0, 1).  The caller passes
+    gaps = 1 - r, formed where it is exact: at a grid node, 1 - r itself; at
+    a point inside a panel, the panel's 1 - r_p less the point's offset.
     """
     n, s = p.n, p.s
-    r = np.asarray(radii, dtype=float)
-    psi = _phi(-s, 0.5 * n - s, 0.5 * n)(r * r)
-    return sphere_area(n) / (2.0 * s) * ((1.0 - r) * (1.0 + r)) ** (-2.0 * s) * psi
+    psi = _phi(-s, 0.5 * n - s, 0.5 * n)(radii * radii)
+    return sphere_area(n) / (2.0 * s) * (gaps * (1.0 + radii)) ** (-2.0 * s) * psi
 
 
 def _add_stencil(out: np.ndarray, lo: int, c0: np.ndarray, c1: np.ndarray,
@@ -1031,10 +1022,10 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
                 smat[rows.start + x : rows.stop + x, pj[0] + y : npan + y] -= cross[:, x, :, y]
 
     # --- exterior region: local positive density tau(r), whose masses
-    # enter like the separated pairs' above.
+    # enter like the separated pairs' above; its 1 - r is (1 - r_p) - offset.
     off_x, w_x, hat_x = _panel_rule(h, 6)
     rq = r[:-1, None] + off_x
-    tau = w_x * pref * rq ** (n - 1) * _exterior_mass(p, rq.ravel()).reshape(rq.shape)
+    tau = w_x * pref * rq ** (n - 1) * _exterior_mass(p, rq, (1.0 - r[:-1, None]) - off_x)
     for mass, ht in ((sep_mass, hat), (tau, hat_x)):
         for x, y in ((0, 0), (0, 1), (1, 1)):
             smat[pan + x, pan + y] += mass @ (ht[x] * ht[y])

@@ -13,9 +13,9 @@ stays in the operator's difference form).  Stability of a computed point is
 the sign of the smallest eigenvalue of the symmetric pencil
 (S - lam E) eta = mu M eta with S the energy form, E the e^u-weighted radial
 mass (tridiagonal) and M the plain radial mass, found by one LAPACK symmetric
-eigensolve through numpy (deterministic: no random start) on the operator's
-cached D S D, D = M^{-1/2}, updated on three bands per point.  The layer runs
-on numpy and the standard library alone.
+eigensolve through numpy (deterministic: no random start) on a copy of S,
+updated on three bands per point and scaled by D = M^{-1/2} on both sides.
+The layer runs on numpy and the standard library alone.
 
 Also provides the diagnostics used to probe the singular regime: the
 log-profile ratio along a branch, the proof-style test function built from a
@@ -372,26 +372,27 @@ def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> tuple[np.ndarray, 
 def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> float:
     """Smallest mu of (S - lam E) eta = mu M eta, deterministic.
 
-    M = diag(weights) is scaled out with D = M^{-1/2}.  The operator caches
-    the symmetrized D S D; each call copies it, subtracts lam D E D on the
-    three bands of the tridiagonal e^u mass E, and takes the first of the
-    ascending spectrum from one LAPACK symmetric eigensolve (numpy's
-    eigvalsh, no random start).  Non-finite bands (e^u overflow) or a LAPACK
-    failure raise EigenSolveError.
+    Each call copies the energy form S, subtracts lam E on the three bands of
+    the tridiagonal e^u mass E, scales M = diag(weights) out in place with
+    D = M^{-1/2}, and takes the first of the ascending spectrum of
+    D (S - lam E) D from one LAPACK symmetric eigensolve (numpy's eigvalsh,
+    which reads the lower triangle; no random start).  Non-finite bands (e^u
+    overflow) or a LAPACK failure raise EigenSolveError.
     """
-    d = 1.0 / np.sqrt(op.weights)
     with np.errstate(over="ignore", invalid="ignore"):
         mass_diag, mass_off = _weighted_mass(op, values)
-        band0 = lam * (mass_diag * (d * d))
-        band1 = lam * (mass_off * (d[:-1] * d[1:]))
+        band0, band1 = lam * mass_diag, lam * mass_off
     if not (np.isfinite(band0).all() and np.isfinite(band1).all()):
         raise EigenSolveError("stability pencil has non-finite entries (e^u overflow)")
     ni = op.n_interior
-    cmat = op.scaled_stability_form.copy()
+    cmat = op.stability_form.copy()
     flat = cmat.reshape(-1)
     flat[:: ni + 1] -= band0
     flat[1 :: ni + 1] -= band1
     flat[ni :: ni + 1] -= band1
+    d = 1.0 / np.sqrt(op.weights)
+    cmat *= d[:, None]
+    cmat *= d
     try:
         return float(np.linalg.eigvalsh(cmat)[0])
     except np.linalg.LinAlgError as exc:
@@ -545,23 +546,9 @@ class SingularProfileReport:
 def _ratio_profile(point: BranchPoint, s: float) -> tuple[np.ndarray, np.ndarray]:
     r = point.profile.grid.interior
     u = point.profile.interior
-    mask = (r > 0.0) & (r <= 0.1)
+    mask = r <= 0.1
     rr = r[mask]
     return rr, u[mask] / (2.0 * s * np.log(1.0 / rr))
-
-
-def _probe_ratio(point: BranchPoint, s: float, probe: float) -> float:
-    """Ratio at the probe radius, interpolated linearly in log r."""
-    rr, ratios = _ratio_profile(point, s)
-    if rr.size == 0:
-        return math.nan
-    if probe <= rr[0]:
-        return float(ratios[0])
-    j = int(np.searchsorted(rr, probe))
-    j = min(max(j, 1), rr.size - 1)
-    x0, x1 = math.log(rr[j - 1]), math.log(rr[j])
-    t = (math.log(probe) - x0) / (x1 - x0)
-    return float((1.0 - t) * ratios[j - 1] + t * ratios[j])
 
 
 def singular_profile_diagnostic(branch: Branch, sigma: float) -> SingularProfileReport:
@@ -588,15 +575,14 @@ def singular_profile_diagnostic(branch: Branch, sigma: float) -> SingularProfile
         )
 
     radii, ratios = _ratio_profile(top, s)
-    threshold: float | None = None
-    for r_val, q_val in zip(radii, ratios):
-        if q_val > 1.0 - sigma:
-            threshold = float(r_val)
-        else:
-            break
+    passing = int(np.cumprod(ratios > 1.0 - sigma).sum())   # the leading run above 1 - sigma
+    threshold = float(radii[passing - 1]) if passing else None
 
-    tail_pts = by_peak[-3:] if len(by_peak) >= 3 else by_peak
-    probes = np.array([_probe_ratio(pt, s, _PROBE_RADIUS) for pt in tail_pts])
+    # The ratio at the probe radius, linear in log r between sampled nodes
+    # and held at the end values outside them.
+    profiles = [_ratio_profile(pt, s) for pt in by_peak[-3:]]
+    probes = np.array([np.interp(math.log(_PROBE_RADIUS), np.log(rr), q) if rr.size else math.nan
+                       for rr, q in profiles])
     increasing = probes.size >= 2 and bool(np.all(np.diff(probes) > 0.0))
 
     return SingularProfileReport(

@@ -160,15 +160,28 @@ def test_constants_annihilate_exactly(operator_cache):
             assert np.max(np.abs(out)) == 0.0
 
 
-def dyda_exterior_mass(n, s, r):
-    """(-Delta)^s 1_B at radii r < 1 (Dyda's closed form at p = 0).
+def dyda_exterior_mass(n, s, r, off=None, dps=30):
+    """(-Delta)^s 1_B at radii r < 1 (Dyda's closed form at p = 0), or at
+    the exact points r + off when offsets are given.
 
     It equals c_{n,s} times the zero-tail row mass."""
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         coeff = (mpmath.mpf(4) ** s * mpmath.gamma(s + 0.5 * n)
                  / (mpmath.gamma(0.5 * n) * mpmath.gamma(1 - s)))
-        return np.array([float(coeff * mpmath.hyp2f1(s + 0.5 * n, s, 0.5 * n, mpmath.mpf(x) ** 2))
-                         for x in r])
+        pts = [mpmath.mpf(x) for x in r]
+        if off is not None:
+            pts = [x + mpmath.mpf(o) for x, o in zip(pts, off)]
+        return np.array([float(coeff * mpmath.hyp2f1(s + 0.5 * n, s, 0.5 * n, x**2))
+                         for x in pts])
+
+
+def energy_exterior_points(nodes, panels):
+    """The points where the energy form samples its exterior density tau on
+    the given panels: left nodes, offsets and gaps 1 - r, all by panel."""
+    off, _, _ = fraclap._panel_rule(np.diff(nodes), 6)
+    left = np.broadcast_to(nodes[:-1, None], off.shape)[panels].ravel()
+    off = off[panels].ravel()
+    return left + off, (1.0 - left) - off, left, off
 
 
 _EXTERIOR_CASES = [(1, 0.3), (2, 0.7), (3, 0.5), (10, 0.9)]
@@ -177,17 +190,33 @@ _EXTERIOR_CASES = [(1, 0.3), (2, 0.7), (3, 0.5), (10, 0.9)]
 @pytest.mark.parametrize("n, s", _EXTERIOR_CASES + [(1, 0.02), (3, 0.01)])
 def test_exterior_mass_matches_closed_form(operator_cache, n, s):
     """Zero-tail row masses, at the collocation rows and at the points where
-    the energy form samples its exterior density tau."""
+    the energy form samples its exterior density tau, whose distance to
+    r = 1 comes from panel offsets; the reference is taken at the exact
+    points r_p + offset."""
     op = operator_cache(n, s, 256)
     r = op.grid.interior
     rel = np.abs(op.normalization * op.tail_mass / dyda_exterior_mass(n, s, r) - 1.0)
     assert rel.max() <= 1e-11
-    nodes = op.grid.nodes
-    xq, _ = leggauss(6)
-    pts = (nodes[:-1, None] + 0.5 * np.diff(nodes)[:, None] * (1.0 + xq)).ravel()
+    pts, gaps, left, off = energy_exterior_points(op.grid.nodes, slice(None))
     c = operator_normalization(ProblemParams(n, s))
-    rel = np.abs(c * _exterior_mass(ProblemParams(n, s), pts) / dyda_exterior_mass(n, s, pts) - 1.0)
-    assert rel.max() <= 1e-11
+    got = c * _exterior_mass(ProblemParams(n, s), pts, gaps)
+    rel = np.abs(got / dyda_exterior_mass(n, s, left, off) - 1.0)
+    assert rel.max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, s, gate", [(1, 0.5, 1e-14), (3, 0.3, 1e-12)])
+def test_exterior_mass_near_the_boundary_at_grading_3(n, s, gate):
+    """The energy form's exterior density on the last 10 panels of a
+    grading-3 grid, N = 1024 (the last panel 9.3e-10 wide), against 40-digit
+    values at the exact points.  At (1, 0.5) Psi = 1, so only 1 - r and
+    1 + r enter; at (3, 0.3) Psi takes z = r^2, whose rounding near r = 1
+    costs ~5e-13 (it is 1 - z, not 1 - r, that Psi resolves there)."""
+    p = ProblemParams(n, s)
+    pts, gaps, left, off = energy_exterior_points(RadialGrid.graded(1024, 3.0).nodes,
+                                                  slice(-10, None))
+    got = operator_normalization(p) * _exterior_mass(p, pts, gaps)
+    rel = np.abs(got / dyda_exterior_mass(n, s, left, off, dps=40) - 1.0)
+    assert rel.max() <= gate
 
 
 def test_stencil_slice_adds_match_add_at():
@@ -396,7 +425,7 @@ def test_operator_stores_assembly_output_only_and_is_read_only(operator_cache):
         "params", "grid", "couple_quad", "couple_quad_bnd"]
     op = operator_cache(3, 0.5, 32)
     for name in ("couple_quad", "couple_quad_bnd", "weights", "tail_mass", "matrix",
-                 "stability_form", "scaled_stability_form"):
+                 "stability_form"):
         arr = getattr(op, name)
         assert getattr(op, name) is arr
         with pytest.raises(ValueError, match="read-only"):
@@ -424,7 +453,7 @@ def test_tail_mass_is_built_on_first_use():
     assert _phi.cache_info().currsize == 1
     mass = op.tail_mass
     assert _phi.cache_info().currsize == 2
-    assert mass.tobytes() == _exterior_mass(p, grid.interior).tobytes()
+    assert mass.tobytes() == _exterior_mass(p, grid.interior, 1.0 - grid.interior).tobytes()
     assert op.tail_mass is mass and not mass.flags.writeable
     total = op.couple_quad.sum(axis=1) + op.couple_quad_bnd + mass
     assert np.array_equal(op.matrix, op.normalization * (np.diag(total) - op.couple_quad))

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh
+from scipy.linalg import eigh, eigvalsh
 
 from fracgelfand import (
     Branch,
@@ -306,6 +306,15 @@ def test_stability_eigenvalue_matches_dense_solver(branch_1d):
         sym = d[:, None] * cm * d[None, :]
         dense = eigvalsh(0.5 * (sym + sym.T)).min()
         assert pt.stability_eig == pytest.approx(dense, abs=1e-9 * max(1.0, abs(dense)))
+    # (12, 0.5) at m = 6: the hat masses reach down to r^11 h, so the
+    # scaling D = M^{-1/2} spans many decades.  Against the generalized
+    # symmetric solver, which never forms D (S - lam E) D.
+    op = assemble(ProblemParams(12, 0.5), RadialGrid.graded(96))
+    cfg = ContinuationConfig(params=op.params, grid=op.grid, peak_end=8.0)
+    pt = solve_at_peak(cfg, 6.0, op=op)
+    cm = op.stability_form - pt.lam * dense_mass(op, pt.profile.values)
+    dense = eigh(cm, np.diag(op.weights), eigvals_only=True)[0]
+    assert abs(pt.stability_eig - dense) <= 1e-12 * abs(dense)
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
@@ -420,6 +429,30 @@ def test_singular_diagnostic_on_smooth_branch(branch_1d):
     assert strict.threshold_radius is None
     assert loose.threshold_radius is not None
     assert np.all(strict.probe_ratios < 1.0)
+
+
+def test_singular_diagnostic_against_reference(branch_1d, partial_12):
+    """probe_ratios against linear interpolation in log r between the two
+    nodes around r = 0.01, and threshold_radius against a scan of the
+    leading run of ratios above 1 - sigma."""
+    for branch, sigma in ((branch_1d[1], 0.5), (branch_1d[1], 0.99), (partial_12[1].partial, 0.5)):
+        report = singular_profile_diagnostic(branch, sigma)
+        s = branch.params.s
+        want = []
+        for pt in sorted(branch.points, key=lambda pt: pt.peak)[-3:]:
+            r = pt.profile.grid.interior
+            q = pt.profile.interior / (2.0 * s * np.log(1.0 / r))
+            j = int(np.searchsorted(r, 0.01))   # r[j - 1] < 0.01 <= r[j]
+            t = (math.log(0.01) - math.log(r[j - 1])) / (math.log(r[j]) - math.log(r[j - 1]))
+            want.append((1.0 - t) * q[j - 1] + t * q[j])
+        assert report.probe_ratios.size == 3
+        assert np.abs(report.probe_ratios - np.array(want)).max() <= 1e-14
+        threshold = None
+        for r_val, q_val in zip(report.radii, report.ratios):
+            if q_val <= 1.0 - sigma:
+                break
+            threshold = float(r_val)
+        assert report.threshold_radius == threshold
 
 
 def test_singular_diagnostic_validation(branch_1d):
