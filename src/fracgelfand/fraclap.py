@@ -99,8 +99,13 @@ _PHI_PIECES = 54           # octaves [2^-(k+1), 2^-k] of 1 - z, k < 53, then z =
 # size (256 KiB) is above glibc's initial mmap threshold; _row_blocks
 # raises it.
 _BLOCK_ENTRIES = 1 << 15
-# Largest dense interior matrix (N-1)^2 float64 values a grid may imply; the
-# solvers hold several such matrices at once.
+# Largest dense interior matrix, (N-1)^2 float64 values, that a grid may
+# imply.  Each dense stage here holds one such array plus block temporaries:
+# assemble its coupling buffer, which the operator keeps without a copy; the
+# energy form its matrix, kept as the operator's stability_form; apply none.
+# The Gelfand solvers add their own: A (the operator's matrix), the bordered
+# Newton Jacobian and LAPACK's copy of it, and the pencil's scaled copy of
+# the energy form and LAPACK's copy of that, so a branch holds up to five.
 _DENSE_BUDGET_BYTES = 1 << 29
 
 
@@ -359,7 +364,8 @@ class _PhiTable:
 
     Evaluation finds each entry's piece from the binary exponent of w and runs
     one Horner over all entries with the piece's coefficients gathered per
-    entry.
+    entry.  Called with z it forms w = 1 - z; ``at_gap`` takes w itself from a
+    caller that has it exactly, where 1 - z would carry the rounding of z.
     """
 
     def __init__(self, a: float, b: float, c: float):
@@ -429,17 +435,21 @@ class _PhiTable:
         return y
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        w = 1.0 - z.ravel()
+        return self.at_gap(1.0 - np.asarray(z, dtype=float))
+
+    def at_gap(self, w: np.ndarray) -> np.ndarray:
+        """Phi(1 - w) for w in [0, 1]."""
+        w = np.asarray(w, dtype=float)
+        flat = w.ravel()
         # w in [2^-(k+1), 2^-k) has binary exponent -k; w = 1 (z = 0) has
         # exponent 1 but belongs to piece 0, and w < 2^-53 is z = 1.
-        k = np.maximum(-np.frexp(np.maximum(w, 2.0**-54))[1], 0).astype(np.intp)
-        x = np.ldexp(w, k + 2) - 3.0   # piece k mapped onto [-1, 1]
+        k = np.maximum(-np.frexp(np.maximum(flat, 2.0**-54))[1], 0).astype(np.intp)
+        x = np.ldexp(flat, k + 2) - 3.0   # piece k mapped onto [-1, 1]
         out = self._coef[-1].take(k)
         for cj in self._coef[-2::-1]:
             out *= x
             out += cj.take(k)
-        return out.reshape(z.shape)
+        return out.reshape(w.shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -523,14 +533,17 @@ def angular_kernel(p: ProblemParams, r: float, rho: float) -> float:
 class OperatorMatrix:
     """Assembled collocation operator on a grid's interior nodes.
 
-    Stores what assembly computes for (params, grid), copied and read-only:
+    Stores what assembly computes for (params, grid), read-only:
     ``couple_quad``, the nonnegative-kernel couplings between interior nodes
     (quadratic interpolant, origin fold applied), and ``couple_quad_bnd``,
-    those to the boundary node.  The rest is derived on first access, cached
-    and read-only: c_{n,s}, hat masses, exterior row masses, the dense matrix
-    A for zero exterior data and the energy form.  ``apply_interior``, and
-    the module-level ``apply`` built on it, take any exterior datum and
-    evaluate in difference form, which annihilates constants exactly.
+    those to the boundary node.  A read-only float64 array is adopted as it
+    is, views included (``assemble`` hands over its coupling buffer this
+    way, without a copy); anything else is copied, so a caller's writeable
+    array stays its own.  The rest is derived on first access, cached and
+    read-only: c_{n,s}, hat masses, exterior row masses, the dense matrix A
+    for zero exterior data and the energy form.  ``apply_interior``, and the
+    module-level ``apply`` built on it, take any exterior datum and evaluate
+    in difference form, which annihilates constants exactly.
     """
 
     params: ProblemParams
@@ -540,7 +553,11 @@ class OperatorMatrix:
 
     def __post_init__(self) -> None:
         for name in ("couple_quad", "couple_quad_bnd"):
-            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
+            arr = getattr(self, name)
+            if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                    and not arr.flags.writeable):
+                arr = _read_only(np.array(arr, dtype=float))
+            object.__setattr__(self, name, arr)
 
     @property
     def n_interior(self) -> int:
@@ -578,14 +595,17 @@ class OperatorMatrix:
         Every term multiplies a pointwise difference, so a globally constant
         function (matching constant tail) yields exact zeros instead of the
         cancellation of ~dist^{-2s} terms a matvec would incur.  Only a zero
-        tail uses the closed-form mass.
+        tail uses the closed-form mass.  The differences are formed over
+        blocks of rows, so no temporary is larger than a block; each row's
+        sum is the one over the whole matrix, bit for bit.
         """
         u_int = np.asarray(u_int, dtype=float)
         # Products are formed in place: this runs in every Newton residual.
-        diff = u_int[:, None] - u_int[None, :]
-        diff *= self.couple_quad
-        out = diff.sum(axis=1)
-        del diff   # (N-1)^2 floats, freed before the exterior blocks allocate
+        out = np.empty_like(u_int)
+        for rows in _row_blocks(u_int.size, u_int.size):
+            diff = u_int[rows, None] - u_int[None, :]
+            diff *= self.couple_quad[rows]
+            out[rows] = diff.sum(axis=1)
         g1 = tail.boundary_value(self.params.s)
         out += self.couple_quad_bnd * (u_int - g1)
         if tail.kind is TailKind.ZERO:
@@ -728,10 +748,14 @@ def _exterior_mass(p: ProblemParams, radii: np.ndarray, gaps: np.ndarray) -> np.
     with Psi = 2F1(-s, n/2-s; n/2; .) > 0 on [0, 1).  The caller passes
     gaps = 1 - r, formed where it is exact: at a grid node, 1 - r itself; at
     a point inside a panel, the panel's 1 - r_p less the point's offset.
+    Near r = 1 it is 1 - r^2 = gaps (1 + r) that Psi resolves, so a tabled
+    Psi takes that product; a polynomial Psi takes r^2, in which it is exact.
     """
     n, s = p.n, p.s
-    psi = _phi(-s, 0.5 * n - s, 0.5 * n)(radii * radii)
-    return sphere_area(n) / (2.0 * s) * (gaps * (1.0 + radii)) ** (-2.0 * s) * psi
+    table = _phi(-s, 0.5 * n - s, 0.5 * n)
+    w = gaps * (1.0 + radii)
+    psi = table.at_gap(w) if isinstance(table, _PhiTable) else table(radii * radii)
+    return sphere_area(n) / (2.0 * s) * w ** (-2.0 * s) * psi
 
 
 def _add_stencil(out: np.ndarray, lo: int, c0: np.ndarray, c1: np.ndarray,
@@ -855,10 +879,13 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     # singular there needs.  A leaf closer to the row keeps per-panel Gauss,
     # with the two panels adjacent to the row (near field) zeroed.  Row
     # blocks of clusters wait until the next one would take their kernel
-    # entries past _BLOCK_ENTRIES, then share one kernel call.
+    # entries past half of _BLOCK_ENTRIES, then share one kernel call: the
+    # Phi table's gathers make a call's temporaries several times its
+    # entries, and at the whole budget they would pass the trim threshold
+    # that _row_blocks sets, so each call would fault its memory in anew.
     radii = grid.interior
     # (rows, columns, cluster's left end, points' offsets from it, moments,
-    # row scale); their row count
+    # row scale); their kernel entries
     pending, queued = [], 0
 
     def flush():
@@ -894,11 +921,12 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
                 moments = np.zeros((_CLUSTER_ORDER, cols.stop - cols.start))
                 _add_stencil(moments, lo, *np.einsum("kqp,jqp->jkp", t, lag))
                 for blk in _row_blocks(sl.stop, max(_CLUSTER_ORDER, moments.shape[1]), sl.start):
-                    if (queued + blk.stop - blk.start) * _CLUSTER_ORDER > _BLOCK_ENTRIES:
+                    entries = (blk.stop - blk.start) * _CLUSTER_ORDER
+                    if queued and queued + entries > _BLOCK_ENTRIES // 2:
                         flush()
                     scale = ((r[hi] / radii[blk]) ** (p.n - 1))[:, None] if above else 1.0
                     pending.append((blk, cols, r[lo], off, moments, scale))
-                    queued += blk.stop - blk.start
+                    queued += entries
         else:
             (sl,) = rows
             pan = np.arange(lo, hi)
@@ -950,8 +978,9 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     cq[:, 1] += e1 * cq[:, 0]
     cq[:, 2] += e2 * cq[:, 0]
 
-    return OperatorMatrix(params=p, grid=grid, couple_quad=cq[:, 1:npan],
-                          couple_quad_bnd=cq[:, npan])
+    # The operator adopts the interior couplings as a read-only view of cq.
+    return OperatorMatrix(params=p, grid=grid, couple_quad=_read_only(cq[:, 1:npan]),
+                          couple_quad_bnd=_read_only(cq[:, npan].copy()))
 
 
 def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
@@ -974,6 +1003,11 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     (Dirichlet), so the result is PSD by construction.  Against the exact
     energy of Dyda's (1-r^2)_+^{s+1} the relative error is ~9e-5 at 128
     panels and falls like N^-2.
+
+    All three kinds of pairs run over blocks of rows, and the contributions
+    go to the upper triangle only, which is then mirrored in place: the one
+    (N+1)^2 work matrix is the only dense array, and the result is a view of
+    its interior.
     """
     n, s = p.n, p.s
     area = sphere_area(n)
@@ -1036,51 +1070,59 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     qj, qg = 10, 6
     xj, wj = _gauss_jacobi(qj, 1.0 - 2.0 * s)
     xgi, wgi = leggauss(qg)
-    u_gap = 0.5 * h[:, None] * (1.0 + xj)                     # (npan, qj)
-    wdt = 0.5 * (h[:, None] - u_gap)
-    rg = r[:-1, None, None] + wdt[:, :, None] * (1.0 + xgi)    # (npan, qj, qg)
-    inner = wdt * (kap_reg(rg, rg + u_gap[:, :, None]) @ wgi)
-    edge = (0.5 * h) ** (2.0 - 2.0 * s) * (inner @ wj) / h**2
+    edge = np.empty(npan)
+    for rows in _row_blocks(npan, qj * qg):
+        u_gap = 0.5 * h[rows, None] * (1.0 + xj)               # (panel, qj)
+        wdt = 0.5 * (h[rows, None] - u_gap)
+        rg = r[rows, None, None] + wdt[:, :, None] * (1.0 + xgi)   # (panel, qj, qg)
+        inner = wdt * (kap_reg(rg, rg + u_gap[:, :, None]) @ wgi)
+        edge[rows] = (0.5 * h[rows]) ** (2.0 - 2.0 * s) * (inner @ wj) / h[rows] ** 2
     smat[pan + 1, pan + 1] += edge
     smat[pan, pan] += edge
     smat[pan, pan + 1] -= edge
 
     # --- corner-sharing pairs: Duffy coordinates xi = t v, chi = t (1-v)
     # around the shared node r_c; the net t-power is 2-2s (Jacobi) on
-    # t < min width.  Rows: the npan-1 corners; columns: t nodes.
+    # t < min width.  Rows: the npan-1 corners, over blocks; columns: t nodes.
     qt = 8
     xt, wt = leggauss(qt)
     xj2, wj2 = _gauss_jacobi(qj, 2.0 - 2.0 * s)
-    a, b = h[:-1, None], h[1:, None]
-    m = np.minimum(a, b)
-    tm, th = 0.5 * (m + a + b), 0.5 * (a + b - m)
-    # t in (0, m): Jacobi weight t^{2-2s} after the area Jacobian and the two
-    # linear hat-difference factors;  t in (m, a+b): plain Gauss with
-    # explicit t^{2-2s}.
-    t = np.concatenate([0.5 * m * (1.0 + xj2), tm + th * xt], axis=1)
-    base = np.concatenate([(0.5 * m) ** (3.0 - 2.0 * s) * wj2,
-                           th * wt * (tm + th * xt) ** (2.0 - 2.0 * s)], axis=1)
-    # Every t node lies below a + b, so vlo < vhi on all of them.
-    vlo = np.maximum(0.0, 1.0 - b / t)                        # (npan-1, qj+qt)
-    vhi = np.minimum(1.0, a / t)
-    v = (0.5 * (vhi + vlo))[:, :, None] + (0.5 * (vhi - vlo))[:, :, None] * xgi
-    wv = base[:, :, None] * (0.5 * (vhi - vlo))[:, :, None] * wgi
-    rc = r[1:-1, None, None]
-    tv = t[:, :, None]
-    wkv = wv * kap_reg(rc - tv * v, rc + tv * (1.0 - v))
-    a3, b3 = a[:, :, None], b[:, :, None]
-    d = (v / a3, (1.0 - v) / b3 - v / a3, -(1.0 - v) / b3)   # hats p, p+1, p+2
-    corner = pan[:-1]
-    for i, j in ((2, 2), (1, 1), (1, 2), (0, 0), (0, 1), (0, 2)):
-        smat[corner + i, corner + j] += (wkv * d[i] * d[j]).sum(axis=(1, 2))
+    for rows in _row_blocks(npan - 1, (qj + qt) * qg):
+        a, b = h[rows, None], h[rows.start + 1 : rows.stop + 1, None]
+        m = np.minimum(a, b)
+        tm, th = 0.5 * (m + a + b), 0.5 * (a + b - m)
+        # t in (0, m): Jacobi weight t^{2-2s} after the area Jacobian and the
+        # two linear hat-difference factors;  t in (m, a+b): plain Gauss with
+        # explicit t^{2-2s}.
+        t = np.concatenate([0.5 * m * (1.0 + xj2), tm + th * xt], axis=1)
+        base = np.concatenate([(0.5 * m) ** (3.0 - 2.0 * s) * wj2,
+                               th * wt * (tm + th * xt) ** (2.0 - 2.0 * s)], axis=1)
+        # Every t node lies below a + b, so vlo < vhi on all of them.
+        vlo = np.maximum(0.0, 1.0 - b / t)                    # (corner, qj+qt)
+        vhi = np.minimum(1.0, a / t)
+        v = (0.5 * (vhi + vlo))[:, :, None] + (0.5 * (vhi - vlo))[:, :, None] * xgi
+        wv = base[:, :, None] * (0.5 * (vhi - vlo))[:, :, None] * wgi
+        rc = r[rows.start + 1 : rows.stop + 1, None, None]
+        tv = t[:, :, None]
+        wkv = wv * kap_reg(rc - tv * v, rc + tv * (1.0 - v))
+        a3, b3 = a[:, :, None], b[:, :, None]
+        d = (v / a3, (1.0 - v) / b3 - v / a3, -(1.0 - v) / b3)   # hats p, p+1, p+2
+        corner = pan[rows]
+        for i, j in ((2, 2), (1, 1), (1, 2), (0, 0), (0, 1), (0, 2)):
+            smat[corner + i, corner + j] += (wkv * d[i] * d[j]).sum(axis=(1, 2))
 
-    smat = np.triu(smat) + np.triu(smat, 1).T
+    # Every contribution above went to the upper triangle; mirror it in
+    # place, a block of rows at a time.
+    for rows in _row_blocks(npan + 1, npan + 1):
+        smat[rows, : rows.start] = smat[: rows.start, rows].T
+        diag = smat[rows, rows]
+        diag += np.triu(diag, 1).T
     e1, e2 = origin_fold_weights(grid)
     smat[1, :] += e1 * smat[0, :]
     smat[2, :] += e2 * smat[0, :]
     smat[:, 1] += e1 * smat[:, 0]
     smat[:, 2] += e2 * smat[:, 0]
-    return smat[1:npan, 1:npan].copy()
+    return smat[1:npan, 1:npan]
 
 
 def apply(op: OperatorMatrix, u: RadialFunction) -> RadialFunction:

@@ -201,16 +201,17 @@ def test_exterior_mass_matches_closed_form(operator_cache, n, s):
     c = operator_normalization(ProblemParams(n, s))
     got = c * _exterior_mass(ProblemParams(n, s), pts, gaps)
     rel = np.abs(got / dyda_exterior_mass(n, s, left, off) - 1.0)
-    assert rel.max() <= 1e-12
+    assert rel.max() <= 1e-14
 
 
-@pytest.mark.parametrize("n, s, gate", [(1, 0.5, 1e-14), (3, 0.3, 1e-12)])
+@pytest.mark.parametrize("n, s, gate", [(1, 0.5, 1e-14), (3, 0.3, 1e-14)])
 def test_exterior_mass_near_the_boundary_at_grading_3(n, s, gate):
     """The energy form's exterior density on the last 10 panels of a
     grading-3 grid, N = 1024 (the last panel 9.3e-10 wide), against 40-digit
     values at the exact points.  At (1, 0.5) Psi = 1, so only 1 - r and
-    1 + r enter; at (3, 0.3) Psi takes z = r^2, whose rounding near r = 1
-    costs ~5e-13 (it is 1 - z, not 1 - r, that Psi resolves there)."""
+    1 + r enter; at (3, 0.3) Psi resolves 1 - r^2, which it takes as
+    (1 - r)(1 + r): from z = r^2 instead, the rounding of r^2 near r = 1
+    costs ~5e-13."""
     p = ProblemParams(n, s)
     pts, gaps, left, off = energy_exterior_points(RadialGrid.graded(1024, 3.0).nodes,
                                                   slice(-10, None))
@@ -439,6 +440,131 @@ def test_operator_stores_assembly_output_only_and_is_read_only(operator_cache):
                          couple_quad_bnd=np.ones(31))
     cq[0, 0] = 2.0
     assert own.couple_quad[0, 0] == 1.0 and cq.flags.writeable
+
+
+def test_operator_adopts_read_only_arrays(operator_cache):
+    # A read-only float64 array, a strided view included, is held as it is;
+    # assemble hands over its coupling buffer that way.  A writeable array,
+    # or one of another dtype, is copied into a read-only one.
+    from fracgelfand import OperatorMatrix
+
+    op = operator_cache(3, 0.5, 32)
+    buf = np.arange(31.0 * 33).reshape(31, 33)
+    view = buf[:, 1:32]
+    view.flags.writeable = False
+    bnd = np.ones(31)
+    bnd.flags.writeable = False
+    own = OperatorMatrix(params=op.params, grid=op.grid, couple_quad=view, couple_quad_bnd=bnd)
+    assert own.couple_quad is view and own.couple_quad_bnd is bnd
+    assert np.shares_memory(own.couple_quad, buf)
+    writeable, narrow = np.ones((31, 31)), np.ones((31, 31), dtype=np.float32)
+    narrow.flags.writeable = False
+    for cq in (writeable, narrow):
+        own = OperatorMatrix(params=op.params, grid=op.grid, couple_quad=cq,
+                             couple_quad_bnd=np.ones(31))
+        assert not np.shares_memory(own.couple_quad, cq)
+        assert own.couple_quad.dtype == np.float64 and not own.couple_quad.flags.writeable
+        assert not own.couple_quad_bnd.flags.writeable
+    assert writeable.flags.writeable
+
+
+def _whole_matrix_apply(op, u, tail):
+    # The difference form over the whole matrix at once, plus the exterior
+    # quadrature's blocks as they are: the reference for apply_interior's
+    # row blocks.
+    out = ((u[:, None] - u[None, :]) * op.couple_quad).sum(axis=1)
+    out += op.couple_quad_bnd * (u - tail.boundary_value(op.params.s))
+    if tail.kind is TailKind.ZERO:
+        out += op.tail_mass * u
+    else:
+        for rows, rel, wk in _exterior_blocks(op.params, op.grid.interior, tail):
+            out[rows] += ((u[rows, None] - rel) * wk).sum(axis=1)
+    return op.normalization * out
+
+
+@pytest.mark.parametrize("n, s, panels", [(1, 0.3, 256), (3, 0.5, 128), (7, 0.5, 64)])
+def test_apply_row_blocks_are_bitwise(monkeypatch, operator_cache, n, s, panels):
+    """apply_interior over row blocks of 1,024 entries (several rows each,
+    and a last block cut short) sums every row as the whole matrix does, bit
+    for bit, for all three tails.  The zero tail is the same at any block
+    size; the (1, 2] quadrature of the other two gives each row the panel
+    count of its block, so their sums move at roundoff with the block size,
+    and the reference takes the same exterior blocks."""
+    op = operator_cache(n, s, panels)
+    u = op.grid.interior ** -0.2 + np.cos(7.0 * op.grid.interior)
+    tails = (TailSpec.power(0.2, 1.3), TailSpec.log_power(0.7), TailSpec.zero())
+    zero = op.apply_interior(u, TailSpec.zero())
+    monkeypatch.setattr(fraclap, "_BLOCK_ENTRIES", 1 << 10)
+    assert op.n_interior % ((1 << 10) // op.n_interior) != 0
+    for tail in tails:
+        assert np.array_equal(op.apply_interior(u, tail), _whole_matrix_apply(op, u, tail))
+    assert np.array_equal(op.apply_interior(u, TailSpec.zero()), zero)
+
+
+@pytest.mark.parametrize("n, s, panels", [(1, 0.3, 256), (3, 0.5, 128), (12, 0.5, 64)])
+def test_assembly_and_energy_form_are_block_size_invariant(monkeypatch, n, s, panels):
+    """With row blocks of 1,024 entries instead of 32,768, assembly's far
+    field and the energy form's separated, corner and same-panel pairs cover
+    the same entries: each row stays within 1e-14 of its largest entry."""
+    p, grid = ProblemParams(n, s), RadialGrid.graded(panels)
+    want = [assemble(p, grid).couple_quad, _assemble_energy(p, grid)]
+    monkeypatch.setattr(fraclap, "_BLOCK_ENTRIES", 1 << 10)
+    got = [assemble(p, grid).couple_quad, _assemble_energy(p, grid)]
+    for a, b in zip(got, want):
+        scale = np.abs(b).max(axis=1)
+        assert np.all(np.abs(a - b).max(axis=1) <= 1e-14 * scale)
+
+
+def _traced_peak(fn):
+    """Peak bytes of the allocations traced during fn() (numpy's included),
+    above what was allocated when it started."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+_DENSE_BYTES = 8 * 1024**2   # one dense array at N = 1024, ~(N-1)^2 float64
+
+
+def _params_and_grid_1024():
+    # (1, 0.3), N = 1024, with the Phi and Psi tables built beforehand: they
+    # are built once per parameter set and are not measured.
+    p = ProblemParams(1, 0.3)
+    assemble(p, RadialGrid.graded(64)).tail_mass
+    return p, RadialGrid.graded(1024)
+
+
+def test_assembly_holds_one_dense_array():
+    # The coupling buffer, handed to the operator without a copy, and
+    # block temporaries.
+    p, grid = _params_and_grid_1024()
+    peak = _traced_peak(lambda: assemble(p, grid))
+    assert peak <= _DENSE_BYTES + 4 * 2**20
+
+
+@pytest.mark.parametrize("tail", [TailSpec.power(0.2), TailSpec.zero()], ids=["power", "zero"])
+def test_apply_holds_no_dense_array(tail):
+    # Row blocks of the difference form, and of the exterior quadrature.
+    p, grid = _params_and_grid_1024()
+    op = assemble(p, grid)
+    op.tail_mass
+    u = grid.interior ** -0.2
+    peak = _traced_peak(lambda: op.apply_interior(u, tail))
+    assert peak <= 4 * 2**20
+
+
+def test_energy_form_holds_one_dense_array():
+    # The matrix, mirrored in place and returned as a view, and block
+    # temporaries.
+    p, grid = _params_and_grid_1024()
+    peak = _traced_peak(lambda: _assemble_energy(p, grid))
+    assert peak <= 2 * _DENSE_BYTES
 
 
 def test_tail_mass_is_built_on_first_use():
@@ -761,9 +887,9 @@ def test_tail_kind_enum_round_trip():
 
 
 _COLD_ASSEMBLY_SCRIPT = """
-import resource
+import resource, sys
 from fracgelfand import ProblemParams, RadialGrid, assemble
-p, grid = ProblemParams(1, 0.3), RadialGrid.graded(512)
+p, grid = ProblemParams(1, 0.3), RadialGrid.graded(int(sys.argv[1]))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 assemble(p, grid)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -774,12 +900,18 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_cold_assembly_reuses_block_temporaries():
     # In a fresh process glibc would unmap each block's freed temporaries and
     # fault them in again in the next block (~10k minor faults at N = 512);
-    # once _row_blocks has raised its mmap threshold they stay on the heap
-    # (~2k).  MALLOC_* settings would fix the thresholds, so none is passed.
+    # once _row_blocks has raised its mmap threshold they stay on the heap.
+    # What is left is mostly the first touch of the coupling buffer, at
+    # N = 1024 partly in transparent huge pages (numpy asks for them on
+    # arrays from 4 MiB): ~1.4k at N = 512 and ~1.8k at N = 1024.  A copy of
+    # the buffer, or kernel calls whose temporaries pass glibc's trim
+    # threshold, would add thousands.  MALLOC_* settings would fix the
+    # thresholds, so none is passed.
     src = str(Path(fracgelfand.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _COLD_ASSEMBLY_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.strip().splitlines()[-1]) < 5000
+    for panels in (512, 1024):
+        proc = subprocess.run([sys.executable, "-c", _COLD_ASSEMBLY_SCRIPT, str(panels)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.strip().splitlines()[-1]) < 2000, panels
