@@ -95,9 +95,9 @@ _PHI_PIECES = 54           # octaves [2^-(k+1), 2^-k] of 1 - z, k < 53, then z =
 # Kernel entries per block of rows.  Bounds every block temporary, and is
 # large enough that a kernel call amortizes its fixed cost (tens of
 # microseconds) over its entries; the far field groups the row blocks of
-# its clusters, a few hundred entries each, up to it.  A temporary of this
-# size (256 KiB) is above glibc's initial mmap threshold; _row_blocks
-# raises it.
+# its clusters, a few hundred entries each, up to half of it (see
+# ``assemble``).  A temporary of this size (256 KiB) is above glibc's
+# initial mmap threshold; _row_blocks raises it.
 _BLOCK_ENTRIES = 1 << 15
 # Largest dense interior matrix, (N-1)^2 float64 values, that a grid may
 # imply.  Each dense stage here holds one such array plus block temporaries:
@@ -649,17 +649,25 @@ def _hat_masses(grid: RadialGrid, n: int) -> np.ndarray:
     return sphere_area(n) * (part[:-1, 1] + part[1:, 0])
 
 
-def _panel_rule(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q-point Gauss-Legendre on every panel of widths h, by offset.
+@functools.lru_cache(maxsize=None)
+def _legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(q), read-only, once per order: each call is an eigensolve (~0.2 ms at 12)."""
+    return tuple(_read_only(a) for a in leggauss(q))
 
+
+def _panel_rule(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q-point Gauss-Legendre on every panel of widths h (any shape), by offset.
+
+    Every Gauss-Legendre rule on a panel or part of one comes from here,
+    except in the energy form's same-panel and corner-sharing products.
     Returns the nodes' offsets from each panel's left node and their weights
-    (panels, q), and the panel's two hats at the nodes (2, q): falling (the
-    left node's) and rising (the right node's), the same on every panel.  A
-    point is then the left node plus its offset, and a distance between
+    (h.shape + (q,)), and the panel's two hats at the nodes (2, q): falling
+    (the left node's) and rising (the right node's), the same on every panel.
+    A point is then the left node plus its offset, and a distance between
     points the difference of nodes plus the difference of offsets.
     """
-    x, w = leggauss(q)
-    half = 0.5 * h[:, None]
+    x, w = _legendre(q)
+    half = 0.5 * np.asarray(h)[..., None]
     return half * (1.0 + x), half * w, np.stack([0.5 * (1.0 - x), 0.5 * (1.0 + x)])
 
 
@@ -690,11 +698,11 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
     split at 1 + d (2^k - 1), capped at 2, with d = 1 - r: panels
     geometrically refined toward 1 at the scale of the row's boundary
     distance, on which the kernel varies.  Nodes are placed by their offset u
-    from 1, and the kernel's singular factor uses rho - r = d + u, which keeps
-    full relative precision however small d is.  Blocks are sized for the
-    panel count of the row closest to the boundary, but every row of a block
-    gets the count of the block's own row closest to it; a row's surplus
-    panels have zero width at rho = 2 and so zero weights.
+    from 1 (a break plus the offset within its panel), and the kernel's
+    singular factor uses rho - r = d + u, which keeps full relative precision
+    however small d is.  Every row carries only its own panels: the rows are
+    cut into runs of equal panel count, each run into blocks, so a row's
+    columns, and its sum, do not depend on the block it falls in.
 
     Beyond rho = 2, Euler's transformation of Phi gives
     K(r, rho) = |S^{n-1}| rho^{-1-2s} 2F1(n/2+s, 1+s; n/2; (r/rho)^2)
@@ -713,7 +721,9 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
     while d_min * (2.0**n_near - 1.0) < 1.0:
         n_near += 1
     steps = 2.0 ** np.arange(n_near + 1) - 1.0
-    xs, ws = leggauss(_TAIL_ORDER)
+    # Break k sits at d (2^k - 1); a row needs them up to the first one past 1.
+    counts = np.count_nonzero((1.0 - radii)[:, None] * steps < 1.0, axis=1)
+    cuts = (np.flatnonzero(np.diff(counts)) + 1).tolist()
 
     k = np.arange(_FAR_TERMS, dtype=float)
     beta = 2.0 * p.s + 2.0 * k
@@ -722,22 +732,18 @@ def _exterior_blocks(p: ProblemParams, radii: np.ndarray, tail: TailSpec):
     w_far = sphere_area(p.n) * f * 2.0 ** (-beta) / beta
     g_far = np.array([tail.far_mean(b, p.s) for b in beta])
 
-    for rows in _row_blocks(radii.size, n_near * _TAIL_ORDER + _FAR_TERMS):
-        r = radii[rows, None]
-        d = 1.0 - r
-        m = r.shape[0]
-        # Break k sits at d (2^k - 1); the block needs them up to the first
-        # one past 1 for its smallest d.
-        n_blk = np.count_nonzero(d.min() * steps < 1.0)
-        breaks = np.minimum(1.0, d * steps[: n_blk + 1])   # offsets from rho = 1
-        mid = 0.5 * (breaks[:, :-1] + breaks[:, 1:])
-        half = 0.5 * (breaks[:, 1:] - breaks[:, :-1])
-        u = (mid[:, :, None] + half[:, :, None] * xs).reshape(m, -1)
-        w_near = (half[:, :, None] * ws).reshape(m, -1)
-        g = np.concatenate([tail.values(1.0 + u, p.s), np.broadcast_to(g_far, (m, k.size))], axis=1)
-        wk = np.concatenate([w_near * _kernel(p, r, 1.0 + u, dist=d + u), w_far * (r * r) ** k],
-                            axis=1)
-        yield rows, g, wk
+    for start, stop in zip([0] + cuts, cuts + [radii.size]):
+        n_pan = int(counts[start])
+        for rows in _row_blocks(stop, n_pan * _TAIL_ORDER + _FAR_TERMS, start):
+            r = radii[rows, None]
+            d = 1.0 - r
+            breaks = np.minimum(1.0, d * steps[: n_pan + 1])   # offsets from rho = 1
+            off, w, _ = _panel_rule(np.diff(breaks, axis=1), _TAIL_ORDER)
+            u, w = (breaks[:, :-1, None] + off).reshape(r.size, -1), w.reshape(r.size, -1)
+            rho = 1.0 + u
+            g = np.concatenate([tail.values(rho, p.s), np.broadcast_to(g_far, (r.size, k.size))], 1)
+            wk = np.concatenate([w * _kernel(p, r, rho, dist=d + u), w_far * (r * r) ** k], 1)
+            yield rows, g, wk
 
 
 def _exterior_mass(p: ProblemParams, radii: np.ndarray, gaps: np.ndarray) -> np.ndarray:
@@ -833,7 +839,6 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
 
     q_near = 2 * _PANEL_ORDER
     xj, wj = _gauss_jacobi(q_near, 1.0 - 2.0 * s)
-    xs_sl, ws_sl = leggauss(_SLIVER_ORDER)
 
     # Grid-wide Gauss rules per panel: nodes (q, 1, npan), their offsets from
     # the panel's left end (q, 1, npan), and weight times Lagrange basis
@@ -842,15 +847,13 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     # offset: near r = 1 a node's rounded value is off by up to half an ulp
     # of 1, which on panels ~1e-9 wide (grading 3, 1024 panels) would cost
     # ~1e-8 of a coupling.
-    half = 0.5 * np.diff(r)
     first = np.maximum(np.arange(npan) - 1, 0)
     x0, x1, x2 = r[first], r[first + 1], r[first + 2]
 
     def far_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        xs, ws = leggauss(q)
-        off = half * (1.0 + xs[:, None])
+        # Contiguous (q, npan): a strided view would change einsum's summation order.
+        off, w = (np.ascontiguousarray(a.T) for a in _panel_rule(np.diff(r), q)[:2])
         d0, d1, d2 = (r[:-1] - x0) + off, (r[:-1] - x1) + off, (r[:-1] - x2) + off
-        w = half * ws[:, None]
         return (r[:-1] + off)[:, None, :], off[:, None, :], np.stack([
             w * (d1 * d2 / ((x0 - x1) * (x0 - x2))),
             w * (d0 * d2 / ((x1 - x0) * (x1 - x2))),
@@ -965,9 +968,9 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     # same parabola (regular there: distance >= hm from r_i).  Rows whose
     # panels have equal widths get zero weights.  Its nodes are placed by
     # their offsets from r_i, (hm, h_r) on the right or (-h_l, -hm) on the left.
-    halfp = 0.5 * (np.maximum(h_l, h_r) - hm)[:, None]
-    delta_sl = np.where(h_r > hm, hm, -h_l)[:, None] + halfp * (1.0 + xs_sl)
-    k_sl = halfp * ws_sl * _kernel(p, ri, ri + delta_sl, np.abs(delta_sl))
+    off_sl, w_sl, _ = _panel_rule(np.maximum(h_l, h_r) - hm, _SLIVER_ORDER)
+    delta_sl = np.where(h_r > hm, hm, -h_l)[:, None] + off_sl
+    k_sl = w_sl * _kernel(p, ri, ri + delta_sl, np.abs(delta_sl))
     c_right += (k_sl * (delta_sl * (wa_r[:, None] + wb_r[:, None] * delta_sl))).sum(axis=1)
     c_left -= (k_sl * (delta_sl * (wa_l[:, None] + wb_l[:, None] * delta_sl))).sum(axis=1)
     cq[i - 1, i + 1] += c_right

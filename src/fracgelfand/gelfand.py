@@ -38,6 +38,7 @@ from .fraclap import (
     RadialFunction,
     RadialGrid,
     TailSpec,
+    _panel_rule,
     assemble,
     origin_fold_weights,
     quadratic_form,
@@ -324,9 +325,6 @@ def _as_profile(op: OperatorMatrix, u_int: np.ndarray) -> RadialFunction:
     return RadialFunction(grid=op.grid, values=values)
 
 
-_MASS_GAUSS = np.polynomial.legendre.leggauss(6)
-
-
 def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Consistent mass matrix with density e^u over the folded hat basis.
 
@@ -336,26 +334,24 @@ def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> tuple[np.ndarray, 
     there by an O(1) factor, driving the stability pencil to -inf under
     refinement).  The origin panel uses the even-parabola extrapolation, so a
     singular value at r = 0 never enters.  All panels are integrated at once
-    by 6-point Gauss.
+    by fraclap's 6-point panel rule, nodes placed by offset.
 
     The matrix is tridiagonal: hats overlap only their neighbours, and the
     origin hat, folded onto r_1 and r_2 with weights (e1, e2), touches r_1
     alone.  Returns its diagonal (Ni,) and first off-diagonal (Ni-1,).
     """
     nodes = op.grid.nodes
-    xg, wg = _MASS_GAUSS
     e1, e2 = origin_fold_weights(op.grid)
     ra = nodes[:-1, None]
-    half = 0.5 * np.diff(nodes)[:, None]
-    r = ra + half * (1.0 + xg)   # Gauss nodes by their offsets from each panel's left node
+    off, w, (fall, rise) = _panel_rule(np.diff(nodes), 6)
+    r = ra + off
     a0 = e1 * values[1] + e2 * values[2]
     b0 = (values[1] - a0) / nodes[1] ** 2
     beta = (values[2:] - values[1:-1]) / np.log(nodes[2:] / nodes[1:-1])
     dens = np.empty_like(r)
     dens[0] = np.exp(a0 + b0 * r[0] * r[0])
     dens[1:] = np.exp(values[1:-1, None]) * (r[1:] / ra[1:]) ** beta[:, None]
-    common = sphere_area(op.params.n) * half * wg * r ** (op.params.n - 1) * dens
-    fall, rise = 0.5 * (1.0 - xg), 0.5 * (1.0 + xg)   # the panel's two hats at the nodes
+    common = sphere_area(op.params.n) * w * r ** (op.params.n - 1) * dens
     # Bands over all nodes 0..N, panel by panel.
     diag = np.zeros(nodes.size)
     diag[:-1] = common @ (fall * fall)

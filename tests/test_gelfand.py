@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from fracgelfand import (
     NoConvergenceError,
     ProblemParams,
     RadialGrid,
+    TailSpec,
     assemble,
     hardy_constant,
     proof_test_function,
@@ -360,6 +362,31 @@ def test_weighted_mass_closed_form(operator_cache, n):
                 [r[k], r[k + 1]])
         exact = float(area * total)
     assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_gauss_legendre_rules_are_computed_once_per_order(monkeypatch):
+    """The panel rule reads its nodes from a cache: over a power-tail apply
+    at N = 1024, whose exterior quadrature runs many blocks of rows, and two
+    solves with their pencils, each order is computed once.  Only the energy
+    form's same-panel and corner-sharing products compute their own."""
+    calls = []
+    leggauss = fraclap.leggauss
+
+    def counting(q):
+        calls.append((sys._getframe(1).f_code.co_name, q))
+        return leggauss(q)
+
+    monkeypatch.setattr(fraclap, "leggauss", counting)
+    fraclap._legendre.cache_clear()
+    op = assemble(ProblemParams(1, 0.3), RadialGrid.graded(1024))
+    op.apply_interior(np.cos(op.grid.interior), TailSpec.power(0.2))
+    cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=RadialGrid.graded(64))
+    solve_at_peak(cfg, 1.0, warm_start=solve_at_peak(cfg, 0.5))
+    cached = [q for caller, q in calls if caller == "_legendre"]
+    assert fraclap._TAIL_ORDER in cached
+    assert sorted(cached) == sorted(set(cached))
+    assert [c for c in calls if c[0] != "_legendre"] == [("_assemble_energy", 6),
+                                                         ("_assemble_energy", 8)]
 
 
 def test_stability_eigenvalue_overflow_is_typed(branch_1d):
