@@ -43,6 +43,7 @@ from .constants import (
 from .fraclap import OperatorMatrix, RadialFunction, RadialGrid, TailSpec, apply, assemble
 from .gelfand import (
     Branch,
+    BranchPoint,
     BranchTraceError,
     ContinuationConfig,
     EigenSolveError,
@@ -59,6 +60,7 @@ from .threshold import ROOT_TOL, classify, threshold_table
 
 _POWER_TOL = 1e-2
 _INEQ_SLACK = 1e-3
+_RHO0 = 0.5             # default cutoff radius of the energy inequality's test function
 _EPS_TABLE = (1e-2, 1e-3, 1e-4)
 _VERIFY_EPS = (0.05, 0.1, 0.2)
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)
@@ -245,6 +247,13 @@ def _trace(cfg: ContinuationConfig) -> tuple[Branch, BranchTraceError | None]:
         return exc.partial, exc
 
 
+def _inequality(op: OperatorMatrix, point: BranchPoint, rho0: float,
+                eps: float) -> tuple[float, float, bool]:
+    """Both sides of the energy inequality, and whether lhs <= rhs up to _INEQ_SLACK."""
+    lhs, rhs = stability_inequality_check(op, point, rho0=rho0, eps=eps)
+    return lhs, rhs, lhs <= rhs + _INEQ_SLACK * abs(rhs)
+
+
 def _check_rho0(rho0: float) -> None:
     if not 0.0 < rho0 < 1.0:
         raise DomainError(f"--rho0 must satisfy 0 < rho0 < 1, got {rho0}")
@@ -281,8 +290,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
             ok = pt.stable
             checks = [f"mu={pt.stability_eig:+.3e}"]
             for eps in _VERIFY_EPS:
-                lhs, rhs = stability_inequality_check(op, pt, rho0=args.rho0, eps=eps)
-                ineq_ok = lhs <= rhs + _INEQ_SLACK * abs(rhs)
+                lhs, rhs, ineq_ok = _inequality(op, pt, args.rho0, eps)
                 ok = ok and ineq_ok
                 checks.append(f"eps={eps:g}: lhs-rhs={lhs - rhs:+.3e}")
             all_ok = all_ok and ok
@@ -303,11 +311,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
         raise DomainError(f"--eps must satisfy 0 < eps < inf, got {args.eps}")
     # One solve, which reads only params, grid and newton_tol: the peak range
     # keeps its defaults.
-    cfg = ContinuationConfig(
-        params=_params(args),
-        grid=RadialGrid.graded(args.grid, grading=args.grading),
-        newton_tol=args.newton_tol,
-    )
+    cfg = ContinuationConfig(params=_params(args), newton_tol=args.newton_tol,
+                             grid=RadialGrid.graded(args.grid, grading=args.grading))
     config = _config(args)
     out = _outdir(args, config)
 
@@ -323,9 +328,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     }
     rc = 0
     if stable:
-        lhs, rhs = stability_inequality_check(cfg.operator(), point,
-                                              rho0=args.rho0, eps=args.eps)
-        ok = lhs <= rhs + _INEQ_SLACK * abs(rhs)
+        lhs, rhs, ok = _inequality(cfg.operator(), point, args.rho0, args.eps)
         print(f"energy inequality (rho0={args.rho0:g}, eps={args.eps:g}): "
               f"lhs = {lhs:.6g}, rhs = {rhs:.6g}  {'PASS' if ok else 'FAIL'}")
         record["inequality"] = {"rho0": args.rho0, "eps": args.eps,
@@ -383,7 +386,7 @@ def _add_continuation(sub: argparse.ArgumentParser, peak_max: float = 6.0) -> No
     sub.add_argument("--peak-min", type=float, default=0.25)
     sub.add_argument("--peak-max", type=float, default=peak_max)
     sub.add_argument("--peak-step", type=float, default=0.25)
-    sub.add_argument("--newton-tol", type=float, default=1e-10)
+    sub.add_argument("--newton-tol", type=float, default=ContinuationConfig.newton_tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,15 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_continuation(sub)
     sub.add_argument("--verify", action="store_true",
                      help="check stability and the energy inequality at pre-fold points")
-    sub.add_argument("--rho0", type=float, default=0.5)
+    sub.add_argument("--rho0", type=float, default=_RHO0)
     sub.set_defaults(handler=cmd_branch)
 
     sub = subs.add_parser("stability", help="stability eigenvalue at one branch point")
     _add_common(sub)
     sub.add_argument("--peak", type=float, required=True)
-    sub.add_argument("--rho0", type=float, default=0.5)
+    sub.add_argument("--rho0", type=float, default=_RHO0)
     sub.add_argument("--eps", type=float, default=0.1)
-    sub.add_argument("--newton-tol", type=float, default=1e-10)
+    sub.add_argument("--newton-tol", type=float, default=ContinuationConfig.newton_tol)
     sub.set_defaults(handler=cmd_stability)
 
     sub = subs.add_parser("diagnose", help="singular-regime diagnostics")

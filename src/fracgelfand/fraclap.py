@@ -122,6 +122,7 @@ def sphere_area(n: int) -> float:
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(n / 2.0))
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """q-point Gauss rule for the weight (1 + x)^beta on (-1, 1), beta > -1.
 
@@ -130,7 +131,7 @@ def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     orthonormal p_q polishes them, and the weights are the Christoffel numbers
     1 / sum_{k<q} p_k(x)^2 at the polished nodes.  Against 30-digit rules for
     beta in [-0.98, 1.98] the nodes are within 2.3e-16 and the weights within
-    8e-15 relative.
+    8e-15 relative.  Computed once per (q, beta) and returned read-only.
     """
     k = np.arange(1, q + 1, dtype=float)
     t = 2.0 * k + beta
@@ -156,7 +157,7 @@ def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
     p, dp, _ = recurrence(x)
     x = x - p / dp
-    return x, 1.0 / recurrence(x)[2]
+    return _read_only(x), _read_only(1.0 / recurrence(x)[2])
 
 
 # ----------------------------------------------------------------------
@@ -543,7 +544,10 @@ class OperatorMatrix:
     read-only: c_{n,s}, hat masses, exterior row masses, the dense matrix A
     for zero exterior data and the energy form.  ``apply_interior``, and the
     module-level ``apply`` built on it, take any exterior datum and evaluate
-    in difference form, which annihilates constants exactly.
+    in difference form, which annihilates constants exactly.  The radial hat
+    basis is defined here alone: the origin hat folded onto r_1 and r_2
+    (``origin_fold``, ``origin_value``), the boundary hat dropped
+    (``profile``), the masses ``weights`` and, with density e^u, ``exp_mass``.
     """
 
     params: ProblemParams
@@ -572,6 +576,60 @@ class OperatorMatrix:
     def weights(self) -> np.ndarray:
         """Radial hat masses |S^{n-1}| int phi_i r^{n-1} dr (read-only)."""
         return _read_only(_hat_masses(self.grid, self.params.n))
+
+    @functools.cached_property
+    def origin_fold(self) -> tuple[float, float]:
+        """Weights (e1, e2) of the origin fold u_0 = e1 u_1 + e2 u_2."""
+        return origin_fold_weights(self.grid)
+
+    def origin_value(self, u_int: np.ndarray) -> float:
+        """The origin value e1 u_1 + e2 u_2 of interior values u_1 .. u_{N-1}."""
+        return self.origin_fold[0] * u_int[0] + self.origin_fold[1] * u_int[1]
+
+    def profile(self, u_int: np.ndarray) -> RadialFunction:
+        """The Dirichlet profile of interior values: u_0 by the fold, u_N = 0."""
+        values = np.r_[self.origin_value(u_int), u_int, 0.0]
+        return RadialFunction(grid=self.grid, values=values)
+
+    def exp_mass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Consistent mass matrix with density e^u over the folded hat basis.
+
+        u (nodal values at all nodes) is interpolated linearly in log r on
+        interior panels (exact for log-power profiles, where the density is
+        r^{-2s}; a lumped diagonal pairs such densities with the innermost
+        nodal values and overestimates the mass there by an O(1) factor,
+        driving the stability pencil to -inf under refinement).  The origin
+        panel uses the even-parabola extrapolation, so a singular value at
+        r = 0 never enters.  All panels are integrated at once by the 6-point
+        panel rule, nodes placed by offset.
+
+        The matrix is tridiagonal: hats overlap only their neighbours, and the
+        origin hat, folded onto r_1 and r_2 with weights (e1, e2), touches r_1
+        alone.  Returns its diagonal (Ni,) and first off-diagonal (Ni-1,).
+        """
+        nodes = self.grid.nodes
+        e1, e2 = self.origin_fold
+        ra = nodes[:-1, None]
+        off, w, (fall, rise) = _panel_rule(np.diff(nodes), 6)
+        r = ra + off
+        a0 = self.origin_value(values[1:-1])
+        b0 = (values[1] - a0) / nodes[1] ** 2
+        beta = (values[2:] - values[1:-1]) / np.log(nodes[2:] / nodes[1:-1])
+        dens = np.empty_like(r)
+        dens[0] = np.exp(a0 + b0 * r[0] * r[0])
+        dens[1:] = np.exp(values[1:-1, None]) * (r[1:] / ra[1:]) ** beta[:, None]
+        common = sphere_area(self.params.n) * w * r ** (self.params.n - 1) * dens
+        # Bands over all nodes 0..N, panel by panel.
+        diag = np.zeros(nodes.size)
+        diag[:-1] = common @ (fall * fall)
+        diag[1:] += common @ (rise * rise)
+        off = common @ (rise * fall)
+        # Origin fold (the congruence u_0 = e1 u_1 + e2 u_2), then the interior.
+        m00, m01 = diag[0], off[0]
+        diag[1] = (diag[1] + e1 * m01) + e1 * (m01 + e1 * m00)
+        diag[2] += e2 * (e2 * m00)
+        off[1] += e2 * (m01 + e1 * m00)
+        return diag[1:-1], off[1:-1]
 
     @functools.cached_property
     def tail_mass(self) -> np.ndarray:
@@ -658,8 +716,6 @@ def _legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
 def _panel_rule(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """q-point Gauss-Legendre on every panel of widths h (any shape), by offset.
 
-    Every Gauss-Legendre rule on a panel or part of one comes from here,
-    except in the energy form's same-panel and corner-sharing products.
     Returns the nodes' offsets from each panel's left node and their weights
     (h.shape + (q,)), and the panel's two hats at the nodes (2, q): falling
     (the left node's) and rising (the right node's), the same on every panel.
@@ -1072,7 +1128,7 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     # Gap u (Jacobi weight u^{1-2s}) outer, position along the panel inner.
     qj, qg = 10, 6
     xj, wj = _gauss_jacobi(qj, 1.0 - 2.0 * s)
-    xgi, wgi = leggauss(qg)
+    xgi, wgi = _legendre(qg)
     edge = np.empty(npan)
     for rows in _row_blocks(npan, qj * qg):
         u_gap = 0.5 * h[rows, None] * (1.0 + xj)               # (panel, qj)
@@ -1088,7 +1144,7 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     # around the shared node r_c; the net t-power is 2-2s (Jacobi) on
     # t < min width.  Rows: the npan-1 corners, over blocks; columns: t nodes.
     qt = 8
-    xt, wt = leggauss(qt)
+    xt, wt = _legendre(qt)
     xj2, wj2 = _gauss_jacobi(qj, 2.0 - 2.0 * s)
     for rows in _row_blocks(npan - 1, (qj + qt) * qg):
         a, b = h[rows, None], h[rows.start + 1 : rows.stop + 1, None]
@@ -1141,11 +1197,7 @@ def apply(op: OperatorMatrix, u: RadialFunction) -> RadialFunction:
     out_int = op.apply_interior(u.interior, u.tail)
     values = np.empty_like(u.values)
     values[1:-1] = out_int
-    if u.singular_at_origin:
-        values[0] = np.inf
-    else:
-        e1, e2 = origin_fold_weights(op.grid)
-        values[0] = e1 * out_int[0] + e2 * out_int[1]
+    values[0] = np.inf if u.singular_at_origin else op.origin_value(out_int)
     r = op.grid.nodes
     slope = (out_int[-1] - out_int[-2]) / (r[-2] - r[-3])
     values[-1] = out_int[-1] + slope * (r[-1] - r[-2])

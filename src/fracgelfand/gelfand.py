@@ -11,11 +11,11 @@ extrapolate (u, lam) along the secant slope the previous point recorded, so a
 point typically costs two Newton iterations (one LU solve each; the residual
 stays in the operator's difference form).  Stability of a computed point is
 the sign of the smallest eigenvalue of the symmetric pencil
-(S - lam E) eta = mu M eta with S the energy form, E the e^u-weighted radial
-mass (tridiagonal) and M the plain radial mass, found by one LAPACK symmetric
-eigensolve through numpy (deterministic: no random start) on a copy of S,
-updated on three bands per point and scaled by D = M^{-1/2} on both sides.
-The layer runs on numpy and the standard library alone.
+(S - lam E) eta = mu M eta, from one deterministic LAPACK eigensolve.  The
+radial basis is the operator's: it gives S (the energy form), E (the e^u
+mass), M (the hat masses), the origin fold and the Dirichlet profile.  This
+layer keeps to the nonlinear solve, the continuation, the stability decision
+and the diagnostics, on numpy and the standard library alone.
 
 Also provides the diagnostics used to probe the singular regime: the
 log-profile ratio along a branch, the proof-style test function built from a
@@ -38,11 +38,8 @@ from .fraclap import (
     RadialFunction,
     RadialGrid,
     TailSpec,
-    _panel_rule,
     assemble,
-    origin_fold_weights,
     quadratic_form,
-    sphere_area,
 )
 
 __all__ = [
@@ -252,7 +249,6 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
     [[A - lam diag(e^u), -e^u], [center weights, 0]] is built once; each
     iteration rewrites only its diagonal and last column before the LU solve.
     """
-    e1, e2 = origin_fold_weights(op.grid)
     amat = op.matrix
     ni = op.n_interior
     diag = np.arange(ni)
@@ -264,13 +260,12 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
         out = np.empty(ni + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             out[:ni] = op.apply_interior(uv, _ZERO_TAIL) - lv * np.exp(uv)
-        out[ni] = e1 * uv[0] + e2 * uv[1] - m
+        out[ni] = op.origin_value(uv) - m
         return out
 
     jac = np.zeros((ni + 1, ni + 1))
     jac[:ni, :ni] = amat
-    jac[ni, 0] = e1
-    jac[ni, 1] = e2
+    jac[ni, :2] = op.origin_fold
     fvec = residual(u, lam)
     fnorm = float(np.abs(fvec).max())
     iters = 0
@@ -284,7 +279,7 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(
                 f"singular Newton Jacobian at center value m={m}",
-                _as_profile(op, u), lam, fnorm, iters,
+                op.profile(u), lam, fnorm, iters,
             ) from exc
         t = 1.0
         for _ in range(30):
@@ -298,7 +293,7 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
         else:
             raise NoConvergenceError(
                 f"Newton line search stalled at m={m} (residual {fnorm:.3e})",
-                _as_profile(op, u), lam, fnorm, iters,
+                op.profile(u), lam, fnorm, iters,
             )
         u, lam, fvec, fnorm = u_new, lam_new, f_new, fn_new
         iters += 1
@@ -307,7 +302,7 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
         raise NoConvergenceError(
             f"Newton did not reach tol={tol:.1e} in {_MAX_NEWTON_ITERS} iterations at m={m} "
             f"(residual {fnorm:.3e})",
-            _as_profile(op, u), lam, fnorm, iters,
+            op.profile(u), lam, fnorm, iters,
         )
     if lam <= 0.0:
         raise InfeasibleError(f"converged state has lam = {lam:.6g} <= 0", lam)
@@ -315,54 +310,6 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
     if u.min() <= 0.0:
         raise InfeasibleError(f"converged state has min u = {u.min():.6g} <= 0", lam)
     return u, lam, fnorm, iters
-
-
-def _as_profile(op: OperatorMatrix, u_int: np.ndarray) -> RadialFunction:
-    e1, e2 = origin_fold_weights(op.grid)
-    values = np.zeros(op.grid.nodes.size)   # u = 0 at the boundary node
-    values[1:-1] = u_int
-    values[0] = e1 * u_int[0] + e2 * u_int[1]
-    return RadialFunction(grid=op.grid, values=values)
-
-
-def _weighted_mass(op: OperatorMatrix, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Consistent mass matrix with density e^u over the folded hat basis.
-
-    u is interpolated linearly in log r on interior panels (exact for
-    log-power profiles, where the density is r^{-2s}; a lumped diagonal pairs
-    such densities with the innermost nodal values and overestimates the mass
-    there by an O(1) factor, driving the stability pencil to -inf under
-    refinement).  The origin panel uses the even-parabola extrapolation, so a
-    singular value at r = 0 never enters.  All panels are integrated at once
-    by fraclap's 6-point panel rule, nodes placed by offset.
-
-    The matrix is tridiagonal: hats overlap only their neighbours, and the
-    origin hat, folded onto r_1 and r_2 with weights (e1, e2), touches r_1
-    alone.  Returns its diagonal (Ni,) and first off-diagonal (Ni-1,).
-    """
-    nodes = op.grid.nodes
-    e1, e2 = origin_fold_weights(op.grid)
-    ra = nodes[:-1, None]
-    off, w, (fall, rise) = _panel_rule(np.diff(nodes), 6)
-    r = ra + off
-    a0 = e1 * values[1] + e2 * values[2]
-    b0 = (values[1] - a0) / nodes[1] ** 2
-    beta = (values[2:] - values[1:-1]) / np.log(nodes[2:] / nodes[1:-1])
-    dens = np.empty_like(r)
-    dens[0] = np.exp(a0 + b0 * r[0] * r[0])
-    dens[1:] = np.exp(values[1:-1, None]) * (r[1:] / ra[1:]) ** beta[:, None]
-    common = sphere_area(op.params.n) * w * r ** (op.params.n - 1) * dens
-    # Bands over all nodes 0..N, panel by panel.
-    diag = np.zeros(nodes.size)
-    diag[:-1] = common @ (fall * fall)
-    diag[1:] += common @ (rise * rise)
-    off = common @ (rise * fall)
-    # Origin fold (the congruence u_0 = e1 u_1 + e2 u_2), then the interior.
-    m00, m01 = diag[0], off[0]
-    diag[1] = (diag[1] + e1 * m01) + e1 * (m01 + e1 * m00)
-    diag[2] += e2 * (e2 * m00)
-    off[1] += e2 * (m01 + e1 * m00)
-    return diag[1:-1], off[1:-1]
 
 
 def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> float:
@@ -376,8 +323,7 @@ def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> 
     overflow) or a LAPACK failure raise EigenSolveError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mass_diag, mass_off = _weighted_mass(op, values)
-        band0, band1 = lam * mass_diag, lam * mass_off
+        band0, band1 = (lam * band for band in op.exp_mass(values))
     if not (np.isfinite(band0).all() and np.isfinite(band1).all()):
         raise EigenSolveError("stability pencil has non-finite entries (e^u overflow)")
     ni = op.n_interior
@@ -425,7 +371,6 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
         raise DomainError("operator does not match the config's params and grid")
     if warm_start is not None and warm_start.profile.grid != cfg.grid:
         raise DomainError("warm start lies on another grid than the config's")
-    e1, e2 = origin_fold_weights(operator.grid)
     if warm_start is not None:
         starts = [(warm_start.profile.interior, warm_start.lam)]
         if warm_start.slope is not None:
@@ -433,10 +378,10 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
             step = m - warm_start.peak
             starts.insert(0, (starts[0][0] + step * du, starts[0][1] + step * dlam))
         # Shift each start to the prescribed center value.
-        starts = [(u0 + (m - (e1 * u0[0] + e2 * u0[1])), lam0) for u0, lam0 in starts]
+        starts = [(u0 + (m - operator.origin_value(u0)), lam0) for u0, lam0 in starts]
     else:
         z = np.linalg.solve(operator.matrix, np.ones(operator.n_interior))
-        z0 = e1 * z[0] + e2 * z[1]
+        z0 = operator.origin_value(z)
         starts = [((m / z0) * z, m / z0)]
 
     for k, (u0, lam0) in enumerate(starts):
@@ -446,9 +391,9 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
         except (NoConvergenceError, InfeasibleError):
             if k == len(starts) - 1:
                 raise
-    profile = _as_profile(operator, u)
+    profile = operator.profile(u)
     mu = _smallest_pencil_eig(operator, profile.values, lam)
-    peak = e1 * u[0] + e2 * u[1]
+    peak = profile.values[0]
     slope = None
     if warm_start is not None and peak != warm_start.peak:
         step = peak - warm_start.peak

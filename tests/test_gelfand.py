@@ -38,7 +38,6 @@ from fracgelfand.gelfand import (
     _MAX_NEWTON_ITERS,
     _MAX_PEAK_POINTS,
     _newton_solve,
-    _weighted_mass,
 )
 
 # mpmath at 40 digits, rounded to double precision.
@@ -296,7 +295,7 @@ def test_stability_eigenvalue_deterministic_and_checked(branch_1d, operator_cach
 
 def dense_mass(op, values):
     """The tridiagonal e^u mass as a dense matrix, from its bands."""
-    diag, off = _weighted_mass(op, values)
+    diag, off = op.exp_mass(values)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -365,10 +364,10 @@ def test_weighted_mass_closed_form(operator_cache, n):
 
 
 def test_gauss_legendre_rules_are_computed_once_per_order(monkeypatch):
-    """The panel rule reads its nodes from a cache: over a power-tail apply
-    at N = 1024, whose exterior quadrature runs many blocks of rows, and two
-    solves with their pencils, each order is computed once.  Only the energy
-    form's same-panel and corner-sharing products compute their own."""
+    """Every Gauss-Legendre rule is read from a cache: over a power-tail
+    apply at N = 1024, whose exterior quadrature runs many blocks of rows,
+    and two solves with their pencils, each order is computed once, and
+    nothing but the cache computes one."""
     calls = []
     leggauss = fraclap.leggauss
 
@@ -385,8 +384,31 @@ def test_gauss_legendre_rules_are_computed_once_per_order(monkeypatch):
     cached = [q for caller, q in calls if caller == "_legendre"]
     assert fraclap._TAIL_ORDER in cached
     assert sorted(cached) == sorted(set(cached))
-    assert [c for c in calls if c[0] != "_legendre"] == [("_assemble_energy", 6),
-                                                         ("_assemble_energy", 8)]
+    assert [c for c in calls if c[0] != "_legendre"] == []
+
+
+def test_gauss_jacobi_rules_are_computed_once_per_rule(monkeypatch):
+    """Each Gauss-Jacobi rule's Golub-Welsch eigensolve runs once per
+    process: the near field's (12, 1 - 2s) per s, and the energy form's
+    (10, 1 - 2s) and (10, 2 - 2s), over assemblies at s = 0.3 and, twice, at
+    s = 0.5, two solves and their pencils.  The rules come back read-only."""
+    rules = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        if sys._getframe(1).f_code.co_name == "_gauss_jacobi":
+            rules.append(a.tobytes())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    fraclap._gauss_jacobi.cache_clear()
+    assemble(ProblemParams(1, 0.3), RadialGrid.graded(64))
+    cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=RadialGrid.graded(64))
+    solve_at_peak(cfg, 1.0, warm_start=solve_at_peak(cfg, 0.5))
+    assemble(ProblemParams(3, 0.5), RadialGrid.graded(32)).stability_form
+    assert len(rules) == len(set(rules)) == 4
+    x, w = fraclap._gauss_jacobi(12, 0.4)
+    assert not (x.flags.writeable or w.flags.writeable)
 
 
 def test_stability_eigenvalue_overflow_is_typed(branch_1d):

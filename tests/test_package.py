@@ -1,4 +1,6 @@
+import ast
 import importlib.util
+from pathlib import Path
 
 import fracgelfand
 
@@ -18,3 +20,15 @@ def test_public_surface_declared_once():
     assert "log_gamma" not in fracgelfand.__all__
     assert not hasattr(fracgelfand, "log_gamma")
     assert importlib.util.find_spec("fracgelfand.specfun") is None
+
+
+def test_gelfand_imports_no_private_fraclap_name():
+    # The radial basis (panel rule, hat masses, origin fold) belongs to
+    # fraclap; gelfand reaches it only through public names.
+    tree = ast.parse(Path(fracgelfand.gelfand.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "fraclap"
+             for alias in node.names]
+    assert "OperatorMatrix" in names
+    assert [name for name in names if name.startswith("_")] == []
+    assert not {"origin_fold_weights", "sphere_area"} & set(names)
