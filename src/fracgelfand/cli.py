@@ -311,8 +311,11 @@ def cmd_stability(args: argparse.Namespace) -> int:
         raise DomainError(f"--eps must satisfy 0 < eps < inf, got {args.eps}")
     # One solve, which reads only params, grid and newton_tol: the peak range
     # keeps its defaults.
-    cfg = ContinuationConfig(params=_params(args), newton_tol=args.newton_tol,
-                             grid=RadialGrid.graded(args.grid, grading=args.grading))
+    cfg = ContinuationConfig(
+        params=_params(args),
+        grid=RadialGrid.graded(args.grid, grading=args.grading),
+        newton_tol=args.newton_tol,
+    )
     config = _config(args)
     out = _outdir(args, config)
 

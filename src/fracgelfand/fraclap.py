@@ -122,7 +122,6 @@ def sphere_area(n: int) -> float:
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(n / 2.0))
 
 
-@functools.lru_cache(maxsize=None)
 def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """q-point Gauss rule for the weight (1 + x)^beta on (-1, 1), beta > -1.
 
@@ -131,7 +130,7 @@ def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     orthonormal p_q polishes them, and the weights are the Christoffel numbers
     1 / sum_{k<q} p_k(x)^2 at the polished nodes.  Against 30-digit rules for
     beta in [-0.98, 1.98] the nodes are within 2.3e-16 and the weights within
-    8e-15 relative.  Computed once per (q, beta) and returned read-only.
+    8e-15 relative.
     """
     k = np.arange(1, q + 1, dtype=float)
     t = 2.0 * k + beta
@@ -157,7 +156,7 @@ def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
     p, dp, _ = recurrence(x)
     x = x - p / dp
-    return _read_only(x), _read_only(1.0 / recurrence(x)[2])
+    return x, 1.0 / recurrence(x)[2]
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +192,26 @@ class RadialGrid:
     def interior(self) -> np.ndarray:
         return self.nodes[1:-1]
 
+    @functools.cached_property
+    def origin_fold(self) -> tuple[float, float]:
+        """Weights (e1, e2) with u(0) = e1 u(r_1) + e2 u(r_2).
+
+        Even-quadratic extrapolation: exact for u = a + b r^2 (radial
+        smoothness forces u'(0) = 0) and exact for constants (e1 + e2 = 1).
+        """
+        r1, r2 = self.nodes[1], self.nodes[2]
+        denom = r2 * r2 - r1 * r1
+        return r2 * r2 / denom, -r1 * r1 / denom
+
+    def origin_value(self, u_int: np.ndarray) -> float:
+        """The origin value e1 u_1 + e2 u_2 of interior values u_1 .. u_{N-1}."""
+        return self.origin_fold[0] * u_int[0] + self.origin_fold[1] * u_int[1]
+
+    def profile(self, u_int: np.ndarray) -> "RadialFunction":
+        """The Dirichlet profile of interior values: u_0 by the fold, u_N = 0."""
+        values = np.r_[self.origin_value(u_int), u_int, 0.0]
+        return RadialFunction(grid=self, values=values)
+
     @classmethod
     def graded(cls, n_panels: int, grading: float = 2.0) -> "RadialGrid":
         """Algebraically graded grid clustering nodes at both r=0 and r=1.
@@ -226,17 +245,6 @@ def _check_dense_budget(n_panels: int) -> None:
             f"above the budget of {_DENSE_BUDGET_BYTES / 1e9:.3g} GB "
             f"(at most {math.isqrt(_DENSE_BUDGET_BYTES // 8) + 1} panels)"
         )
-
-
-def origin_fold_weights(grid: RadialGrid) -> tuple[float, float]:
-    """Weights (e1, e2) with u(0) = e1 u(r_1) + e2 u(r_2).
-
-    Even-quadratic extrapolation: exact for u = a + b r^2 (radial smoothness
-    forces u'(0) = 0) and exact for constants (e1 + e2 = 1).
-    """
-    r1, r2 = grid.nodes[1], grid.nodes[2]
-    denom = r2 * r2 - r1 * r1
-    return r2 * r2 / denom, -r1 * r1 / denom
 
 
 # ----------------------------------------------------------------------
@@ -545,9 +553,10 @@ class OperatorMatrix:
     for zero exterior data and the energy form.  ``apply_interior``, and the
     module-level ``apply`` built on it, take any exterior datum and evaluate
     in difference form, which annihilates constants exactly.  The radial hat
-    basis is defined here alone: the origin hat folded onto r_1 and r_2
-    (``origin_fold``, ``origin_value``), the boundary hat dropped
-    (``profile``), the masses ``weights`` and, with density e^u, ``exp_mass``.
+    basis is defined here and on the grid alone: the grid folds the origin
+    hat onto r_1 and r_2 (``origin_fold``, ``origin_value``) and drops the
+    boundary hat (``profile``); the operator holds the masses ``weights``
+    and, with density e^u, ``exp_mass``.
     """
 
     params: ProblemParams
@@ -577,20 +586,6 @@ class OperatorMatrix:
         """Radial hat masses |S^{n-1}| int phi_i r^{n-1} dr (read-only)."""
         return _read_only(_hat_masses(self.grid, self.params.n))
 
-    @functools.cached_property
-    def origin_fold(self) -> tuple[float, float]:
-        """Weights (e1, e2) of the origin fold u_0 = e1 u_1 + e2 u_2."""
-        return origin_fold_weights(self.grid)
-
-    def origin_value(self, u_int: np.ndarray) -> float:
-        """The origin value e1 u_1 + e2 u_2 of interior values u_1 .. u_{N-1}."""
-        return self.origin_fold[0] * u_int[0] + self.origin_fold[1] * u_int[1]
-
-    def profile(self, u_int: np.ndarray) -> RadialFunction:
-        """The Dirichlet profile of interior values: u_0 by the fold, u_N = 0."""
-        values = np.r_[self.origin_value(u_int), u_int, 0.0]
-        return RadialFunction(grid=self.grid, values=values)
-
     def exp_mass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Consistent mass matrix with density e^u over the folded hat basis.
 
@@ -608,11 +603,11 @@ class OperatorMatrix:
         alone.  Returns its diagonal (Ni,) and first off-diagonal (Ni-1,).
         """
         nodes = self.grid.nodes
-        e1, e2 = self.origin_fold
+        e1, e2 = self.grid.origin_fold
         ra = nodes[:-1, None]
         off, w, (fall, rise) = _panel_rule(np.diff(nodes), 6)
         r = ra + off
-        a0 = self.origin_value(values[1:-1])
+        a0 = self.grid.origin_value(values[1:-1])
         b0 = (values[1] - a0) / nodes[1] ** 2
         beta = (values[2:] - values[1:-1]) / np.log(nodes[2:] / nodes[1:-1])
         dens = np.empty_like(r)
@@ -891,7 +886,7 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     r = grid.nodes
     npan = grid.n_panels
     ni = npan - 1
-    e1, e2 = origin_fold_weights(grid)
+    e1, e2 = grid.origin_fold
 
     q_near = 2 * _PANEL_ORDER
     xj, wj = _gauss_jacobi(q_near, 1.0 - 2.0 * s)
@@ -1176,7 +1171,7 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
         smat[rows, : rows.start] = smat[: rows.start, rows].T
         diag = smat[rows, rows]
         diag += np.triu(diag, 1).T
-    e1, e2 = origin_fold_weights(grid)
+    e1, e2 = grid.origin_fold
     smat[1, :] += e1 * smat[0, :]
     smat[2, :] += e2 * smat[0, :]
     smat[:, 1] += e1 * smat[:, 0]
@@ -1197,7 +1192,7 @@ def apply(op: OperatorMatrix, u: RadialFunction) -> RadialFunction:
     out_int = op.apply_interior(u.interior, u.tail)
     values = np.empty_like(u.values)
     values[1:-1] = out_int
-    values[0] = np.inf if u.singular_at_origin else op.origin_value(out_int)
+    values[0] = np.inf if u.singular_at_origin else op.grid.origin_value(out_int)
     r = op.grid.nodes
     slope = (out_int[-1] - out_int[-2]) / (r[-2] - r[-3])
     values[-1] = out_int[-1] + slope * (r[-1] - r[-2])

@@ -12,10 +12,11 @@ point typically costs two Newton iterations (one LU solve each; the residual
 stays in the operator's difference form).  Stability of a computed point is
 the sign of the smallest eigenvalue of the symmetric pencil
 (S - lam E) eta = mu M eta, from one deterministic LAPACK eigensolve.  The
-radial basis is the operator's: it gives S (the energy form), E (the e^u
-mass), M (the hat masses), the origin fold and the Dirichlet profile.  This
-layer keeps to the nonlinear solve, the continuation, the stability decision
-and the diagnostics, on numpy and the standard library alone.
+radial basis is fraclap's: the operator gives S (the energy form), E (the
+e^u mass) and M (the hat masses), its grid the origin fold and the Dirichlet
+profile.  This layer keeps to the nonlinear solve, the continuation, the
+stability decision and the diagnostics, on numpy and the standard library
+alone.
 
 Also provides the diagnostics used to probe the singular regime: the
 log-profile ratio along a branch, the proof-style test function built from a
@@ -260,12 +261,12 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
         out = np.empty(ni + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             out[:ni] = op.apply_interior(uv, _ZERO_TAIL) - lv * np.exp(uv)
-        out[ni] = op.origin_value(uv) - m
+        out[ni] = op.grid.origin_value(uv) - m
         return out
 
     jac = np.zeros((ni + 1, ni + 1))
     jac[:ni, :ni] = amat
-    jac[ni, :2] = op.origin_fold
+    jac[ni, :2] = op.grid.origin_fold
     fvec = residual(u, lam)
     fnorm = float(np.abs(fvec).max())
     iters = 0
@@ -279,7 +280,7 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(
                 f"singular Newton Jacobian at center value m={m}",
-                op.profile(u), lam, fnorm, iters,
+                op.grid.profile(u), lam, fnorm, iters,
             ) from exc
         t = 1.0
         for _ in range(30):
@@ -293,7 +294,7 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
         else:
             raise NoConvergenceError(
                 f"Newton line search stalled at m={m} (residual {fnorm:.3e})",
-                op.profile(u), lam, fnorm, iters,
+                op.grid.profile(u), lam, fnorm, iters,
             )
         u, lam, fvec, fnorm = u_new, lam_new, f_new, fn_new
         iters += 1
@@ -302,7 +303,7 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
         raise NoConvergenceError(
             f"Newton did not reach tol={tol:.1e} in {_MAX_NEWTON_ITERS} iterations at m={m} "
             f"(residual {fnorm:.3e})",
-            op.profile(u), lam, fnorm, iters,
+            op.grid.profile(u), lam, fnorm, iters,
         )
     if lam <= 0.0:
         raise InfeasibleError(f"converged state has lam = {lam:.6g} <= 0", lam)
@@ -378,10 +379,10 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
             step = m - warm_start.peak
             starts.insert(0, (starts[0][0] + step * du, starts[0][1] + step * dlam))
         # Shift each start to the prescribed center value.
-        starts = [(u0 + (m - operator.origin_value(u0)), lam0) for u0, lam0 in starts]
+        starts = [(u0 + (m - operator.grid.origin_value(u0)), lam0) for u0, lam0 in starts]
     else:
         z = np.linalg.solve(operator.matrix, np.ones(operator.n_interior))
-        z0 = operator.origin_value(z)
+        z0 = operator.grid.origin_value(z)
         starts = [((m / z0) * z, m / z0)]
 
     for k, (u0, lam0) in enumerate(starts):
@@ -391,7 +392,7 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
         except (NoConvergenceError, InfeasibleError):
             if k == len(starts) - 1:
                 raise
-    profile = operator.profile(u)
+    profile = operator.grid.profile(u)
     mu = _smallest_pencil_eig(operator, profile.values, lam)
     peak = profile.values[0]
     slope = None

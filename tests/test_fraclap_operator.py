@@ -863,9 +863,7 @@ def test_interval_ground_state_eigenvalue(operator_cache):
         mass[i, i + 1] += h / 6.0
         mass[i + 1, i] += h / 6.0
     # Fold the origin row onto its even-extension representation.
-    from fracgelfand.fraclap import origin_fold_weights
-
-    e1, e2 = origin_fold_weights(op.grid)
+    e1, e2 = op.grid.origin_fold
     mass[1, :] += e1 * mass[0, :]
     mass[2, :] += e2 * mass[0, :]
     mass[:, 1] += e1 * mass[:, 0]

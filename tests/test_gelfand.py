@@ -33,7 +33,6 @@ from fracgelfand import (
     trace_branch,
 )
 from fracgelfand import fraclap, gelfand
-from fracgelfand.fraclap import origin_fold_weights
 from fracgelfand.gelfand import (
     _MAX_NEWTON_ITERS,
     _MAX_PEAK_POINTS,
@@ -82,7 +81,7 @@ def test_torsion_matches_grid_solve(operator_cache, n, s, rel):
     # any radius a quadrature can reach loses a visible share of it.
     op = operator_cache(n, s, 128)
     z = np.linalg.solve(op.matrix, np.ones(op.n_interior))
-    e1, e2 = origin_fold_weights(op.grid)
+    e1, e2 = op.grid.origin_fold
     z0 = e1 * z[0] + e2 * z[1]
     assert z0 == pytest.approx(torsion_center_value(ProblemParams(n, s)), rel=rel)
 
@@ -241,7 +240,7 @@ def test_negative_center_value_is_infeasible(operator_cache):
     # _newton_solve: from the torsion-scaled start it converges to the state
     # with u(0) = -0.1, which needs lam < 0 and must be rejected.
     op = operator_cache(3, 0.5, 96)
-    e1, e2 = origin_fold_weights(op.grid)
+    e1, e2 = op.grid.origin_fold
     z = np.linalg.solve(op.matrix, np.ones(op.n_interior))
     z0 = e1 * z[0] + e2 * z[1]
     m = -0.1
@@ -385,30 +384,6 @@ def test_gauss_legendre_rules_are_computed_once_per_order(monkeypatch):
     assert fraclap._TAIL_ORDER in cached
     assert sorted(cached) == sorted(set(cached))
     assert [c for c in calls if c[0] != "_legendre"] == []
-
-
-def test_gauss_jacobi_rules_are_computed_once_per_rule(monkeypatch):
-    """Each Gauss-Jacobi rule's Golub-Welsch eigensolve runs once per
-    process: the near field's (12, 1 - 2s) per s, and the energy form's
-    (10, 1 - 2s) and (10, 2 - 2s), over assemblies at s = 0.3 and, twice, at
-    s = 0.5, two solves and their pencils.  The rules come back read-only."""
-    rules = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a):
-        if sys._getframe(1).f_code.co_name == "_gauss_jacobi":
-            rules.append(a.tobytes())
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    fraclap._gauss_jacobi.cache_clear()
-    assemble(ProblemParams(1, 0.3), RadialGrid.graded(64))
-    cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=RadialGrid.graded(64))
-    solve_at_peak(cfg, 1.0, warm_start=solve_at_peak(cfg, 0.5))
-    assemble(ProblemParams(3, 0.5), RadialGrid.graded(32)).stability_form
-    assert len(rules) == len(set(rules)) == 4
-    x, w = fraclap._gauss_jacobi(12, 0.4)
-    assert not (x.flags.writeable or w.flags.writeable)
 
 
 def test_stability_eigenvalue_overflow_is_typed(branch_1d):

@@ -31,4 +31,4 @@ def test_gelfand_imports_no_private_fraclap_name():
              for alias in node.names]
     assert "OperatorMatrix" in names
     assert [name for name in names if name.startswith("_")] == []
-    assert not {"origin_fold_weights", "sphere_area"} & set(names)
+    assert "sphere_area" not in names
