@@ -104,8 +104,10 @@ _BLOCK_ENTRIES = 1 << 15
 # assemble its coupling buffer, which the operator keeps without a copy; the
 # energy form its matrix, kept as the operator's stability_form; apply none.
 # The Gelfand solvers add their own: A (the operator's matrix), the bordered
-# Newton Jacobian and LAPACK's copy of it, and the pencil's scaled copy of
-# the energy form and LAPACK's copy of that, so a branch holds up to five.
+# Newton Jacobian and LAPACK's copy of it, and the stability pencil's
+# preconditioner (D S D)^{-1}, which the operator keeps (its inversion holds
+# a transient copy of S).  The pencil itself is applied matrix-free, so a
+# branch holds up to six.
 _DENSE_BUDGET_BYTES = 1 << 29
 
 
@@ -681,6 +683,20 @@ class OperatorMatrix:
         radial masses near the origin differ by orders of magnitude.
         """
         return _read_only(_assemble_energy(self.params, self.grid))
+
+    @functools.cached_property
+    def _stability_preconditioner(self) -> np.ndarray:
+        """(D S D)^{-1} = M^{1/2} S^{-1} M^{1/2}, D = M^{-1/2} (read-only).
+
+        The stability pencil's preconditioner: lam E is a bounded L^2 term
+        next to the energy, so one inverse serves every point of a branch.
+        Scaled in place, so the inversion's result is the only new array.
+        """
+        root = np.sqrt(self.weights)
+        inv = np.linalg.inv(self.stability_form)
+        inv *= root[:, None]
+        inv *= root
+        return _read_only(inv)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -11,12 +11,12 @@ extrapolate (u, lam) along the secant slope the previous point recorded, so a
 point typically costs two Newton iterations (one LU solve each; the residual
 stays in the operator's difference form).  Stability of a computed point is
 the sign of the smallest eigenvalue of the symmetric pencil
-(S - lam E) eta = mu M eta, from one deterministic LAPACK eigensolve.  The
-radial basis is fraclap's: the operator gives S (the energy form), E (the
-e^u mass) and M (the hat masses), its grid the origin fold and the Dirichlet
-profile.  This layer keeps to the nonlinear solve, the continuation, the
-stability decision and the diagnostics, on numpy and the standard library
-alone.
+(S - lam E) eta = mu M eta, from a preconditioned Davidson iteration that
+reads nothing but the point and the operator.  The radial basis is fraclap's:
+the operator gives S (the energy form), E (the e^u mass) and M (the hat
+masses), its grid the origin fold and the Dirichlet profile.  This layer
+keeps to the nonlinear solve, the continuation, the stability decision and
+the diagnostics, on numpy and the standard library alone.
 
 Also provides the diagnostics used to probe the singular regime: the
 log-profile ratio along a branch, the proof-style test function built from a
@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _STABILITY_TOL = 1e-6
+_EIG_MAX_BASIS = 64        # Davidson basis vectors per stability eigenvalue
 _MAX_NEWTON_ITERS = 50
 _MAX_PEAK_POINTS = 10_000   # largest number of center values one trace may solve
 _PROBE_RADIUS = 0.01
@@ -98,7 +99,7 @@ class BranchTraceError(RuntimeError):
 
 
 class EigenSolveError(RuntimeError):
-    """Stability pencil was non-finite or its eigensolve failed."""
+    """Stability pencil was non-finite, or its iteration failed or ran out of basis."""
 
 
 def torsion_center_value(p: ProblemParams) -> float:
@@ -316,30 +317,72 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
 def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> float:
     """Smallest mu of (S - lam E) eta = mu M eta, deterministic.
 
-    Each call copies the energy form S, subtracts lam E on the three bands of
-    the tridiagonal e^u mass E, scales M = diag(weights) out in place with
-    D = M^{-1/2}, and takes the first of the ascending spectrum of
-    D (S - lam E) D from one LAPACK symmetric eigensolve (numpy's eigvalsh,
-    which reads the lower triangle; no random start).  Non-finite bands (e^u
-    overflow) or a LAPACK failure raise EigenSolveError.
+    Generalized Davidson (Davidson, J. Comput. Phys. 17 (1975); Morgan and
+    Scott, SIAM J. Sci. Stat. Comput. 7 (1986)) for the smallest eigenvalue
+    of C = D (S - lam E) D, D = M^{-1/2}, M = diag(weights), applied
+    matrix-free: S times a vector, less lam E on the three bands of the
+    tridiagonal e^u mass.  The basis starts from M^{1/2} 1, which overlaps
+    the positive ground state, and grows by P r, r the Ritz residual and
+    P = (D S D)^{-1} the operator's cached preconditioner, orthogonalized
+    twice against it; Rayleigh-Ritz is a small symmetric eigensolve.  The
+    iteration stops once |r|^2 <= eps c (theta_2 - theta_1), where
+    c = max S_ii / M_i is a lower bound on |D S D|, so on |C| up to the
+    bounded lam E: the Ritz error bound |r|^2 / gap is then below a dense
+    solver's own eps |C|.  It also stops, exactly, when the basis spans the
+    space.  Nothing carries over between calls, so the result depends on
+    (op, values, lam) alone.  Non-finite bands (e^u overflow), a basis that
+    loses rank, or no convergence within _EIG_MAX_BASIS vectors raise
+    EigenSolveError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         band0, band1 = (lam * band for band in op.exp_mass(values))
     if not (np.isfinite(band0).all() and np.isfinite(band1).all()):
         raise EigenSolveError("stability pencil has non-finite entries (e^u overflow)")
-    ni = op.n_interior
-    cmat = op.stability_form.copy()
-    flat = cmat.reshape(-1)
-    flat[:: ni + 1] -= band0
-    flat[1 :: ni + 1] -= band1
-    flat[ni :: ni + 1] -= band1
-    d = 1.0 / np.sqrt(op.weights)
-    cmat *= d[:, None]
-    cmat *= d
+    smat = op.stability_form
     try:
-        return float(np.linalg.eigvalsh(cmat)[0])
+        precond = op._stability_preconditioner
     except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(f"symmetric eigensolve failed: {exc}") from exc
+        raise EigenSolveError(f"energy form is singular: {exc}") from exc
+    d = 1.0 / np.sqrt(op.weights)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        z = d * x
+        ez = band0 * z
+        ez[:-1] += band1 * z[1:]
+        ez[1:] += band1 * z[:-1]
+        return d * (smat @ z - ez)
+
+    ni = op.n_interior
+    size = min(_EIG_MAX_BASIS, ni)
+    basis = np.empty((size, ni))      # orthonormal rows V
+    image = np.empty((size, ni))      # C V, row by row
+    proj = np.empty((size, size))     # V C V^T
+    floor = np.finfo(float).eps * float(np.max(smat.diagonal() / op.weights))
+    t = np.sqrt(op.weights)
+    k = 0
+    while True:
+        norm = float(np.linalg.norm(t))
+        if not norm > 0.0:
+            raise EigenSolveError(f"stability eigensolve lost rank at basis size {k}")
+        basis[k] = t / norm
+        image[k] = apply(basis[k])
+        proj[k, : k + 1] = proj[: k + 1, k] = basis[: k + 1] @ image[k]
+        k += 1
+        try:
+            theta, vecs = np.linalg.eigh(proj[:k, :k])
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolveError(f"Rayleigh-Ritz eigensolve failed: {exc}") from exc
+        y = vecs[:, 0]
+        resid = y @ image[:k] - theta[0] * (y @ basis[:k])
+        if k == ni or (k > 1 and resid @ resid <= floor * (theta[1] - theta[0])):
+            return float(theta[0])
+        if k == size:
+            raise EigenSolveError(
+                f"stability eigensolve did not converge in {k} basis vectors "
+                f"(residual {float(np.linalg.norm(resid)):.3e})")
+        t = precond @ resid
+        for _ in range(2):
+            t -= (basis[:k] @ t) @ basis[:k]
 
 
 def stability_eigenvalue(op: OperatorMatrix, point: BranchPoint) -> float:

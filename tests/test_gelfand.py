@@ -285,8 +285,13 @@ def test_branch_serialization(branch_1d):
 
 def test_stability_eigenvalue_deterministic_and_checked(branch_1d, operator_cache):
     op, branch = branch_1d
+    # The replay contract: every stored value comes back bit for bit, on the
+    # operator the branch was traced on and on a fresh assembly of it.
+    fresh = assemble(op.params, op.grid)
+    for pt in branch.points:
+        assert stability_eigenvalue(op, pt) == pt.stability_eig
+        assert stability_eigenvalue(fresh, pt) == pt.stability_eig
     pt = branch.points[3]
-    assert stability_eigenvalue(op, pt) == stability_eigenvalue(op, pt)
     for other in (operator_cache(1, 0.5, 64), operator_cache(1, 0.5, 96, grading=3.0)):
         with pytest.raises(DomainError, match="grid"):
             stability_eigenvalue(other, pt)
@@ -298,23 +303,44 @@ def dense_mass(op, values):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def test_stability_eigenvalue_matches_dense_solver(branch_1d):
+def test_stability_eigenvalue_matches_dense_solver(branch_1d, operator_cache):
+    def pencil(op, pt):
+        return op.stability_form - pt.lam * dense_mass(op, pt.profile.values)
+
+    def chain(op, peaks):
+        """Warm-started points at the given center values, on ``op``."""
+        cfg = ContinuationConfig(params=op.params, grid=op.grid, peak_end=peaks[-1] + 1.0)
+        points = [solve_at_peak(cfg, peaks[0], op=op)]
+        for m in peaks[1:]:
+            points.append(solve_at_peak(cfg, m, warm_start=points[-1], op=op))
+        return points
+
     op, branch = branch_1d
-    for pt in (branch.points[0], branch.points[5], branch.points[-1]):
-        cm = op.stability_form - pt.lam * dense_mass(op, pt.profile.values)
+    # Every point of the 1-d branch: mu < 0 at each one past the fold.
+    post_fold = branch.points[branch.fold_index + 1 :]
+    assert post_fold and max(pt.stability_eig for pt in post_fold) < 0.0
+    cases = [(op, branch.points)] + [
+        (other, chain(other, peaks)) for other, peaks in (
+            (operator_cache(7, 0.5, 512), [1.0, 2.0, 3.0, 4.0]),
+            (operator_cache(3, 0.5, 128, grading=3.0), [0.5, 1.0, 1.5, 2.0]),
+            (operator_cache(1, 0.3, 1024), [1.0, 2.0]),
+        )
+    ]
+    for op, points in cases:
         d = 1.0 / np.sqrt(op.weights)
-        sym = d[:, None] * cm * d[None, :]
-        dense = eigvalsh(0.5 * (sym + sym.T)).min()
-        assert pt.stability_eig == pytest.approx(dense, abs=1e-9 * max(1.0, abs(dense)))
-    # (12, 0.5) at m = 6: the hat masses reach down to r^11 h, so the
-    # scaling D = M^{-1/2} spans many decades.  Against the generalized
-    # symmetric solver, which never forms D (S - lam E) D.
-    op = assemble(ProblemParams(12, 0.5), RadialGrid.graded(96))
-    cfg = ContinuationConfig(params=op.params, grid=op.grid, peak_end=8.0)
-    pt = solve_at_peak(cfg, 6.0, op=op)
-    cm = op.stability_form - pt.lam * dense_mass(op, pt.profile.values)
-    dense = eigh(cm, np.diag(op.weights), eigvals_only=True)[0]
-    assert abs(pt.stability_eig - dense) <= 1e-12 * abs(dense)
+        for pt in points:
+            sym = d[:, None] * pencil(op, pt) * d[None, :]
+            dense = eigvalsh(0.5 * (sym + sym.T)).min()
+            assert pt.stability_eig == pytest.approx(dense, abs=1e-9 * max(1.0, abs(dense)))
+    # (12, 0.5): the hat masses reach down to r^11 h, so the scaling
+    # D = M^{-1/2} spans many decades.  Against the generalized symmetric
+    # solver, which never forms D (S - lam E) D: at m = 6 on graded(96), and
+    # along graded(256) up to m = 9, where the pencil takes the most steps.
+    for op, peaks in ((assemble(ProblemParams(12, 0.5), RadialGrid.graded(96)), [6.0]),
+                      (operator_cache(12, 0.5, 256), [float(m) for m in range(1, 10)])):
+        for pt in chain(op, peaks):
+            dense = eigh(pencil(op, pt), np.diag(op.weights), eigvals_only=True)[0]
+            assert abs(pt.stability_eig - dense) <= 1e-12 * abs(dense)
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
@@ -395,6 +421,19 @@ def test_stability_eigenvalue_overflow_is_typed(branch_1d):
     hot = dataclasses.replace(pt, profile=dataclasses.replace(pt.profile, values=values))
     with pytest.raises(EigenSolveError):
         stability_eigenvalue(op, hot)
+
+
+def test_stability_eigenvalue_budget_is_typed(branch_1d, monkeypatch):
+    op, branch = branch_1d
+    monkeypatch.setattr(gelfand, "_EIG_MAX_BASIS", 2)
+    with pytest.raises(EigenSolveError, match="did not converge in 2 basis vectors"):
+        stability_eigenvalue(op, branch.points[3])
+    cfg = ContinuationConfig(params=op.params, grid=op.grid, peak_start=0.25, peak_end=1.0)
+    with pytest.raises(BranchTraceError) as excinfo:
+        trace_branch(cfg)
+    assert isinstance(excinfo.value.__cause__, EigenSolveError)
+    assert excinfo.value.partial.params == op.params
+    assert excinfo.value.partial.points == []
 
 
 def test_small_peak_slope_matches_torsion(operator_cache):
