@@ -552,7 +552,8 @@ class OperatorMatrix:
     way, without a copy); anything else is copied, so a caller's writeable
     array stays its own.  The rest is derived on first access, cached and
     read-only: c_{n,s}, hat masses, exterior row masses, the dense matrix A
-    for zero exterior data and the energy form.  ``apply_interior``, and the
+    for zero exterior data, the energy form and the inverse that
+    preconditions the stability pencil.  ``apply_interior``, and the
     module-level ``apply`` built on it, take any exterior datum and evaluate
     in difference form, which annihilates constants exactly.  The radial hat
     basis is defined here and on the grid alone: the grid folds the origin
