@@ -47,6 +47,7 @@ from .gelfand import (
     BranchTraceError,
     ContinuationConfig,
     EigenSolveError,
+    GridDepthError,
     InfeasibleError,
     NoConvergenceError,
     singular_profile_diagnostic,
@@ -459,7 +460,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage: run 'fracgelfand {args.subcommand} --help' for valid inputs",
               file=sys.stderr)
         return 2
-    except (NoConvergenceError, InfeasibleError, EigenSolveError, np.linalg.LinAlgError) as exc:
+    except (NoConvergenceError, InfeasibleError, EigenSolveError, GridDepthError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,5 @@
-"""Radial collocation discretization of the fractional Laplacian on the unit ball.
+"""Radial discretizations of the fractional Laplacian on the unit ball: the
+collocation of ``apply``, below, and the Gelfand solver's Galerkin energy form.
 
 For radial u the principal-value integral reduces to one dimension,
 
@@ -44,13 +45,10 @@ refined geometrically toward the endpoint term, or the terminating Gauss sum
 where the function is a polynomial.  The module needs numpy and the standard
 library only.
 
-The origin node is eliminated by the even-quadratic extrapolation
-u_0 = e1*u_1 + e2*u_2 consistent with u'(0) = 0; the boundary node carries the
-exterior datum's limit g(1).  ``apply`` evaluates the operator in difference
-form (couplings times u_i - u_j), which keeps the constant-annihilation
-property at roundoff level even where the tail mass is ~ dist^{-2s} large:
-the quadrature's own sums carry both u_i and a nonzero datum, never the closed
-form (the two differ by up to ~7e-15 relative).
+The origin node is eliminated by the even-quadratic fold u_0 = e1 u_1 +
+e2 u_2 (u'(0) = 0); the boundary node carries the datum's limit g(1).
+``apply`` sums couplings times u_i - u_j, so constants are annihilated at
+roundoff even where the tail mass is ~ dist^{-2s} large.
 """
 
 from __future__ import annotations
@@ -103,11 +101,10 @@ _BLOCK_ENTRIES = 1 << 15
 # imply.  Each dense stage here holds one such array plus block temporaries:
 # assemble its coupling buffer, which the operator keeps without a copy; the
 # energy form its matrix, kept as the operator's stability_form; apply none.
-# The Gelfand solvers add their own: A (the operator's matrix), the bordered
-# Newton Jacobian and LAPACK's copy of it, and the stability pencil's
-# preconditioner (D S D)^{-1}, which the operator keeps (its inversion holds
-# a transient copy of S).  The pencil itself is applied matrix-free, so a
-# branch holds up to six.
+# A branch never builds the couplings.  The Gelfand solvers add |S| and the
+# pencil's preconditioner (D S D)^{-1}, which the operator keeps (the
+# inversion holds a transient copy of S), and the bordered Newton Jacobian
+# with LAPACK's copy of it, so a branch holds up to five.
 _DENSE_BUDGET_BYTES = 1 << 29
 
 
@@ -542,42 +539,32 @@ def angular_kernel(p: ProblemParams, r: float, rho: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Assembled collocation operator on a grid's interior nodes.
-
-    Stores what assembly computes for (params, grid), read-only:
-    ``couple_quad``, the nonnegative-kernel couplings between interior nodes
-    (quadratic interpolant, origin fold applied), and ``couple_quad_bnd``,
-    those to the boundary node.  A read-only float64 array is adopted as it
-    is, views included (``assemble`` hands over its coupling buffer this
-    way, without a copy); anything else is copied, so a caller's writeable
-    array stays its own.  The rest is derived on first access, cached and
-    read-only: c_{n,s}, hat masses, exterior row masses, the dense matrix A
-    for zero exterior data, the energy form and the inverse that
-    preconditions the stability pencil.  ``apply_interior``, and the
-    module-level ``apply`` built on it, take any exterior datum and evaluate
-    in difference form, which annihilates constants exactly.  The radial hat
-    basis is defined here and on the grid alone: the grid folds the origin
-    hat onto r_1 and r_2 (``origin_fold``, ``origin_value``) and drops the
-    boundary hat (``profile``); the operator holds the masses ``weights``
-    and, with density e^u, ``exp_mass``.
+    """The radial operator for (params, grid); every part is built on first
+    access, cached and read-only.  Galerkin (the Gelfand solver's): the
+    energy form ``stability_form``, hat masses ``weights`` and the e^u load
+    and mass of ``exp_mass``.  Collocation (``assemble`` builds it up front):
+    the couplings ``couple_quad`` and ``couple_quad_bnd`` and the row masses
+    ``tail_mass`` of ``apply_interior``'s difference form, exact on constants.
     """
 
     params: ProblemParams
     grid: RadialGrid
-    couple_quad: np.ndarray       # (Ni, Ni) interior couplings, origin fold applied
-    couple_quad_bnd: np.ndarray   # (Ni,) coupling to the boundary node
 
     def __post_init__(self) -> None:
-        for name in ("couple_quad", "couple_quad_bnd"):
-            arr = getattr(self, name)
-            if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                    and not arr.flags.writeable):
-                arr = _read_only(np.array(arr, dtype=float))
-            object.__setattr__(self, name, arr)
+        if not 0.0 < self.params.s < 1.0:
+            raise DomainError(f"discretized operator requires 0 < s < 1, got s={self.params.s}")
+        operator_normalization(self.params)   # refuses an overflowing c_{n,s} before any work
 
     @property
     def n_interior(self) -> int:
-        return self.couple_quad.shape[0]
+        return self.grid.n_panels - 1
+
+    @functools.cached_property
+    def _couplings(self) -> tuple[np.ndarray, np.ndarray]:
+        return _assemble_couplings(self.params, self.grid)
+
+    couple_quad = property(lambda self: self._couplings[0])       # (Ni, Ni), origin fold applied
+    couple_quad_bnd = property(lambda self: self._couplings[1])   # (Ni,), to the boundary node
 
     @functools.cached_property
     def normalization(self) -> float:
@@ -589,45 +576,40 @@ class OperatorMatrix:
         """Radial hat masses |S^{n-1}| int phi_i r^{n-1} dr (read-only)."""
         return _read_only(_hat_masses(self.grid, self.params.n))
 
-    def exp_mass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Consistent mass matrix with density e^u over the folded hat basis.
-
-        u (nodal values at all nodes) is interpolated linearly in log r on
-        interior panels (exact for log-power profiles, where the density is
-        r^{-2s}; a lumped diagonal pairs such densities with the innermost
-        nodal values and overestimates the mass there by an O(1) factor,
-        driving the stability pencil to -inf under refinement).  The origin
-        panel uses the even-parabola extrapolation, so a singular value at
-        r = 0 never enters.  All panels are integrated at once by the 6-point
-        panel rule, nodes placed by offset.
-
-        The matrix is tridiagonal: hats overlap only their neighbours, and the
-        origin hat, folded onto r_1 and r_2 with weights (e1, e2), touches r_1
-        alone.  Returns its diagonal (Ni,) and first off-diagonal (Ni-1,).
-        """
+    @functools.cached_property
+    def _exp_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """exp_mass's rule: falling and rising hat, |S^{n-1}| w r^{n-1} per panel."""
         nodes = self.grid.nodes
-        e1, e2 = self.grid.origin_fold
-        ra = nodes[:-1, None]
         off, w, (fall, rise) = _panel_rule(np.diff(nodes), 6)
-        r = ra + off
-        a0 = self.grid.origin_value(values[1:-1])
-        b0 = (values[1] - a0) / nodes[1] ** 2
-        beta = (values[2:] - values[1:-1]) / np.log(nodes[2:] / nodes[1:-1])
-        dens = np.empty_like(r)
-        dens[0] = np.exp(a0 + b0 * r[0] * r[0])
-        dens[1:] = np.exp(values[1:-1, None]) * (r[1:] / ra[1:]) ** beta[:, None]
-        common = sphere_area(self.params.n) * w * r ** (self.params.n - 1) * dens
-        # Bands over all nodes 0..N, panel by panel.
-        diag = np.zeros(nodes.size)
-        diag[:-1] = common @ (fall * fall)
-        diag[1:] += common @ (rise * rise)
-        off = common @ (rise * fall)
+        weight = sphere_area(self.params.n) * w * (nodes[:-1, None] + off) ** (self.params.n - 1)
+        return fall, rise, _read_only(weight)
+
+    def exp_mass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Load b_i = int e^{u_h} phi_i and mass E_ij = int e^{u_h} phi_i phi_j.
+
+        u_h is the hat interpolant of ``values`` (at all nodes, u_0 the origin
+        fold of u_1, u_2), linear in r on every panel; E = db/du.  One 6-point
+        panel rule, nodes placed by offset, gives the Newton Jacobian's and
+        the pencil's e^u term.  Over the folded hats E is tridiagonal.
+        Returns b (Ni,), E's diagonal (Ni,) and first off-diagonal (Ni-1,).
+        """
+        fall, rise, weight = self._exp_rule
+        dens = weight * np.exp(values[:-1, None] * fall + values[1:, None] * rise)
+        # Load and bands over all nodes 0..N, panel by panel.
+        load, diag = np.zeros((2, values.size))
+        load[:-1], diag[:-1] = dens @ fall, dens @ (fall * fall)
+        load[1:] += dens @ rise
+        diag[1:] += dens @ (rise * rise)
+        off = dens @ (rise * fall)
         # Origin fold (the congruence u_0 = e1 u_1 + e2 u_2), then the interior.
+        e1, e2 = self.grid.origin_fold
+        load[1] += e1 * load[0]
+        load[2] += e2 * load[0]
         m00, m01 = diag[0], off[0]
         diag[1] = (diag[1] + e1 * m01) + e1 * (m01 + e1 * m00)
         diag[2] += e2 * (e2 * m00)
         off[1] += e2 * (m01 + e1 * m00)
-        return diag[1:-1], off[1:-1]
+        return load[1:-1], diag[1:-1], off[1:-1]
 
     @functools.cached_property
     def tail_mass(self) -> np.ndarray:
@@ -638,12 +620,6 @@ class OperatorMatrix:
         """
         interior = self.grid.interior
         return _read_only(_exterior_mass(self.params, interior, 1.0 - interior))
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense interior matrix A; A@1 is the action on the ball's indicator (read-only)."""
-        total = self.couple_quad.sum(axis=1) + self.couple_quad_bnd + self.tail_mass
-        return _read_only(self.normalization * (np.diag(total) - self.couple_quad))
 
     def apply_interior(self, u_int: np.ndarray, tail: TailSpec) -> np.ndarray:
         """Difference-form action at interior nodes.
@@ -656,7 +632,7 @@ class OperatorMatrix:
         sum is the one over the whole matrix, bit for bit.
         """
         u_int = np.asarray(u_int, dtype=float)
-        # Products are formed in place: this runs in every Newton residual.
+        # Products are formed in place.
         out = np.empty_like(u_int)
         for rows in _row_blocks(u_int.size, u_int.size):
             diff = u_int[rows, None] - u_int[None, :]
@@ -698,6 +674,13 @@ class OperatorMatrix:
         inv *= root[:, None]
         inv *= root
         return _read_only(inv)
+
+    @functools.cached_property
+    def _stability_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """|S| and the row factors 1 / max_j |S_ij| (read-only), by which Newton
+        equilibrates its Jacobian and measures its residual."""
+        mag = np.abs(self.stability_form)
+        return _read_only(mag), _read_only(1.0 / mag.max(axis=1))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -891,14 +874,18 @@ def _far_partition(nodes: np.ndarray) -> list[tuple[tuple[slice, ...], int, int,
 
 
 def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
-    """Assemble the dense radial operator for (n, s) on the grid.
+    """The radial operator for (n, s) on the grid, its collocation couplings built.
 
     Rejects s = 1 (classical limit is out of the singular-integral scheme's
     scope) and grids below 16 panels (enforced by RadialGrid).
     """
-    if not 0.0 < p.s < 1.0:
-        raise DomainError(f"discretized operator requires 0 < s < 1, got s={p.s}")
-    operator_normalization(p)   # refuses an overflowing c_{n,s} before any work
+    op = OperatorMatrix(params=p, grid=grid)
+    op.couple_quad
+    return op
+
+
+def _assemble_couplings(p: ProblemParams, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Collocation couplings (interior, boundary node), read-only, for ``OperatorMatrix``."""
     s = p.s
     r = grid.nodes
     npan = grid.n_panels
@@ -1049,9 +1036,8 @@ def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     cq[:, 1] += e1 * cq[:, 0]
     cq[:, 2] += e2 * cq[:, 0]
 
-    # The operator adopts the interior couplings as a read-only view of cq.
-    return OperatorMatrix(params=p, grid=grid, couple_quad=_read_only(cq[:, 1:npan]),
-                          couple_quad_bnd=_read_only(cq[:, npan].copy()))
+    # The interior couplings are a read-only view of cq, without a copy.
+    return _read_only(cq[:, 1:npan]), _read_only(cq[:, npan].copy())
 
 
 def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:

@@ -1,22 +1,19 @@
 """Nonlinear solver layer: minimal-branch continuation for (-Delta)^s u = lam e^u.
 
-The solver is Dirichlet-only, as is the problem: u = 0 outside the unit ball,
-so every residual uses the zero-exterior operator and every profile ends at 0.
+Dirichlet-only (u = 0 outside the unit ball), on fraclap's Galerkin form, not
+its collocation: Newton solves S u = lam b(u), S the energy form and b the
+e^u load, and stability is the sign of the smallest eigenvalue mu of the
+pencil (S - lam E) eta = mu M eta, E = db/du the e^u mass and M the hat
+masses, so mu = 0 exactly at the fold dlam/dm = 0.
 
 The branch is parametrized by the center value m = u(0) rather than lam: lam
 folds at the extremal parameter, m does not.  Each solve treats lam as an
 extra Newton unknown closed by the center constraint, which keeps the
 augmented Jacobian square and well conditioned through the fold.  Warm starts
 extrapolate (u, lam) along the secant slope the previous point recorded, so a
-point typically costs two Newton iterations (one LU solve each; the residual
-stays in the operator's difference form).  Stability of a computed point is
-the sign of the smallest eigenvalue of the symmetric pencil
-(S - lam E) eta = mu M eta, from a preconditioned Davidson iteration that
-reads nothing but the point and the operator.  The radial basis is fraclap's:
-the operator gives S (the energy form), E (the e^u mass) and M (the hat
-masses), its grid the origin fold and the Dirichlet profile.  This layer
-keeps to the nonlinear solve, the continuation, the stability decision and
-the diagnostics, on numpy and the standard library alone.
+point typically costs two Newton iterations (one LU solve each).  mu comes
+from a preconditioned Davidson iteration that reads nothing but the point
+and the operator.
 
 Also provides the diagnostics used to probe the singular regime: the
 log-profile ratio along a branch, the proof-style test function built from a
@@ -51,6 +48,7 @@ __all__ = [
     "InfeasibleError",
     "BranchTraceError",
     "EigenSolveError",
+    "GridDepthError",
     "SingularProfileReport",
     "torsion_center_value",
     "solve_at_peak",
@@ -67,7 +65,6 @@ _EIG_MAX_BASIS = 64        # Davidson basis vectors per stability eigenvalue
 _MAX_NEWTON_ITERS = 50
 _MAX_PEAK_POINTS = 10_000   # largest number of center values one trace may solve
 _PROBE_RADIUS = 0.01
-_ZERO_TAIL = TailSpec.zero()
 
 
 class NoConvergenceError(RuntimeError):
@@ -100,6 +97,10 @@ class BranchTraceError(RuntimeError):
 
 class EigenSolveError(RuntimeError):
     """Stability pencil was non-finite, or its iteration failed or ran out of basis."""
+
+
+class GridDepthError(RuntimeError):
+    """A center value beyond the grid's depth 2s log(1/r_1), refused before any solve."""
 
 
 def torsion_center_value(p: ProblemParams) -> float:
@@ -211,14 +212,14 @@ class Branch:
 
 @dataclass
 class ContinuationConfig:
-    """Settings for one branch trace; ``operator()`` assembles once and caches."""
+    """Settings for one branch trace; ``operator()`` builds once and caches."""
 
     params: ProblemParams
     grid: RadialGrid
     peak_start: float = 0.1
     peak_end: float = 6.0
     peak_step: float = 0.25
-    newton_tol: float = 1e-10
+    newton_tol: float = 1e-12   # bound on Newton's row-relative residual
     _op: OperatorMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -236,48 +237,50 @@ class ContinuationConfig:
 
     def operator(self) -> OperatorMatrix:
         if self._op is None:
-            self._op = assemble(self.params, self.grid)
+            self._op = OperatorMatrix(params=self.params, grid=self.grid)
         return self._op
 
 
 def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
                   tol: float) -> tuple[np.ndarray, float, float, int]:
-    """Augmented Newton for (operator u) - lam e^u = 0 with center value m.
+    """Newton for S u = lam b(u), c^T u = m (c the origin fold) in (u, lam).
 
-    The residual uses the difference form of ``apply_interior``, whose every
-    coupling multiplies u_i - u_j: the matvec A u cancels the graded grid's
-    largest entries (~h^{-2s}) against u ~ m at the origin rows and loses up
-    to ~6e-9 there, above the default tolerance.  The bordered Jacobian
-    [[A - lam diag(e^u), -e^u], [center weights, 0]] is built once; each
-    iteration rewrites only its diagonal and last column before the LU solve.
+    The bordered Jacobian [[S - lam E, -b], [c^T, 0]] is built once, rows
+    scaled by D = 1 / max_j |S_ij|, so LU pivots on the rows' content, not
+    on scales that follow the hat masses over dozens of decades at large n;
+    each iteration rewrites only its three bands and last column.  The line
+    search halves the step until max |D F| decreases.  ``tol`` bounds the
+    row-relative residual, each row against its roundoff scale:
+    max_i |F_i| / (|S| |u| + |lam| |b|)_i.  c^T u = m holds from the start.
     """
-    amat = op.matrix
+    smat = op.stability_form
+    mag, scale = op._stability_rows
     ni = op.n_interior
     diag = np.arange(ni)
-    a_diag = amat.diagonal()
     u = u0.copy()
     lam = lam0
 
-    def residual(uv: np.ndarray, lv: float) -> np.ndarray:
-        out = np.empty(ni + 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[:ni] = op.apply_interior(uv, _ZERO_TAIL) - lv * np.exp(uv)
-        out[ni] = op.grid.origin_value(uv) - m
-        return out
+    def residual(uv: np.ndarray, lv: float):
+        # F, max |D F|, the row-relative residual, and (b, E's bands).
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mass = op.exp_mass(np.concatenate(([op.grid.origin_value(uv)], uv, [0.0])))
+            fv = smat @ uv - lv * mass[0]
+            rel = np.abs(fv) / (mag @ np.abs(uv) + abs(lv) * np.abs(mass[0]))
+            return fv, float(np.abs(scale * fv).max()), float(rel.max()), mass
 
     jac = np.zeros((ni + 1, ni + 1))
-    jac[:ni, :ni] = amat
+    np.multiply(smat, scale[:, None], out=jac[:ni, :ni])
     jac[ni, :2] = op.grid.origin_fold
-    fvec = residual(u, lam)
-    fnorm = float(np.abs(fvec).max())
+    bands = [jac[diag, diag], jac[diag[:-1], diag[1:]], jac[diag[1:], diag[:-1]]]
+    fvec, merit, fnorm, (load, band0, band1) = residual(u, lam)
     iters = 0
-    while fnorm > tol and iters < _MAX_NEWTON_ITERS:
-        with np.errstate(over="ignore"):
-            expu = np.exp(u)
-        jac[diag, diag] = a_diag - lam * expu
-        jac[:ni, ni] = -expu
+    while not fnorm <= tol and iters < _MAX_NEWTON_ITERS:   # a NaN residual iterates too
+        jac[diag, diag] = bands[0] - lam * scale * band0
+        jac[diag[:-1], diag[1:]] = bands[1] - lam * scale[:-1] * band1
+        jac[diag[1:], diag[:-1]] = bands[2] - lam * scale[1:] * band1
+        jac[:ni, ni] = -scale * load
         try:
-            step = np.linalg.solve(jac, -fvec)
+            step = np.linalg.solve(jac, np.append(-scale * fvec, m - op.grid.origin_value(u)))
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(
                 f"singular Newton Jacobian at center value m={m}",
@@ -287,9 +290,8 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
         for _ in range(30):
             u_new = u + t * step[:ni]
             lam_new = lam + t * step[ni]
-            f_new = residual(u_new, lam_new)
-            fn_new = float(np.abs(f_new).max())
-            if math.isfinite(fn_new) and fn_new < fnorm:
+            trial = residual(u_new, lam_new)
+            if math.isfinite(trial[1]) and trial[1] < merit:
                 break
             t *= 0.5
         else:
@@ -297,10 +299,11 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
                 f"Newton line search stalled at m={m} (residual {fnorm:.3e})",
                 op.grid.profile(u), lam, fnorm, iters,
             )
-        u, lam, fvec, fnorm = u_new, lam_new, f_new, fn_new
+        u, lam = u_new, lam_new
+        fvec, merit, fnorm, (load, band0, band1) = trial
         iters += 1
 
-    if fnorm > tol:
+    if not fnorm <= tol:
         raise NoConvergenceError(
             f"Newton did not reach tol={tol:.1e} in {_MAX_NEWTON_ITERS} iterations at m={m} "
             f"(residual {fnorm:.3e})",
@@ -312,6 +315,13 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
     if u.min() <= 0.0:
         raise InfeasibleError(f"converged state has min u = {u.min():.6g} <= 0", lam)
     return u, lam, fnorm, iters
+
+
+def _torsion(op: OperatorMatrix) -> np.ndarray:
+    """Galerkin torsion: S z = b(0), the load of the source 1, rows equilibrated."""
+    scale = op._stability_rows[1]
+    return np.linalg.solve(scale[:, None] * op.stability_form,
+                           scale * op.exp_mass(np.zeros(op.grid.nodes.size))[0])
 
 
 def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> float:
@@ -335,7 +345,7 @@ def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> 
     EigenSolveError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        band0, band1 = (lam * band for band in op.exp_mass(values))
+        band0, band1 = (lam * band for band in op.exp_mass(values)[1:])
     if not (np.isfinite(band0).all() and np.isfinite(band1).all()):
         raise EigenSolveError("stability pencil has non-finite entries (e^u overflow)")
     smat = op.stability_form
@@ -397,19 +407,23 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
                   op: OperatorMatrix | None = None) -> BranchPoint:
     """Solve the problem with prescribed center value u(0) = m, 0 < m < inf.
 
-    Runs on ``cfg.operator()``, or on ``op``, which must match the config's
-    params and grid; ``warm_start`` must lie on the config's grid.  lam is
-    recovered as part of the Newton solve.  Cold starts scale the torsion
-    profile (operator response to the constant source).  Warm starts
-    extrapolate (u, lam) linearly in m from the previous branch point along
-    its recorded secant slope, when it has one, and record their own: so a
-    chain of warm-started calls is a secant-predictor continuation, and
-    ``trace_branch`` is exactly that chain.  Should Newton fail from the
-    extrapolation (a long step can overshoot), it starts again from the
-    previous point itself, whose failure is the one raised.
+    Past the grid's depth 2s log(1/r_1), where -2s log r meets m, the grid
+    cannot resolve the profile: ``GridDepthError`` before any solve.  Runs on
+    ``cfg.operator()``, or on ``op``, which must match the config's params
+    and grid; ``warm_start`` must lie on the config's grid.  Cold starts
+    scale the Galerkin torsion S z = b(0).  Warm starts extrapolate (u, lam)
+    linearly in m from the previous point along its recorded secant slope,
+    when it has one, and record their own: so ``trace_branch``, a chain of
+    warm-started calls, is a secant-predictor continuation.  Should Newton
+    fail from the extrapolation, it starts again from the previous point
+    itself, whose failure is the one raised.
     """
     if not 0.0 < m < math.inf:
         raise DomainError(f"center value must be positive and finite, got {m}")
+    depth = 2.0 * cfg.params.s * math.log(1.0 / cfg.grid.nodes[1])
+    if m > depth:
+        raise GridDepthError(f"center value m={m} is deeper than the grid resolves: "
+                             f"2s log(1/r_1) = {depth:.6g}")
     operator = cfg.operator() if op is None else op
     if operator.params != cfg.params or operator.grid != cfg.grid:
         raise DomainError("operator does not match the config's params and grid")
@@ -424,7 +438,7 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
         # Shift each start to the prescribed center value.
         starts = [(u0 + (m - operator.grid.origin_value(u0)), lam0) for u0, lam0 in starts]
     else:
-        z = np.linalg.solve(operator.matrix, np.ones(operator.n_interior))
+        z = _torsion(operator)
         z0 = operator.grid.origin_value(z)
         starts = [((m / z0) * z, m / z0)]
 
@@ -456,7 +470,7 @@ def trace_branch(cfg: ContinuationConfig) -> Branch:
     for m in peaks:
         try:
             point = solve_at_peak(cfg, float(m), warm_start=previous)
-        except (NoConvergenceError, InfeasibleError, EigenSolveError) as exc:
+        except (NoConvergenceError, InfeasibleError, EigenSolveError, GridDepthError) as exc:
             raise BranchTraceError(
                 f"continuation stopped at center value m={float(m):.6g}: {exc}", branch
             ) from exc
@@ -495,12 +509,10 @@ def stability_inequality_check(op: OperatorMatrix, point: BranchPoint,
 
     lhs = integral of u against the operator action on psi^2, rhs = energy of
     psi, with psi the proof test profile.  The lhs pairing is read from the
-    solved equation (-Delta)^s u = lam e^u as lam int e^u psi^2, which equals
-    the operator's action on u weighted by psi^2 up to the Newton residual;
-    applying the discrete operator to psi^2 ~ r^{2s-n+eps} instead would be
-    dominated by origin discretization error at any fixed grid.  For a stable
-    point the contract is lhs <= rhs up to quadrature tolerance.  Unstable
-    input is rejected, as is a point on another grid than the operator's.
+    solved equation S u = lam b(u) as lam int e^{u_h} (psi^2)_h, the e^u load
+    against psi^2 at the nodes.  For a stable point the contract is
+    lhs <= rhs up to quadrature tolerance.  Unstable input is rejected, as is
+    a point on another grid than the operator's.
     """
     if point.profile.grid != op.grid:
         raise DomainError("branch point grid does not match operator grid")
@@ -510,7 +522,7 @@ def stability_inequality_check(op: OperatorMatrix, point: BranchPoint,
             f"{point.stability_eig:.3e})"
         )
     psi = proof_test_function(op.params, op.grid, rho0, eps)
-    lhs = float(point.lam * np.dot(op.weights, psi.interior**2 * np.exp(point.profile.interior)))
+    lhs = float(point.lam * (psi.interior**2 @ op.exp_mass(point.profile.values)[0]))
     rhs = quadratic_form(op, psi, psi)
     return lhs, rhs
 

@@ -368,18 +368,21 @@ def test_diagnose_partial_branch(tmp_path, capsys):
 
 @pytest.mark.parametrize("subcommand", ["branch", "diagnose"])
 def test_nonpositive_profile_is_refused(tmp_path, capsys, subcommand):
-    # A cold start at m = 20 on (12, 0.5), N = 64 converges to a grid-scale
-    # spike with lam = 3.45e-05 and interior values down to -5.08.  With zero
-    # exterior data lam e^u > 0 forces u > 0 (maximum principle): exit 1.
+    # m = 20 on (12, 0.5), N = 64 lies past the grid's depth 2s log(1/r_1):
+    # a solve there could only return a grid-scale spike, with lam e^u > 0
+    # but u < 0 inside (against the maximum principle), so the center value
+    # is refused before Newton runs: exit 1.
     rc = run(tmp_path, subcommand, "--n", "12", "--s", "0.5", "--grid", "64",
              "--peak-min", "20", "--peak-max", "21", "--peak-step", "1")
     assert rc == 1
     err = capsys.readouterr().err
-    assert "min u = -5.07" in err and "partial branch with 0 points" in err
+    assert "deeper than the grid resolves: 2s log(1/r_1) = 8.28652" in err
+    assert "partial branch with 0 points" in err
 
 
 def test_diagnose_without_points_writes_no_diagnostic(tmp_path, capsys):
-    # A cold start at m = 9 already fails: nothing to diagnose.
+    # m = 9 is past the grid's depth 8.29, so the first point already fails:
+    # nothing to diagnose.
     rc = run(tmp_path, "diagnose", "--n", "12", "--s", "0.5", "--grid", "64",
              "--peak-min", "9.0", "--peak-max", "10.0", "--peak-step", "1.0")
     assert rc == 1

@@ -415,57 +415,31 @@ def test_energy_separated_pairs_near_the_boundary_against_mpmath(monkeypatch):
     assert checked == 25 * sum(range(1, 11))
 
 
-def test_operator_stores_assembly_output_only_and_is_read_only(operator_cache):
-    # params, grid and the two coupling arrays are the whole constructor;
-    # the rest is derived on first access, cached and read-only.
-    import dataclasses
-
-    from fracgelfand import OperatorMatrix
-
-    assert [f.name for f in dataclasses.fields(OperatorMatrix)] == [
-        "params", "grid", "couple_quad", "couple_quad_bnd"]
+def test_operator_derives_everything_from_params_and_grid(operator_cache, monkeypatch):
+    # params and grid are the whole constructor; every part is derived on
+    # first access, cached and read-only.  The collocation couplings are
+    # built only when read (assemble reads them), as a view of one buffer.
+    OperatorMatrix = fraclap.OperatorMatrix
+    assert [f.name for f in dataclasses.fields(OperatorMatrix)] == ["params", "grid"]
     op = operator_cache(3, 0.5, 32)
-    for name in ("couple_quad", "couple_quad_bnd", "weights", "tail_mass", "matrix",
-                 "stability_form"):
+    for name in ("couple_quad", "couple_quad_bnd", "weights", "tail_mass", "stability_form"):
         arr = getattr(op, name)
         assert getattr(op, name) is arr
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+    assert op.couple_quad.shape == (31, 31) and op.couple_quad.base.shape == (31, 33)
     assert op.normalization == operator_normalization(op.params)
     with pytest.raises(dataclasses.FrozenInstanceError):
+        op.grid = RadialGrid.graded(48)
+    with pytest.raises(AttributeError):
         op.couple_quad = np.zeros_like(op.couple_quad)
-    # The constructor copies its arrays: the caller's stay its own.
-    cq = np.ones((31, 31))
-    own = OperatorMatrix(params=op.params, grid=op.grid, couple_quad=cq,
-                         couple_quad_bnd=np.ones(31))
-    cq[0, 0] = 2.0
-    assert own.couple_quad[0, 0] == 1.0 and cq.flags.writeable
-
-
-def test_operator_adopts_read_only_arrays(operator_cache):
-    # A read-only float64 array, a strided view included, is held as it is;
-    # assemble hands over its coupling buffer that way.  A writeable array,
-    # or one of another dtype, is copied into a read-only one.
-    from fracgelfand import OperatorMatrix
-
-    op = operator_cache(3, 0.5, 32)
-    buf = np.arange(31.0 * 33).reshape(31, 33)
-    view = buf[:, 1:32]
-    view.flags.writeable = False
-    bnd = np.ones(31)
-    bnd.flags.writeable = False
-    own = OperatorMatrix(params=op.params, grid=op.grid, couple_quad=view, couple_quad_bnd=bnd)
-    assert own.couple_quad is view and own.couple_quad_bnd is bnd
-    assert np.shares_memory(own.couple_quad, buf)
-    writeable, narrow = np.ones((31, 31)), np.ones((31, 31), dtype=np.float32)
-    narrow.flags.writeable = False
-    for cq in (writeable, narrow):
-        own = OperatorMatrix(params=op.params, grid=op.grid, couple_quad=cq,
-                             couple_quad_bnd=np.ones(31))
-        assert not np.shares_memory(own.couple_quad, cq)
-        assert own.couple_quad.dtype == np.float64 and not own.couple_quad.flags.writeable
-        assert not own.couple_quad_bnd.flags.writeable
-    assert writeable.flags.writeable
+    monkeypatch.setattr(fraclap, "_far_partition", None)   # any coupling build fails
+    lazy = OperatorMatrix(params=op.params, grid=op.grid)
+    assert np.array_equal(lazy.stability_form, op.stability_form)
+    with pytest.raises(TypeError):
+        lazy.couple_quad
+    with pytest.raises(DomainError):
+        OperatorMatrix(params=ProblemParams(2, 1.0), grid=op.grid)
 
 
 def _whole_matrix_apply(op, u, tail):
@@ -580,8 +554,9 @@ def test_tail_mass_is_built_on_first_use():
     assert _phi.cache_info().currsize == 2
     assert mass.tobytes() == _exterior_mass(p, grid.interior, 1.0 - grid.interior).tobytes()
     assert op.tail_mass is mass and not mass.flags.writeable
-    total = op.couple_quad.sum(axis=1) + op.couple_quad_bnd + mass
-    assert np.array_equal(op.matrix, op.normalization * (np.diag(total) - op.couple_quad))
+    # The zero-tail action on the ball's indicator reads the row masses.
+    ones = op.apply_interior(np.ones(op.n_interior), TailSpec.zero())
+    assert np.array_equal(ones, op.normalization * (op.couple_quad_bnd + mass))
 
 
 @pytest.mark.parametrize("n, s", _EXTERIOR_CASES + [(1, 0.02), (3, 0.01), (60, 0.5), (3, 1e-4),
@@ -658,14 +633,19 @@ def test_exterior_near_panels_per_row_block(monkeypatch):
     assert sum(out.size for *_, out in calls) == 42_456
 
 
+def _dense_row_scale(op):
+    """Row sums of |A|, A the dense zero-tail collocation matrix."""
+    total = op.couple_quad.sum(axis=1) + op.couple_quad_bnd + op.tail_mass
+    return np.abs(op.normalization * (np.diag(total) - op.couple_quad)).sum(axis=1)
+
+
 def test_matrix_row_sums_match_constant_response(operator_cache):
     op = operator_cache(3, 0.5, 32)
-    lhs = op.matrix @ np.ones(op.n_interior)
+    lhs = op.apply_interior(np.ones(op.n_interior), TailSpec.zero())
     # A@1 is the response to 1 in the ball and 0 outside, which is the
     # difference-form action on u = 0 with the constant exterior datum -1.
     rhs = op.apply_interior(np.zeros(op.n_interior), TailSpec.power(0.0, -1.0))
-    scale = np.abs(op.matrix).sum(axis=1)
-    assert np.max(np.abs(lhs - rhs) / scale) < 1e-13
+    assert np.max(np.abs(lhs - rhs) / _dense_row_scale(op)) < 1e-13
 
 
 @pytest.mark.parametrize("n, s", [(1, 0.02), (3, 0.01)])
@@ -674,10 +654,9 @@ def test_constant_tail_matches_row_sums_at_small_s(operator_cache, n, s):
     # A@1 uses the closed-form row mass, the constant tail the exterior
     # quadrature with its far-field series.
     op = operator_cache(n, s, 32)
-    lhs = op.matrix @ np.ones(op.n_interior)
+    lhs = op.apply_interior(np.ones(op.n_interior), TailSpec.zero())
     rhs = op.apply_interior(np.zeros(op.n_interior), TailSpec.power(0.0, -1.0))
-    scale = np.abs(op.matrix).sum(axis=1)
-    assert np.max(np.abs(lhs - rhs) / scale) < 1e-11
+    assert np.max(np.abs(lhs - rhs) / _dense_row_scale(op)) < 1e-11
 
 
 def test_linearity(operator_cache):

@@ -14,6 +14,7 @@ from fracgelfand import (
     ContinuationConfig,
     DomainError,
     EigenSolveError,
+    GridDepthError,
     InfeasibleError,
     NoConvergenceError,
     ProblemParams,
@@ -37,6 +38,7 @@ from fracgelfand.gelfand import (
     _MAX_NEWTON_ITERS,
     _MAX_PEAK_POINTS,
     _newton_solve,
+    _torsion,
 )
 
 # mpmath at 40 digits, rounded to double precision.
@@ -61,6 +63,8 @@ def branch_1d():
 
 @pytest.fixture(scope="module")
 def partial_12():
+    # graded(96) resolves center values up to 2s log(1/r_1) = 9.11: the
+    # trace stops at m = 10.
     cfg = ContinuationConfig(
         params=ProblemParams(12, 0.5), grid=RadialGrid.graded(96),
         peak_start=1.0, peak_end=16.0, peak_step=1.0,
@@ -77,12 +81,11 @@ def test_torsion_center_oracle():
 
 @pytest.mark.parametrize("n, s, rel", [(3, 0.5, 5e-4), (3, 0.01, 1e-5)], ids=["3-0.5", "3-0.01"])
 def test_torsion_matches_grid_solve(operator_cache, n, s, rel):
-    # At s = 0.01 the exterior mass decays like rho^{-2s}: a far field cut at
-    # any radius a quadrature can reach loses a visible share of it.
+    # The Galerkin torsion S z = b(0), from which cold starts are scaled.  At
+    # s = 0.01 the exterior mass decays like rho^{-2s}: a far field cut at
+    # any radius a quadrature can reach would lose a visible share of it.
     op = operator_cache(n, s, 128)
-    z = np.linalg.solve(op.matrix, np.ones(op.n_interior))
-    e1, e2 = op.grid.origin_fold
-    z0 = e1 * z[0] + e2 * z[1]
+    z0 = op.grid.origin_value(_torsion(op))
     assert z0 == pytest.approx(torsion_center_value(ProblemParams(n, s)), rel=rel)
 
 
@@ -126,6 +129,26 @@ def test_solve_at_peak_basic(operator_cache):
     # Solved profile is radially decreasing with zero boundary value.
     assert pt.profile.values[-1] == 0.0
     assert np.all(np.diff(pt.profile.values) < 0.0)
+
+
+def test_branch_builds_no_collocation_couplings(monkeypatch):
+    # Newton, the pencil and the energy inequality all run on the Galerkin
+    # form: a trace, and the inequality at its stable points, never assemble
+    # the collocation couplings, nor read their exterior row masses.
+    def refuse(*args):
+        raise AssertionError("collocation couplings assembled on the Galerkin path")
+
+    monkeypatch.setattr(fraclap, "_far_partition", refuse)
+    monkeypatch.setattr(fraclap.OperatorMatrix, "tail_mass", property(refuse))
+    cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=RadialGrid.graded(48),
+                             peak_start=0.5, peak_end=2.0, peak_step=0.5)
+    with pytest.raises(AssertionError, match="collocation"):
+        cfg.operator().couple_quad
+    branch = trace_branch(cfg)
+    assert len(branch.points) == 4
+    for pt in branch.points:
+        if pt.stable:
+            stability_inequality_check(cfg.operator(), pt, rho0=0.5, eps=0.1)
 
 
 def test_dirichlet_path_builds_no_exterior_quadrature(monkeypatch):
@@ -173,23 +196,30 @@ def test_warm_start_chain_replays_trace_branch(operator_cache):
 
 
 def test_long_warm_start_step_falls_back_to_the_point(operator_cache, monkeypatch):
-    # The secant slope at m = 0.5 (from m = 0.25) overshoots a jump to m = 3,
-    # past the fold; Newton then starts again from the m = 0.5 point.
+    # Should Newton fail from the secant extrapolation of a jump to m = 3,
+    # past the fold, it starts again from the m = 0.5 point shifted to m.
+    # The first start is made to fail here, whether or not it overshoots.
     op = operator_cache(1, 0.5, 128)
-    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid)
+    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid, peak_start=0.25,
+                             peak_end=3.0)
     near = solve_at_peak(cfg, 0.5, warm_start=solve_at_peak(cfg, 0.25, op=op), op=op)
     calls = []
 
-    def counting(*args):
+    def failing_first(*args):
         calls.append(args[2].copy())
+        if len(calls) == 1:
+            raise NoConvergenceError("first start", near.profile, near.lam, 1.0, 0)
         return _newton_solve(*args)
 
-    monkeypatch.setattr(gelfand, "_newton_solve", counting)
+    monkeypatch.setattr(gelfand, "_newton_solve", failing_first)
     far = solve_at_peak(cfg, 3.0, warm_start=near, op=op)
     assert len(calls) == 2
+    du, dlam = near.slope
+    assert np.array_equal(calls[0], near.profile.interior + (3.0 - near.peak) * du)
     assert np.array_equal(calls[1], near.profile.interior + (3.0 - near.peak))
-    cold = solve_at_peak(cfg, 3.0, op=op)
-    assert far.lam == pytest.approx(cold.lam, abs=1e-9)
+    monkeypatch.undo()
+    # The same state as the end of a trace in steps of 0.25.
+    assert far.lam == pytest.approx(trace_branch(cfg).points[-1].lam, abs=1e-9)
 
 
 def test_invalid_center_value(operator_cache):
@@ -240,13 +270,20 @@ def test_negative_center_value_is_infeasible(operator_cache):
     # _newton_solve: from the torsion-scaled start it converges to the state
     # with u(0) = -0.1, which needs lam < 0 and must be rejected.
     op = operator_cache(3, 0.5, 96)
-    e1, e2 = op.grid.origin_fold
-    z = np.linalg.solve(op.matrix, np.ones(op.n_interior))
-    z0 = e1 * z[0] + e2 * z[1]
+    z = _torsion(op)
+    z0 = op.grid.origin_value(z)
     m = -0.1
     with pytest.raises(InfeasibleError) as excinfo:
         _newton_solve(op, m, (m / z0) * z, m / z0, 1e-10)
     assert excinfo.value.lam == pytest.approx(-0.218, abs=1e-2)
+
+
+def test_overflowing_start_is_not_converged(operator_cache):
+    # e^800 overflows: the row-relative residual of that start is NaN, which
+    # must count as unconverged, not pass the tolerance test by comparing false.
+    op = operator_cache(1, 0.5, 32)
+    with pytest.raises(NoConvergenceError, match="nan"):
+        _newton_solve(op, 800.0, np.full(op.n_interior, 800.0), 1.0, 1e-12)
 
 
 def test_branch_fold_and_extremal_estimate(branch_1d):
@@ -266,6 +303,37 @@ def test_branch_stability_sign_change(branch_1d):
     assert mus[-1] < 0.0
     first_negative = int(np.argmax(mus < 0.0))
     assert abs(first_negative - branch.fold_index) <= 1
+
+
+def test_fold_is_where_the_stability_eigenvalue_vanishes():
+    # Newton and the stability pencil share one discretization, the Galerkin
+    # energy form, so the fold of lam(m) is where the pencil turns singular:
+    # the zero of mu(m) and the zero of dlam/dm coincide.  dlam/dm is taken
+    # by central differences with h = 1e-3, whose O(h^2) bias (3e-7 in m at
+    # N = 64, 128 and 256) is what the two may differ by.
+    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=RadialGrid.graded(64),
+                             peak_start=0.05, peak_end=2.0, peak_step=0.05)
+    points = trace_branch(cfg).points
+
+    def solve(m):
+        return solve_at_peak(cfg, m, warm_start=min(points, key=lambda pt: abs(pt.peak - m)))
+
+    def secant(f, a, b):
+        fa, fb = f(a), f(b)
+        for _ in range(30):
+            if abs(b - a) <= 1e-12 or fb == fa:
+                break
+            a, b, fa = b, b - fb * (b - a) / (fb - fa), fb
+            fb = f(b)
+        return b
+
+    first = next(k for k, pt in enumerate(points) if pt.stability_eig < 0.0)
+    m_mu = secant(lambda m: solve(m).stability_eig, points[first - 1].peak, points[first].peak)
+    h = 1e-3
+    fold = int(np.argmax([pt.lam for pt in points]))
+    m_fold = secant(lambda m: (solve(m + h).lam - solve(m - h).lam) / (2.0 * h),
+                    points[fold - 1].peak, points[fold + 1].peak)
+    assert abs(m_mu - m_fold) <= 1e-6
 
 
 def test_branch_serialization(branch_1d):
@@ -299,7 +367,7 @@ def test_stability_eigenvalue_deterministic_and_checked(branch_1d, operator_cach
 
 def dense_mass(op, values):
     """The tridiagonal e^u mass as a dense matrix, from its bands."""
-    diag, off = op.exp_mass(values)
+    _, diag, off = op.exp_mass(values)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -365,24 +433,21 @@ def test_weighted_mass_closed_form(operator_cache, n):
     for c in (-3.0, 1.7):
         mass_c = dense_mass(op, np.full(nodes.size, c))
         assert np.abs(mass_c - math.exp(c) * mass0).max() <= 1e-13 * math.exp(c) * scale
-    # u = 1 - 2 r^2 makes the origin panel's density e^{a0 + b0 r^2} with
-    # b0 != 0.  The documented interpolant: that even parabola on [0, r_1],
-    # u log-linear in r on every other panel.
+    # Nodal values of u = 1 - 2 r^2.  The documented interpolant: u_h linear
+    # in r on every panel, the origin panel included.
     values = 1.0 - 2.0 * nodes**2
     got = dense_mass(op, values).sum()
     with mpmath.workdps(30):
         r = [mpmath.mpf(float(x)) for x in nodes]
         v = [mpmath.mpf(float(x)) for x in values]
-        a0 = (r[2] ** 2 * v[1] - r[1] ** 2 * v[2]) / (r[2] ** 2 - r[1] ** 2)
-        b0 = (v[1] - a0) / r[1] ** 2
-        total = mpmath.quad(lambda x: mpmath.exp(a0 + b0 * x * x) * x ** (n - 1), [0, r[1]])
-        for k in range(1, len(r) - 1):
-            beta = (v[k + 1] - v[k]) / mpmath.log(r[k + 1] / r[k])
+        total = 0
+        for k in range(len(r) - 1):
+            slope = (v[k + 1] - v[k]) / (r[k + 1] - r[k])
             # 1^T M 1 weighs the density by (1 - phi_N)^2 (see above).
             hat = (lambda x: 1) if k < len(r) - 2 else (lambda x: ((1 - x) / (1 - r[k])) ** 2)
             total += mpmath.quad(
-                lambda x, k=k, beta=beta, hat=hat:
-                    hat(x) * mpmath.exp(v[k]) * (x / r[k]) ** beta * x ** (n - 1),
+                lambda x, k=k, slope=slope, hat=hat:
+                    hat(x) * mpmath.exp(v[k] + slope * (x - r[k])) * x ** (n - 1),
                 [r[k], r[k + 1]])
         exact = float(area * total)
     assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
@@ -448,9 +513,8 @@ def test_small_peak_slope_matches_torsion(operator_cache):
 
 def test_trace_branch_reports_partial_progress(partial_12):
     _, exc = partial_12
-    assert "center value" in str(exc)
-    assert isinstance(exc.__cause__, NoConvergenceError)
-    assert math.isfinite(exc.__cause__.residual_norm)
+    assert "center value m=10" in str(exc)
+    assert isinstance(exc.__cause__, GridDepthError)
     partial = exc.partial
     assert 5 <= len(partial.points) <= 12
     assert np.all(np.diff(partial.peaks) > 0.0)
@@ -589,14 +653,13 @@ def test_inequality_holds_at_stable_point(branch_1d):
 
 def test_inequality_lhs_is_the_operator_pairing_at_solved_points(branch_1d):
     # lhs = lam int e^u psi^2 from the solved equation; at a solved point it
-    # is the operator's action on u weighted by psi^2, up to the residual.
+    # is the energy form's pairing of u with psi^2, up to the residual.
     op, branch = branch_1d
     psi = proof_test_function(op.params, op.grid, 0.5, 0.1)
     for pt in branch.points:
         if not pt.stable:
             continue
-        action_u = op.apply_interior(pt.profile.interior, pt.profile.tail)
-        want = float(np.dot(op.weights, psi.interior**2 * action_u))
+        want = float(psi.interior**2 @ (op.stability_form @ pt.profile.interior))
         lhs, _ = stability_inequality_check(op, pt, 0.5, 0.1)
         assert type(lhs) is float
         assert lhs == pytest.approx(want, rel=1e-9, abs=0.0)
