@@ -102,9 +102,9 @@ _BLOCK_ENTRIES = 1 << 15
 # assemble its coupling buffer, which the operator keeps without a copy; the
 # energy form its matrix, kept as the operator's stability_form; apply none.
 # A branch never builds the couplings.  The Gelfand solvers add |S| and the
-# pencil's preconditioner (D S D)^{-1}, which the operator keeps (the
-# inversion holds a transient copy of S), and the bordered Newton Jacobian
-# with LAPACK's copy of it, so a branch holds up to five.
+# inverse (D S D)^{-1} that Newton's Krylov steps and the pencil share, both
+# kept by the operator (the inversion holds a transient copy of S), so a
+# branch holds three.
 _DENSE_BUDGET_BYTES = 1 << 29
 
 

@@ -11,9 +11,11 @@ folds at the extremal parameter, m does not.  Each solve treats lam as an
 extra Newton unknown closed by the center constraint, which keeps the
 augmented Jacobian square and well conditioned through the fold.  Warm starts
 extrapolate (u, lam) along the secant slope the previous point recorded, so a
-point typically costs two Newton iterations (one LU solve each).  mu comes
-from a preconditioned Davidson iteration that reads nothing but the point
-and the operator.
+point typically costs two Newton iterations.  Each Newton step is a GMRES
+solve preconditioned by the energy form's inverse, which the operator caches
+once; no dense system is factored per iteration.  mu comes from a
+preconditioned Davidson iteration on the same inverse that reads nothing but
+the point and the operator.
 
 Also provides the diagnostics used to probe the singular regime: the
 log-profile ratio along a branch, the proof-style test function built from a
@@ -62,6 +64,9 @@ __all__ = [
 
 _STABILITY_TOL = 1e-6
 _EIG_MAX_BASIS = 64        # Davidson basis vectors per stability eigenvalue
+_EIG_RESTARTS = 8          # Davidson restarts, each from the lowest half of the Ritz vectors
+_KRYLOV_MAX_BASIS = 64     # GMRES vectors per Newton step
+_KRYLOV_TOL = 1e-10        # GMRES's preconditioned relative residual
 _MAX_NEWTON_ITERS = 50
 _MAX_PEAK_POINTS = 10_000   # largest number of center values one trace may solve
 _PROBE_RADIUS = 0.01
@@ -245,18 +250,18 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
                   tol: float) -> tuple[np.ndarray, float, float, int]:
     """Newton for S u = lam b(u), c^T u = m (c the origin fold) in (u, lam).
 
-    The bordered Jacobian [[S - lam E, -b], [c^T, 0]] is built once, rows
-    scaled by D = 1 / max_j |S_ij|, so LU pivots on the rows' content, not
-    on scales that follow the hat masses over dozens of decades at large n;
-    each iteration rewrites only its three bands and last column.  The line
-    search halves the step until max |D F| decreases.  ``tol`` bounds the
-    row-relative residual, each row against its roundoff scale:
-    max_i |F_i| / (|S| |u| + |lam| |b|)_i.  c^T u = m holds from the start.
+    Each step solves the bordered system [[S - lam E, -b], [c^T, 0]] by
+    ``_krylov_step``, matrix-free.  The line search halves the step until
+    max |D F| decreases, D = 1 / max_j |S_ij| the operator's fixed row
+    factors, which keep rows whose hat masses span dozens of decades (large
+    n) on one scale.  ``tol`` bounds the row-relative residual, each row
+    against its roundoff scale: max_i |F_i| / (|S| |u| + |lam| |b|)_i.  The
+    line search and this bound alone judge convergence; an inexact step only
+    costs iterations.  c^T u = m holds from the start.
     """
     smat = op.stability_form
     mag, scale = op._stability_rows
     ni = op.n_interior
-    diag = np.arange(ni)
     u = u0.copy()
     lam = lam0
 
@@ -268,22 +273,17 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
             rel = np.abs(fv) / (mag @ np.abs(uv) + abs(lv) * np.abs(mass[0]))
             return fv, float(np.abs(scale * fv).max()), float(rel.max()), mass
 
-    jac = np.zeros((ni + 1, ni + 1))
-    np.multiply(smat, scale[:, None], out=jac[:ni, :ni])
-    jac[ni, :2] = op.grid.origin_fold
-    bands = [jac[diag, diag], jac[diag[:-1], diag[1:]], jac[diag[1:], diag[:-1]]]
-    fvec, merit, fnorm, (load, band0, band1) = residual(u, lam)
+    fvec, merit, fnorm, mass = residual(u, lam)
     iters = 0
     while not fnorm <= tol and iters < _MAX_NEWTON_ITERS:   # a NaN residual iterates too
-        jac[diag, diag] = bands[0] - lam * scale * band0
-        jac[diag[:-1], diag[1:]] = bands[1] - lam * scale[:-1] * band1
-        jac[diag[1:], diag[:-1]] = bands[2] - lam * scale[1:] * band1
-        jac[:ni, ni] = -scale * load
         try:
-            step = np.linalg.solve(jac, np.append(-scale * fvec, m - op.grid.origin_value(u)))
+            # Non-finite data (e^u overflow) give a non-finite step, which the
+            # line search refuses.
+            with np.errstate(over="ignore", invalid="ignore"):
+                step = _krylov_step(op, lam, mass, np.append(-fvec, m - op.grid.origin_value(u)))
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(
-                f"singular Newton Jacobian at center value m={m}",
+                f"singular energy form at center value m={m}",
                 op.grid.profile(u), lam, fnorm, iters,
             ) from exc
         t = 1.0
@@ -300,7 +300,7 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
                 op.grid.profile(u), lam, fnorm, iters,
             )
         u, lam = u_new, lam_new
-        fvec, merit, fnorm, (load, band0, band1) = trial
+        fvec, merit, fnorm, mass = trial
         iters += 1
 
     if not fnorm <= tol:
@@ -317,11 +317,95 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
     return u, lam, fnorm, iters
 
 
+def _krylov_step(op: OperatorMatrix, lam: float,
+                 mass: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 rhs: np.ndarray) -> np.ndarray:
+    """Solve [[S - lam E, -b], [c^T, 0]] x = rhs, (b, E's bands) = ``mass``.
+
+    GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)) from zero,
+    left-preconditioned by K = [[S, -b], [c^T, 0]], as in Newton-Krylov
+    (Knoll and Keyes, J. Comput. Phys. 193 (2004)).  K^{-1} reads
+    S^{-1} = D P D, D = M^{-1/2}, from the operator's cached inverse
+    P = (D S D)^{-1}, and the scalar Schur complement c^T S^{-1} b, formed
+    once per call, so the preconditioned matrix is
+    I - K^{-1} [[lam E, 0], [0, 0]]: one matrix-vector product and E's three
+    bands per Krylov vector.  Each new vector is orthogonalized twice,
+    Givens rotations keep the least-squares residual, and the iteration stops
+    once it is below _KRYLOV_TOL of the preconditioned right side, or at
+    _KRYLOV_MAX_BASIS vectors.  Either way the result is the minimal-residual
+    iterate; a zero right side gives zero, non-finite data a non-finite x.
+    """
+    load, band0, band1 = mass
+    lam0, lam1 = lam * band0, lam * band1
+    d = 1.0 / np.sqrt(op.weights)
+    pmat = op._stability_preconditioner
+    e1, e2 = op.grid.origin_fold
+    ni = op.n_interior
+    w = d * (pmat @ (d * load))       # S^{-1} b
+    sigma = e1 * w[0] + e2 * w[1]     # c^T S^{-1} b
+
+    def precondition(f: np.ndarray, g: float, out: np.ndarray) -> np.ndarray:
+        # K^{-1} (f, g) into out: x = S^{-1} f + y w, y from c^T x = g.
+        x = d * (pmat @ (d * f))
+        out[ni] = y = (g - (e1 * x[0] + e2 * x[1])) / sigma
+        np.add(x, y * w, out=out[:ni])
+        return out
+
+    r0 = precondition(rhs[:ni], rhs[ni], np.empty(ni + 1))
+    beta = math.sqrt(r0 @ r0)
+    if beta == 0.0 or not math.isfinite(beta):
+        return r0
+    size = min(_KRYLOV_MAX_BASIS, ni + 1)
+    basis = np.empty((size, ni + 1))
+    basis[0] = r0 / beta
+    cols: list[list[float]] = []      # the rotated Hessenberg matrix, column by column
+    cs: list[float] = []
+    sn: list[float] = []
+    g = [beta]                        # the rotated right side beta e_1
+    t = np.empty(ni + 1)
+    while len(cols) < size and abs(g[-1]) > _KRYLOV_TOL * beta:
+        k = len(cols)
+        v = basis[k, :ni]
+        ev = lam0 * v
+        ev[:-1] += lam1 * v[1:]
+        ev[1:] += lam1 * v[:-1]
+        np.subtract(basis[k], precondition(ev, 0.0, t), out=t)
+        prior = basis[: k + 1]
+        h = prior @ t
+        t -= h @ prior
+        again = prior @ t
+        t -= again @ prior
+        col = (h + again).tolist()
+        norm = math.sqrt(t @ t)
+        for i in range(k):
+            col[i], col[i + 1] = cs[i] * col[i] + sn[i] * col[i + 1], cs[i] * col[i + 1] - sn[i] * col[i]
+        rho = math.hypot(col[k], norm)
+        if not rho > 0.0:             # singular on the Krylov space, or non-finite data
+            break
+        cs.append(col[k] / rho)
+        sn.append(norm / rho)
+        col[k] = rho
+        cols.append(col)
+        g.append(-sn[k] * g[k])
+        g[k] *= cs[k]
+        if not norm > 0.0:            # the Krylov space is invariant: x is exact
+            break
+        if k + 1 < size:
+            np.divide(t, norm, out=basis[k + 1])
+    # Back substitution on the rotated, upper-triangular Hessenberg matrix.
+    k = len(cols)
+    y = g[:k]
+    for i in range(k - 1, -1, -1):
+        y[i] = (y[i] - sum(cols[j][i] * y[j] for j in range(i + 1, k))) / cols[i][i]
+    return np.asarray(y) @ basis[:k]
+
+
 def _torsion(op: OperatorMatrix) -> np.ndarray:
-    """Galerkin torsion: S z = b(0), the load of the source 1, rows equilibrated."""
-    scale = op._stability_rows[1]
-    return np.linalg.solve(scale[:, None] * op.stability_form,
-                           scale * op.exp_mass(np.zeros(op.grid.nodes.size))[0])
+    """Galerkin torsion z = S^{-1} b(0), b(0) the load of the source 1, read
+    from the cached inverse as D P D b(0), D = M^{-1/2}: one matrix-vector
+    product."""
+    d = 1.0 / np.sqrt(op.weights)
+    return d * (op._stability_preconditioner @ (d * op.exp_mass(np.zeros(op.grid.nodes.size))[0]))
 
 
 def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> float:
@@ -331,18 +415,22 @@ def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> 
     Scott, SIAM J. Sci. Stat. Comput. 7 (1986)) for the smallest eigenvalue
     of C = D (S - lam E) D, D = M^{-1/2}, M = diag(weights), applied
     matrix-free: S times a vector, less lam E on the three bands of the
-    tridiagonal e^u mass.  The basis starts from M^{1/2} 1, which overlaps
-    the positive ground state, and grows by P r, r the Ritz residual and
-    P = (D S D)^{-1} the operator's cached preconditioner, orthogonalized
-    twice against it; Rayleigh-Ritz is a small symmetric eigensolve.  The
+    tridiagonal e^u mass.  The basis starts from M^{1/2} 1 plus 1e-3 of a
+    fixed Weyl sequence (frac(k phi) - 1/2, phi the golden ratio): as s -> 0
+    the lowest modes can be grid-scale ones on which u is flat, orthogonal
+    to M^{1/2} 1 to roundoff, and the small generic part overlaps every mode.
+    It grows by P r, r the Ritz residual and P = (D S D)^{-1} the operator's
+    cached preconditioner, orthogonalized twice against it; Rayleigh-Ritz is
+    a small symmetric eigensolve.  At _EIG_MAX_BASIS vectors the basis
+    restarts from its lowest half of Ritz vectors, at most _EIG_RESTARTS
+    times: as s -> 0 the lowest eigenvalues crowd together.  The
     iteration stops once |r|^2 <= eps c (theta_2 - theta_1), where
     c = max S_ii / M_i is a lower bound on |D S D|, so on |C| up to the
     bounded lam E: the Ritz error bound |r|^2 / gap is then below a dense
     solver's own eps |C|.  It also stops, exactly, when the basis spans the
     space.  Nothing carries over between calls, so the result depends on
     (op, values, lam) alone.  Non-finite bands (e^u overflow), a basis that
-    loses rank, or no convergence within _EIG_MAX_BASIS vectors raise
-    EigenSolveError.
+    loses rank, or no convergence within the restarts raise EigenSolveError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         band0, band1 = (lam * band for band in op.exp_mass(values)[1:])
@@ -368,8 +456,9 @@ def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> 
     image = np.empty((size, ni))      # C V, row by row
     proj = np.empty((size, size))     # V C V^T
     floor = np.finfo(float).eps * float(np.max(smat.diagonal() / op.weights))
-    t = np.sqrt(op.weights)
-    k = 0
+    weyl = (np.arange(ni) * 0.6180339887498949) % 1.0 - 0.5
+    t = np.sqrt(op.weights) * (1.0 + 1e-3 * weyl)
+    k = restarts = 0
     while True:
         norm = float(np.linalg.norm(t))
         if not norm > 0.0:
@@ -387,9 +476,17 @@ def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> 
         if k == ni or (k > 1 and resid @ resid <= floor * (theta[1] - theta[0])):
             return float(theta[0])
         if k == size:
-            raise EigenSolveError(
-                f"stability eigensolve did not converge in {k} basis vectors "
-                f"(residual {float(np.linalg.norm(resid)):.3e})")
+            if restarts == _EIG_RESTARTS:
+                raise EigenSolveError(
+                    f"stability eigensolve did not converge in {k} basis vectors and "
+                    f"{restarts} restarts (residual {float(np.linalg.norm(resid)):.3e})")
+            keep = size // 2
+            lowest = vecs[:, :keep].T
+            basis[:keep] = lowest @ basis[:k]
+            image[:keep] = lowest @ image[:k]
+            proj[:keep, :keep] = np.diag(theta[:keep])
+            k = keep
+            restarts += 1
         t = precond @ resid
         for _ in range(2):
             t -= (basis[:k] @ t) @ basis[:k]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -37,6 +38,7 @@ from fracgelfand import fraclap, gelfand
 from fracgelfand.gelfand import (
     _MAX_NEWTON_ITERS,
     _MAX_PEAK_POINTS,
+    _krylov_step,
     _newton_solve,
     _torsion,
 )
@@ -57,6 +59,16 @@ def branch_1d():
     cfg = ContinuationConfig(
         params=ProblemParams(1, 0.5), grid=RadialGrid.graded(96),
         peak_start=0.25, peak_end=3.5, peak_step=0.25,
+    )
+    return cfg.operator(), trace_branch(cfg)
+
+
+@pytest.fixture(scope="module")
+def fold_ladder():
+    # The benchmark's fold-verify branch: (1, 0.5), graded(256), m = 0.05 .. 3.
+    cfg = ContinuationConfig(
+        params=ProblemParams(1, 0.5), grid=RadialGrid.graded(256),
+        peak_start=0.05, peak_end=3.0, peak_step=0.05,
     )
     return cfg.operator(), trace_branch(cfg)
 
@@ -149,6 +161,69 @@ def test_branch_builds_no_collocation_couplings(monkeypatch):
     for pt in branch.points:
         if pt.stable:
             stability_inequality_check(cfg.operator(), pt, rho0=0.5, eps=0.1)
+
+
+def test_newton_makes_no_dense_solve(monkeypatch):
+    # Newton steps are Krylov solves on the operator's cached (D S D)^{-1},
+    # which the cold start's torsion reads too: neither a trace nor a cold
+    # solve factors a dense system.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solve on the Newton path")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=RadialGrid.graded(48),
+                             peak_start=0.5, peak_end=2.0, peak_step=0.5)
+    assert len(trace_branch(cfg).points) == 4
+    assert solve_at_peak(cfg, 1.25).newton_iters > 0
+
+
+def dense_bordered_solve(op, lam, mass, rhs):
+    """[[S - lam E, -b], [c^T, 0]] x = rhs by LU, the rows of S scaled by
+    1 / max_j |S_ij| as the dense Newton did."""
+    load, diag, off = mass
+    ni = op.n_interior
+    jac = np.zeros((ni + 1, ni + 1))
+    jac[:ni, :ni] = op.stability_form - lam * (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    jac[:ni, ni] = -load
+    jac[ni, :2] = op.grid.origin_fold
+    scale = np.append(1.0 / np.abs(op.stability_form).max(axis=1), 1.0)
+    return np.linalg.solve(scale[:, None] * jac, scale * rhs)
+
+
+def test_krylov_step_matches_a_dense_bordered_solve(fold_ladder, partial_12):
+    # On both sides of the fold, where S - lam E turns singular and only the
+    # border keeps the system regular, and along (12, 0.5) on graded(96),
+    # whose hat masses span ~40 decades.  The right side is a Newton step's
+    # (-F, m - c^T u) at a state 1% off the solved one.
+    op, branch = fold_ladder
+    first = next(k for k, pt in enumerate(branch.points) if pt.stability_eig < 0.0)
+    cases = [(op, branch.points[first - 1 : first + 1]),
+             (partial_12[0], partial_12[1].partial.points)]
+    for op, points in cases:
+        for pt in points:
+            u = 1.01 * pt.profile.interior
+            mass = op.exp_mass(op.grid.profile(u).values)
+            rhs = np.append(pt.lam * mass[0] - op.stability_form @ u,
+                            pt.peak - op.grid.origin_value(u))
+            got = _krylov_step(op, pt.lam, mass, rhs)
+            want = dense_bordered_solve(op, pt.lam, mass, rhs)
+            assert abs(got[-1] - want[-1]) <= 1e-9 * abs(want[-1])
+            assert np.abs(got[:-1] - want[:-1]).max() <= 1e-9 * np.abs(want[:-1]).max()
+
+
+def test_fold_ladder_matches_the_dense_newton(fold_ladder):
+    # data/fold_verify_dense_newton.json is the CLI's branch at the data's
+    # argv as an LU solve per Newton step traced it.  The Krylov step takes
+    # the same iterations at every point and moves lam and mu by roundoff.
+    ref = json.loads((Path(__file__).parent / "data" / "fold_verify_dense_newton.json").read_text())
+    _, branch = fold_ladder
+    peak, lam, mu, iters = (np.array(col) for col in zip(*ref["points"]))
+    assert [pt.newton_iters for pt in branch.points] == iters.tolist()
+    assert iters.sum() == 121
+    assert np.abs(branch.peaks - peak).max() <= 1e-14
+    assert np.abs(branch.lams - lam).max() <= 1e-13
+    assert np.abs(np.array([pt.stability_eig for pt in branch.points]) - mu).max() <= 1e-11
+    assert abs(branch.lambda_star_estimate - ref["lambda_star_estimate"]) <= 1e-12
 
 
 def test_dirichlet_path_builds_no_exterior_quadrature(monkeypatch):
@@ -281,9 +356,15 @@ def test_negative_center_value_is_infeasible(operator_cache):
 def test_overflowing_start_is_not_converged(operator_cache):
     # e^800 overflows: the row-relative residual of that start is NaN, which
     # must count as unconverged, not pass the tolerance test by comparing false.
+    # At one node only, the load's single inf reaches the Krylov step's Schur
+    # complement as inf - inf, which must not surface as a RuntimeWarning.
     op = operator_cache(1, 0.5, 32)
     with pytest.raises(NoConvergenceError, match="nan"):
         _newton_solve(op, 800.0, np.full(op.n_interior, 800.0), 1.0, 1e-12)
+    hot = np.full(op.n_interior, 0.5)
+    hot[op.n_interior // 2] = 800.0
+    with pytest.raises(NoConvergenceError, match="nan"):
+        _newton_solve(op, 0.5, hot, 1.0, 1e-12)
 
 
 def test_branch_fold_and_extremal_estimate(branch_1d):
@@ -409,6 +490,15 @@ def test_stability_eigenvalue_matches_dense_solver(branch_1d, operator_cache):
         for pt in chain(op, peaks):
             dense = eigh(pencil(op, pt), np.diag(op.weights), eigvals_only=True)[0]
             assert abs(pt.stability_eig - dense) <= 1e-12 * abs(dense)
+    # (1, 0.05): as s -> 0 the lowest eigenvalues crowd (0.5941, 0.5976,
+    # 0.6011, ... at m = 0.05), and Davidson needs more than its 64 vectors,
+    # so it restarts.  At m = 0.4 .. 0.55 the lowest modes are grid-scale
+    # ones, orthogonal to M^{1/2} 1 to roundoff; the start's small generic
+    # component finds them.
+    op = operator_cache(1, 0.05, 256)
+    for pt in chain(op, [0.05 * k for k in range(1, 21)]):
+        dense = eigh(pencil(op, pt), np.diag(op.weights), eigvals_only=True)[0]
+        assert abs(pt.stability_eig - dense) <= 1e-12 * max(1.0, abs(dense))
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
@@ -490,8 +580,11 @@ def test_stability_eigenvalue_overflow_is_typed(branch_1d):
 
 def test_stability_eigenvalue_budget_is_typed(branch_1d, monkeypatch):
     op, branch = branch_1d
+    # Two basis vectors and one restart from the lowest Ritz vector: three
+    # steps, too few for the Ritz error bound.
     monkeypatch.setattr(gelfand, "_EIG_MAX_BASIS", 2)
-    with pytest.raises(EigenSolveError, match="did not converge in 2 basis vectors"):
+    monkeypatch.setattr(gelfand, "_EIG_RESTARTS", 1)
+    with pytest.raises(EigenSolveError, match="did not converge in 2 basis vectors and 1 restarts"):
         stability_eigenvalue(op, branch.points[3])
     cfg = ContinuationConfig(params=op.params, grid=op.grid, peak_start=0.25, peak_end=1.0)
     with pytest.raises(BranchTraceError) as excinfo:
