@@ -102,9 +102,9 @@ _BLOCK_ENTRIES = 1 << 15
 # assemble its coupling buffer, which the operator keeps without a copy; the
 # energy form its matrix, kept as the operator's stability_form; apply none.
 # A branch never builds the couplings.  The Gelfand solvers add |S| and the
-# inverse (D S D)^{-1} that Newton's Krylov steps and the pencil share, both
-# kept by the operator (the inversion holds a transient copy of S), so a
-# branch holds three.
+# inverse S^{-1} that Newton's Krylov steps, the torsion and the pencil
+# share, both kept by the operator (the inversion holds a transient copy of
+# S), so a branch holds three.
 _DENSE_BUDGET_BYTES = 1 << 29
 
 
@@ -541,10 +541,11 @@ def angular_kernel(p: ProblemParams, r: float, rho: float) -> float:
 class OperatorMatrix:
     """The radial operator for (params, grid); every part is built on first
     access, cached and read-only.  Galerkin (the Gelfand solver's): the
-    energy form ``stability_form``, hat masses ``weights`` and the e^u load
-    and mass of ``exp_mass``.  Collocation (``assemble`` builds it up front):
-    the couplings ``couple_quad`` and ``couple_quad_bnd`` and the row masses
-    ``tail_mass`` of ``apply_interior``'s difference form, exact on constants.
+    energy form ``stability_form`` and its inverse, hat masses ``weights``
+    and the e^u load and mass of ``exp_mass``.  Collocation (``assemble``
+    builds it up front): the couplings ``couple_quad`` and
+    ``couple_quad_bnd`` and the row masses ``tail_mass`` of
+    ``apply_interior``'s difference form, exact on constants.
     """
 
     params: ProblemParams
@@ -589,8 +590,8 @@ class OperatorMatrix:
 
         u_h is the hat interpolant of ``values`` (at all nodes, u_0 the origin
         fold of u_1, u_2), linear in r on every panel; E = db/du.  One 6-point
-        panel rule, nodes placed by offset, gives the Newton Jacobian's and
-        the pencil's e^u term.  Over the folded hats E is tridiagonal.
+        panel rule, nodes placed by offset, gives the Newton steps' and the
+        pencil's e^u term.  Over the folded hats E is tridiagonal.
         Returns b (Ni,), E's diagonal (Ni,) and first off-diagonal (Ni-1,).
         """
         fall, rise, weight = self._exp_rule
@@ -662,23 +663,19 @@ class OperatorMatrix:
         return _read_only(_assemble_energy(self.params, self.grid))
 
     @functools.cached_property
-    def _stability_preconditioner(self) -> np.ndarray:
-        """(D S D)^{-1} = M^{1/2} S^{-1} M^{1/2}, D = M^{-1/2} (read-only).
+    def _energy_inverse(self) -> np.ndarray:
+        """S^{-1} (read-only), the Gelfand solvers' one dense inverse.
 
-        The stability pencil's preconditioner: lam E is a bounded L^2 term
-        next to the energy, so one inverse serves every point of a branch.
-        Scaled in place, so the inversion's result is the only new array.
+        Newton's Krylov steps and the stability pencil precondition by it:
+        lam E is a bounded L^2 term next to the energy, so one inverse
+        serves every point of a branch.  The torsion reads it too.
         """
-        root = np.sqrt(self.weights)
-        inv = np.linalg.inv(self.stability_form)
-        inv *= root[:, None]
-        inv *= root
-        return _read_only(inv)
+        return _read_only(np.linalg.inv(self.stability_form))
 
     @functools.cached_property
     def _stability_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """|S| and the row factors 1 / max_j |S_ij| (read-only), by which Newton
-        equilibrates its Jacobian and measures its residual."""
+        """|S| and the row factors 1 / max_j |S_ij| (read-only): Newton's
+        roundoff scale and the weights of its line search's merit."""
         mag = np.abs(self.stability_form)
         return _read_only(mag), _read_only(1.0 / mag.max(axis=1))
 

@@ -247,8 +247,8 @@ class ContinuationConfig:
 
 
 def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
-                  tol: float) -> tuple[np.ndarray, float, float, int]:
-    """Newton for S u = lam b(u), c^T u = m (c the origin fold) in (u, lam).
+                  tol: float) -> tuple[np.ndarray, float, float, int, tuple]:
+    """Newton for S u = lam b(u), c^T u = m (the grid's origin value) in (u, lam).
 
     Each step solves the bordered system [[S - lam E, -b], [c^T, 0]] by
     ``_krylov_step``, matrix-free.  The line search halves the step until
@@ -257,7 +257,8 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
     n) on one scale.  ``tol`` bounds the row-relative residual, each row
     against its roundoff scale: max_i |F_i| / (|S| |u| + |lam| |b|)_i.  The
     line search and this bound alone judge convergence; an inexact step only
-    costs iterations.  c^T u = m holds from the start.
+    costs iterations.  c^T u = m holds from the start.  Returns u, lam,
+    the residual, the iteration count and (b, E's bands) at u.
     """
     smat = op.stability_form
     mag, scale = op._stability_rows
@@ -280,7 +281,7 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
             # Non-finite data (e^u overflow) give a non-finite step, which the
             # line search refuses.
             with np.errstate(over="ignore", invalid="ignore"):
-                step = _krylov_step(op, lam, mass, np.append(-fvec, m - op.grid.origin_value(u)))
+                step = _krylov_step(op, lam, mass, -fvec, m - op.grid.origin_value(u))
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(
                 f"singular energy form at center value m={m}",
@@ -314,22 +315,21 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
     # Maximum principle: lam e^u > 0 with zero exterior data forces u > 0.
     if u.min() <= 0.0:
         raise InfeasibleError(f"converged state has min u = {u.min():.6g} <= 0", lam)
-    return u, lam, fnorm, iters
+    return u, lam, fnorm, iters, mass
 
 
 def _krylov_step(op: OperatorMatrix, lam: float,
                  mass: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 rhs: np.ndarray) -> np.ndarray:
-    """Solve [[S - lam E, -b], [c^T, 0]] x = rhs, (b, E's bands) = ``mass``.
+                 f: np.ndarray, g: float) -> np.ndarray:
+    """Solve [[S - lam E, -b], [c^T, 0]] x = (f, g), (b, E's bands) = ``mass``.
 
     GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)) from zero,
     left-preconditioned by K = [[S, -b], [c^T, 0]], as in Newton-Krylov
-    (Knoll and Keyes, J. Comput. Phys. 193 (2004)).  K^{-1} reads
-    S^{-1} = D P D, D = M^{-1/2}, from the operator's cached inverse
-    P = (D S D)^{-1}, and the scalar Schur complement c^T S^{-1} b, formed
-    once per call, so the preconditioned matrix is
-    I - K^{-1} [[lam E, 0], [0, 0]]: one matrix-vector product and E's three
-    bands per Krylov vector.  Each new vector is orthogonalized twice,
+    (Knoll and Keyes, J. Comput. Phys. 193 (2004)).  K^{-1} reads the
+    operator's cached S^{-1}, c^T x as the grid's origin value of x, and
+    the scalar Schur complement c^T S^{-1} b, formed once per call, so the
+    preconditioned matrix is I - K^{-1} [[lam E, 0], [0, 0]]: one
+    matrix-vector product and E's three bands per Krylov vector.  Each new vector is orthogonalized twice,
     Givens rotations keep the least-squares residual, and the iteration stops
     once it is below _KRYLOV_TOL of the preconditioned right side, or at
     _KRYLOV_MAX_BASIS vectors.  Either way the result is the minimal-residual
@@ -337,21 +337,20 @@ def _krylov_step(op: OperatorMatrix, lam: float,
     """
     load, band0, band1 = mass
     lam0, lam1 = lam * band0, lam * band1
-    d = 1.0 / np.sqrt(op.weights)
-    pmat = op._stability_preconditioner
-    e1, e2 = op.grid.origin_fold
+    sinv = op._energy_inverse
+    border = op.grid.origin_value     # c^T
     ni = op.n_interior
-    w = d * (pmat @ (d * load))       # S^{-1} b
-    sigma = e1 * w[0] + e2 * w[1]     # c^T S^{-1} b
+    w = sinv @ load                   # S^{-1} b
+    sigma = border(w)                 # c^T S^{-1} b
 
     def precondition(f: np.ndarray, g: float, out: np.ndarray) -> np.ndarray:
         # K^{-1} (f, g) into out: x = S^{-1} f + y w, y from c^T x = g.
-        x = d * (pmat @ (d * f))
-        out[ni] = y = (g - (e1 * x[0] + e2 * x[1])) / sigma
+        x = sinv @ f
+        out[ni] = y = (g - border(x)) / sigma
         np.add(x, y * w, out=out[:ni])
         return out
 
-    r0 = precondition(rhs[:ni], rhs[ni], np.empty(ni + 1))
+    r0 = precondition(f, g, np.empty(ni + 1))
     beta = math.sqrt(r0 @ r0)
     if beta == 0.0 or not math.isfinite(beta):
         return r0
@@ -401,15 +400,14 @@ def _krylov_step(op: OperatorMatrix, lam: float,
 
 
 def _torsion(op: OperatorMatrix) -> np.ndarray:
-    """Galerkin torsion z = S^{-1} b(0), b(0) the load of the source 1, read
-    from the cached inverse as D P D b(0), D = M^{-1/2}: one matrix-vector
-    product."""
-    d = 1.0 / np.sqrt(op.weights)
-    return d * (op._stability_preconditioner @ (d * op.exp_mass(np.zeros(op.grid.nodes.size))[0]))
+    """Galerkin torsion z = S^{-1} b(0), b(0) the load of the source 1: one
+    matrix-vector product with the cached inverse."""
+    return op._energy_inverse @ op.exp_mass(np.zeros(op.grid.nodes.size))[0]
 
 
-def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> float:
-    """Smallest mu of (S - lam E) eta = mu M eta, deterministic.
+def _smallest_pencil_eig(op: OperatorMatrix,
+                         mass: tuple[np.ndarray, np.ndarray, np.ndarray], lam: float) -> float:
+    """Smallest mu of (S - lam E) eta = mu M eta, (b, E's bands) = ``mass``.
 
     Generalized Davidson (Davidson, J. Comput. Phys. 17 (1975); Morgan and
     Scott, SIAM J. Sci. Stat. Comput. 7 (1986)) for the smallest eigenvalue
@@ -419,9 +417,10 @@ def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> 
     fixed Weyl sequence (frac(k phi) - 1/2, phi the golden ratio): as s -> 0
     the lowest modes can be grid-scale ones on which u is flat, orthogonal
     to M^{1/2} 1 to roundoff, and the small generic part overlaps every mode.
-    It grows by P r, r the Ritz residual and P = (D S D)^{-1} the operator's
-    cached preconditioner, orthogonalized twice against it; Rayleigh-Ritz is
-    a small symmetric eigensolve.  At _EIG_MAX_BASIS vectors the basis
+    It grows by D^{-1} S^{-1} D^{-1} r, r the Ritz residual and S^{-1} the
+    operator's cached inverse (only this function scales by D),
+    orthogonalized twice against it; Rayleigh-Ritz is a small symmetric
+    eigensolve.  At _EIG_MAX_BASIS vectors the basis
     restarts from its lowest half of Ritz vectors, at most _EIG_RESTARTS
     times: as s -> 0 the lowest eigenvalues crowd together.  The
     iteration stops once |r|^2 <= eps c (theta_2 - theta_1), where
@@ -429,16 +428,16 @@ def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> 
     bounded lam E: the Ritz error bound |r|^2 / gap is then below a dense
     solver's own eps |C|.  It also stops, exactly, when the basis spans the
     space.  Nothing carries over between calls, so the result depends on
-    (op, values, lam) alone.  Non-finite bands (e^u overflow), a basis that
+    (op, mass, lam) alone.  Non-finite bands (e^u overflow), a basis that
     loses rank, or no convergence within the restarts raise EigenSolveError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        band0, band1 = (lam * band for band in op.exp_mass(values)[1:])
+        band0, band1 = (lam * band for band in mass[1:])
     if not (np.isfinite(band0).all() and np.isfinite(band1).all()):
         raise EigenSolveError("stability pencil has non-finite entries (e^u overflow)")
     smat = op.stability_form
     try:
-        precond = op._stability_preconditioner
+        sinv = op._energy_inverse
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"energy form is singular: {exc}") from exc
     d = 1.0 / np.sqrt(op.weights)
@@ -487,7 +486,7 @@ def _smallest_pencil_eig(op: OperatorMatrix, values: np.ndarray, lam: float) -> 
             proj[:keep, :keep] = np.diag(theta[:keep])
             k = keep
             restarts += 1
-        t = precond @ resid
+        t = (sinv @ (resid / d)) / d
         for _ in range(2):
             t -= (basis[:k] @ t) @ basis[:k]
 
@@ -496,7 +495,9 @@ def stability_eigenvalue(op: OperatorMatrix, point: BranchPoint) -> float:
     """Smallest eigenvalue of the stability pencil at a solved point."""
     if point.profile.grid != op.grid:
         raise DomainError("branch point grid does not match operator grid")
-    return _smallest_pencil_eig(op, point.profile.values, point.lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = op.exp_mass(point.profile.values)
+    return _smallest_pencil_eig(op, mass, point.lam)
 
 
 def solve_at_peak(cfg: ContinuationConfig, m: float,
@@ -541,13 +542,13 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
 
     for k, (u0, lam0) in enumerate(starts):
         try:
-            u, lam, fnorm, iters = _newton_solve(operator, m, u0, lam0, cfg.newton_tol)
+            u, lam, fnorm, iters, mass = _newton_solve(operator, m, u0, lam0, cfg.newton_tol)
             break
         except (NoConvergenceError, InfeasibleError):
             if k == len(starts) - 1:
                 raise
     profile = operator.grid.profile(u)
-    mu = _smallest_pencil_eig(operator, profile.values, lam)
+    mu = _smallest_pencil_eig(operator, mass, lam)
     peak = profile.values[0]
     slope = None
     if warm_start is not None and peak != warm_start.peak:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -164,9 +165,9 @@ def test_branch_builds_no_collocation_couplings(monkeypatch):
 
 
 def test_newton_makes_no_dense_solve(monkeypatch):
-    # Newton steps are Krylov solves on the operator's cached (D S D)^{-1},
-    # which the cold start's torsion reads too: neither a trace nor a cold
-    # solve factors a dense system.
+    # Newton steps are Krylov solves on the operator's cached S^{-1}, which
+    # the cold start's torsion reads too: neither a trace nor a cold solve
+    # factors a dense system.
     def refuse(*args, **kwargs):
         raise AssertionError("dense solve on the Newton path")
 
@@ -175,6 +176,38 @@ def test_newton_makes_no_dense_solve(monkeypatch):
                              peak_start=0.5, peak_end=2.0, peak_step=0.5)
     assert len(trace_branch(cfg).points) == 4
     assert solve_at_peak(cfg, 1.25).newton_iters > 0
+
+
+def test_pencil_reads_newtons_e_u_quadrature(operator_cache, monkeypatch):
+    # The pencil takes (b, E) from Newton's converged iterate: a warm-started
+    # solve runs the e^u quadrature once for its start and once per Newton
+    # iteration (no line search halves a step here), and not for the pencil.
+    op = operator_cache(1, 0.5, 64)
+    cfg = ContinuationConfig(params=op.params, grid=op.grid, peak_start=0.25, peak_end=1.0)
+    warm = solve_at_peak(cfg, 0.5, warm_start=solve_at_peak(cfg, 0.25, op=op), op=op)
+    exp_mass = fraclap.OperatorMatrix.exp_mass
+    calls = []
+
+    def counting(self, values):
+        calls.append(values)
+        return exp_mass(self, values)
+
+    monkeypatch.setattr(fraclap.OperatorMatrix, "exp_mass", counting)
+    pt = solve_at_peak(cfg, 0.75, warm_start=warm, op=op)
+    assert pt.newton_iters > 0
+    assert len(calls) == pt.newton_iters + 1
+    monkeypatch.undo()
+    # The public eigenvalue runs the quadrature itself, on the same values.
+    assert stability_eigenvalue(op, pt) == pt.stability_eig
+
+
+def test_gelfand_writes_no_fold_arithmetic():
+    # fraclap owns the hat basis: gelfand reads the border row only as the
+    # grid's origin value, and the hat masses only in the pencil's scaling
+    # D = M^{-1/2}.
+    source = inspect.getsource(gelfand)
+    assert "origin_fold" not in source
+    assert "weights" not in source.replace(inspect.getsource(gelfand._smallest_pencil_eig), "")
 
 
 def dense_bordered_solve(op, lam, mass, rhs):
@@ -205,7 +238,7 @@ def test_krylov_step_matches_a_dense_bordered_solve(fold_ladder, partial_12):
             mass = op.exp_mass(op.grid.profile(u).values)
             rhs = np.append(pt.lam * mass[0] - op.stability_form @ u,
                             pt.peak - op.grid.origin_value(u))
-            got = _krylov_step(op, pt.lam, mass, rhs)
+            got = _krylov_step(op, pt.lam, mass, rhs[:-1], rhs[-1])
             want = dense_bordered_solve(op, pt.lam, mass, rhs)
             assert abs(got[-1] - want[-1]) <= 1e-9 * abs(want[-1])
             assert np.abs(got[:-1] - want[:-1]).max() <= 1e-9 * np.abs(want[:-1]).max()
