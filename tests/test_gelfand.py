@@ -323,7 +323,11 @@ def test_long_warm_start_step_falls_back_to_the_point(operator_cache, monkeypatc
     far = solve_at_peak(cfg, 3.0, warm_start=near, op=op)
     assert len(calls) == 2
     du, dlam = near.slope
-    assert np.array_equal(calls[0], near.profile.interior + (3.0 - near.peak) * du)
+    # Each start is shifted to center value 3; for the secant start that
+    # shift is roundoff, since the slope's own center value is 1.
+    secant = near.profile.interior + (3.0 - near.peak) * du
+    assert abs(op.grid.origin_value(secant) - 3.0) < 1e-14
+    assert np.array_equal(calls[0], secant + (3.0 - op.grid.origin_value(secant)))
     assert np.array_equal(calls[1], near.profile.interior + (3.0 - near.peak))
     monkeypatch.undo()
     # The same state as the end of a trace in steps of 0.25.
