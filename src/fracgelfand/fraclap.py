@@ -541,9 +541,9 @@ def angular_kernel(p: ProblemParams, r: float, rho: float) -> float:
 class OperatorMatrix:
     """The radial operator for (params, grid); every part is built on first
     access, cached and read-only.  Galerkin (the Gelfand solver's): the
-    energy form ``stability_form`` and its inverse, hat masses ``weights``
-    and the e^u load and mass of ``exp_mass``.  Collocation (``assemble``
-    builds it up front): the couplings ``couple_quad`` and
+    energy form ``stability_form`` and its inverse, the e^u load and mass
+    of ``exp_mass``, and ``mass``, their value at u = 0.  Collocation
+    (``assemble`` builds it up front): the couplings ``couple_quad`` and
     ``couple_quad_bnd`` and the row masses ``tail_mass`` of
     ``apply_interior``'s difference form, exact on constants.
     """
@@ -571,11 +571,6 @@ class OperatorMatrix:
     def normalization(self) -> float:
         """The constant c_{n,s} in front of the principal-value integral."""
         return operator_normalization(self.params)
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """Radial hat masses |S^{n-1}| int phi_i r^{n-1} dr (read-only)."""
-        return _read_only(_hat_masses(self.grid, self.params.n))
 
     @functools.cached_property
     def _exp_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -611,6 +606,12 @@ class OperatorMatrix:
         diag[2] += e2 * (e2 * m00)
         off[1] += e2 * (m01 + e1 * m00)
         return load[1:-1], diag[1:-1], off[1:-1]
+
+    @functools.cached_property
+    def mass(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``exp_mass`` at u = 0 (read-only): the load b(0) of the source 1
+        and the bands of the consistent mass B_ij = int phi_i phi_j."""
+        return tuple(_read_only(a) for a in self.exp_mass(np.zeros(self.grid.nodes.size)))
 
     @functools.cached_property
     def tail_mass(self) -> np.ndarray:
@@ -683,20 +684,6 @@ class OperatorMatrix:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _hat_masses(grid: RadialGrid, n: int) -> np.ndarray:
-    """Exact |S^{n-1}| int phi_i(r) r^{n-1} dr for interior hats.
-
-    On a panel [a, a + h] each hat times r^{n-1} is a polynomial of degree n
-    in the offset, so Gauss-Legendre in n // 2 + 1 points integrates it
-    exactly, as a sum of positive terms: no difference of the powers of two
-    nearly equal radii cancels.
-    """
-    r = grid.nodes
-    off, w, hat = _panel_rule(np.diff(r), n // 2 + 1)
-    part = (w * (r[:-1, None] + off) ** (n - 1)) @ hat.T
-    return sphere_area(n) * (part[:-1, 1] + part[1:, 0])
 
 
 @functools.lru_cache(maxsize=None)

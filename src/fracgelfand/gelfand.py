@@ -3,8 +3,8 @@
 Dirichlet-only (u = 0 outside the unit ball), on fraclap's Galerkin form, not
 its collocation: Newton solves S u = lam b(u), S the energy form and b the
 e^u load, and stability is the sign of the smallest eigenvalue mu of the
-pencil (S - lam E) eta = mu M eta, E = db/du the e^u mass and M the hat
-masses, so mu = 0 exactly at the fold dlam/dm = 0.
+pencil (S - lam E) eta = mu B eta, E = db/du the e^u mass and B its value
+at u = 0, so mu = 0 exactly at the fold dlam/dm = 0.
 
 The branch is parametrized by the center value m = u(0) rather than lam: lam
 folds at the extremal parameter, m does not.  Each solve treats lam as an
@@ -253,7 +253,7 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
     Each step solves the bordered system [[S - lam E, -b], [c^T, 0]] by
     ``_krylov_step``, matrix-free.  The line search halves the step until
     max |D F| decreases, D = 1 / max_j |S_ij| the operator's fixed row
-    factors, which keep rows whose hat masses span dozens of decades (large
+    factors, which keep rows whose masses span dozens of decades (large
     n) on one scale.  ``tol`` bounds the row-relative residual, each row
     against its roundoff scale: max_i |F_i| / (|S| |u| + |lam| |b|)_i.  The
     line search and this bound alone judge convergence; an inexact step only
@@ -364,10 +364,7 @@ def _krylov_step(op: OperatorMatrix, lam: float,
     t = np.empty(ni + 1)
     while len(cols) < size and abs(g[-1]) > _KRYLOV_TOL * beta:
         k = len(cols)
-        v = basis[k, :ni]
-        ev = lam0 * v
-        ev[:-1] += lam1 * v[1:]
-        ev[1:] += lam1 * v[:-1]
+        ev = _tridiagonal(lam0, lam1, basis[k, :ni])
         np.subtract(basis[k], precondition(ev, 0.0, t), out=t)
         prior = basis[: k + 1]
         h = prior @ t
@@ -399,37 +396,44 @@ def _krylov_step(op: OperatorMatrix, lam: float,
     return np.asarray(y) @ basis[:k]
 
 
+def _tridiagonal(band0: np.ndarray, band1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix with diagonal band0 and off-diagonal
+    band1, times x."""
+    y = band0 * x
+    y[:-1] += band1 * x[1:]
+    y[1:] += band1 * x[:-1]
+    return y
+
+
 def _torsion(op: OperatorMatrix) -> np.ndarray:
     """Galerkin torsion z = S^{-1} b(0), b(0) the load of the source 1: one
     matrix-vector product with the cached inverse."""
-    return op._energy_inverse @ op.exp_mass(np.zeros(op.grid.nodes.size))[0]
+    return op._energy_inverse @ op.mass[0]
 
 
 def _smallest_pencil_eig(op: OperatorMatrix,
                          mass: tuple[np.ndarray, np.ndarray, np.ndarray], lam: float) -> float:
-    """Smallest mu of (S - lam E) eta = mu M eta, (b, E's bands) = ``mass``.
+    """Smallest mu of (S - lam E) eta = mu B eta, (b, E's bands) = ``mass``.
 
-    Generalized Davidson (Davidson, J. Comput. Phys. 17 (1975); Morgan and
-    Scott, SIAM J. Sci. Stat. Comput. 7 (1986)) for the smallest eigenvalue
-    of C = D (S - lam E) D, D = M^{-1/2}, M = diag(weights), applied
-    matrix-free: S times a vector, less lam E on the three bands of the
-    tridiagonal e^u mass.  The basis starts from M^{1/2} 1 plus 1e-3 of a
-    fixed Weyl sequence (frac(k phi) - 1/2, phi the golden ratio): as s -> 0
-    the lowest modes can be grid-scale ones on which u is flat, orthogonal
-    to M^{1/2} 1 to roundoff, and the small generic part overlaps every mode.
-    It grows by D^{-1} S^{-1} D^{-1} r, r the Ritz residual and S^{-1} the
-    operator's cached inverse (only this function scales by D),
-    orthogonalized twice against it; Rayleigh-Ritz is a small symmetric
-    eigensolve.  At _EIG_MAX_BASIS vectors the basis
-    restarts from its lowest half of Ritz vectors, at most _EIG_RESTARTS
-    times: as s -> 0 the lowest eigenvalues crowd together.  The
-    iteration stops once |r|^2 <= eps c (theta_2 - theta_1), where
-    c = max S_ii / M_i is a lower bound on |D S D|, so on |C| up to the
-    bounded lam E: the Ritz error bound |r|^2 / gap is then below a dense
-    solver's own eps |C|.  It also stops, exactly, when the basis spans the
-    space.  Nothing carries over between calls, so the result depends on
-    (op, mass, lam) alone.  Non-finite bands (e^u overflow), a basis that
-    loses rank, or no convergence within the restarts raise EigenSolveError.
+    B = E(0) is the operator's consistent mass ``op.mass``; by Sylvester's
+    law of inertia the sign of mu does not depend on which SPD mass
+    normalizes the pencil.  Generalized Davidson (Davidson, J. Comput. Phys.
+    17 (1975); Morgan and Scott, SIAM J. Sci. Stat. Comput. 7 (1986)),
+    applied matrix-free: S times a vector, lam E and B on their three
+    bands.  The basis is B-orthonormal and starts from the torsion
+    S^{-1} b(0).  It grows by S^{-1} r, r the Ritz residual and S^{-1} the
+    operator's cached inverse, B-orthogonalized twice against it;
+    Rayleigh-Ritz is a small symmetric eigensolve.  At _EIG_MAX_BASIS
+    vectors the basis restarts from its lowest half of Ritz vectors, at
+    most _EIG_RESTARTS times: past the first turns of the branch the lowest
+    eigenvalues crowd together.  The iteration stops once
+    r S^{-1} r <= eps (theta_2 - theta_1): as S <= nu B, nu the largest
+    eigenvalue of (S, B), the Ritz error bound, r's squared B^{-1}-norm
+    over the gap, is then below a dense solver's own eps nu.  It also
+    stops, exactly, when the basis spans the space.  Nothing carries over
+    between calls, so the result depends on (op, mass, lam) alone.
+    Non-finite bands (e^u overflow), a basis that loses rank, or no
+    convergence within the restarts raise EigenSolveError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         band0, band1 = (lam * band for band in mass[1:])
@@ -440,30 +444,25 @@ def _smallest_pencil_eig(op: OperatorMatrix,
         sinv = op._energy_inverse
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"energy form is singular: {exc}") from exc
-    d = 1.0 / np.sqrt(op.weights)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        z = d * x
-        ez = band0 * z
-        ez[:-1] += band1 * z[1:]
-        ez[1:] += band1 * z[:-1]
-        return d * (smat @ z - ez)
+    _, mass0, mass1 = op.mass
 
     ni = op.n_interior
     size = min(_EIG_MAX_BASIS, ni)
-    basis = np.empty((size, ni))      # orthonormal rows V
-    image = np.empty((size, ni))      # C V, row by row
-    proj = np.empty((size, size))     # V C V^T
-    floor = np.finfo(float).eps * float(np.max(smat.diagonal() / op.weights))
-    weyl = (np.arange(ni) * 0.6180339887498949) % 1.0 - 0.5
-    t = np.sqrt(op.weights) * (1.0 + 1e-3 * weyl)
+    basis = np.empty((size, ni))      # B-orthonormal rows V
+    weighed = np.empty((size, ni))    # B V, row by row
+    image = np.empty((size, ni))      # (S - lam E) V, row by row
+    proj = np.empty((size, size))     # V (S - lam E) V^T
+    t = _torsion(op)
     k = restarts = 0
     while True:
-        norm = float(np.linalg.norm(t))
-        if not norm > 0.0:
+        bt = _tridiagonal(mass0, mass1, t)
+        norm2 = float(t @ bt)
+        if not norm2 > 0.0:
             raise EigenSolveError(f"stability eigensolve lost rank at basis size {k}")
+        norm = math.sqrt(norm2)
         basis[k] = t / norm
-        image[k] = apply(basis[k])
+        weighed[k] = bt / norm
+        image[k] = smat @ basis[k] - _tridiagonal(band0, band1, basis[k])
         proj[k, : k + 1] = proj[: k + 1, k] = basis[: k + 1] @ image[k]
         k += 1
         try:
@@ -471,8 +470,9 @@ def _smallest_pencil_eig(op: OperatorMatrix,
         except np.linalg.LinAlgError as exc:
             raise EigenSolveError(f"Rayleigh-Ritz eigensolve failed: {exc}") from exc
         y = vecs[:, 0]
-        resid = y @ image[:k] - theta[0] * (y @ basis[:k])
-        if k == ni or (k > 1 and resid @ resid <= floor * (theta[1] - theta[0])):
+        resid = y @ image[:k] - theta[0] * (y @ weighed[:k])
+        t = sinv @ resid
+        if k == ni or (k > 1 and resid @ t <= np.finfo(float).eps * (theta[1] - theta[0])):
             return float(theta[0])
         if k == size:
             if restarts == _EIG_RESTARTS:
@@ -482,13 +482,13 @@ def _smallest_pencil_eig(op: OperatorMatrix,
             keep = size // 2
             lowest = vecs[:, :keep].T
             basis[:keep] = lowest @ basis[:k]
+            weighed[:keep] = lowest @ weighed[:k]
             image[:keep] = lowest @ image[:k]
             proj[:keep, :keep] = np.diag(theta[:keep])
             k = keep
             restarts += 1
-        t = (sinv @ (resid / d)) / d
         for _ in range(2):
-            t -= (basis[:k] @ t) @ basis[:k]
+            t -= (weighed[:k] @ t) @ basis[:k]
 
 
 def stability_eigenvalue(op: OperatorMatrix, point: BranchPoint) -> float:

@@ -422,9 +422,15 @@ def test_operator_derives_everything_from_params_and_grid(operator_cache, monkey
     OperatorMatrix = fraclap.OperatorMatrix
     assert [f.name for f in dataclasses.fields(OperatorMatrix)] == ["params", "grid"]
     op = operator_cache(3, 0.5, 32)
-    for name in ("couple_quad", "couple_quad_bnd", "weights", "tail_mass", "stability_form"):
+    for name in ("couple_quad", "couple_quad_bnd", "tail_mass", "stability_form"):
         arr = getattr(op, name)
         assert getattr(op, name) is arr
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    # The consistent mass: exp_mass at u = 0, cached as one read-only tuple.
+    assert op.mass is op.mass
+    for arr, want in zip(op.mass, op.exp_mass(np.zeros(op.grid.nodes.size)), strict=True):
+        assert np.array_equal(arr, want)
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     assert op.couple_quad.shape == (31, 31) and op.couple_quad.base.shape == (31, 33)
@@ -745,34 +751,6 @@ def test_apply_wraps_interior(operator_cache):
 # ---------------------------------------------------------------- energy form
 
 
-@pytest.mark.parametrize("n, panels, grading, tol",
-                         [(n, 1024, g, 1e-14) for n in (1, 3, 12, 60) for g in (2.0, 3.0)]
-                         + [(200, 64, 2.0, 5e-14)])
-def test_hat_masses_against_exact_antiderivative(n, panels, grading, tol):
-    """|S^{n-1}| int phi_i r^{n-1} dr from the antiderivative at 60 digits,
-    where the powers of neighbouring radii near r = 1 cancel harmlessly.
-    Masses below 1e-290, near the origin at large n, are not compared."""
-    grid = RadialGrid.graded(panels, grading=grading)
-    got = fraclap._hat_masses(grid, n)
-    with mpmath.workdps(60):
-        r = [mpmath.mpf(float(x)) for x in grid.nodes]
-        pn = [x**n for x in r]
-        pn1 = [x ** (n + 1) for x in r]
-
-        def rising(a, b):   # int_{r_a}^{r_b} (rho - r_a) / (r_b - r_a) rho^{n-1} drho
-            return ((pn1[b] - pn1[a]) / (n + 1) - r[a] * (pn[b] - pn[a]) / n) / (r[b] - r[a])
-
-        def falling(a, b):  # int_{r_a}^{r_b} (r_b - rho) / (r_b - r_a) rho^{n-1} drho
-            return (r[b] * (pn[b] - pn[a]) / n - (pn1[b] - pn1[a]) / (n + 1)) / (r[b] - r[a])
-
-        area = mpmath.mpf(sphere_area(n))
-        want = np.array([float(area * (rising(i - 1, i) + falling(i, i + 1)))
-                         for i in range(1, len(r) - 1)])
-    big = want > 1e-290
-    assert big.sum() > panels // 2
-    assert (np.abs(got[big] / want[big] - 1.0)).max() <= tol
-
-
 def test_quadratic_form_symmetry_and_psd(operator_cache):
     op = operator_cache(3, 0.5, 48)
     smat = op.stability_form
@@ -826,7 +804,7 @@ def test_energy_form_oracle(n, s):
 
 
 def test_interval_ground_state_eigenvalue(operator_cache):
-    # Dual route: generalized eigenpair of the energy form against hat masses
+    # Dual route: generalized eigenpair of the energy form against the P1 mass
     # reproduces the half-Laplacian ground state on (-1, 1), mu_1 = 1.157774.
     from scipy.linalg import eigh
 
@@ -848,6 +826,10 @@ def test_interval_ground_state_eigenvalue(operator_cache):
     mass[:, 1] += e1 * mass[:, 0]
     mass[:, 2] += e2 * mass[:, 0]
     mass = 2.0 * mass[1:-1, 1:-1]  # |S^0| = 2: the radial measure counts both half-lines
+    # The same folded P1 mass is the operator's consistent mass B = E(0).
+    _, diag, off = op.mass
+    banded = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.abs(banded - mass).max() <= 1e-14 * np.abs(mass).max()
     mu = eigh(smat, mass, eigvals_only=True, subset_by_index=(0, 0))[0]
     assert mu == pytest.approx(1.157774, abs=5e-4)
 

@@ -203,11 +203,11 @@ def test_pencil_reads_newtons_e_u_quadrature(operator_cache, monkeypatch):
 
 def test_gelfand_writes_no_fold_arithmetic():
     # fraclap owns the hat basis: gelfand reads the border row only as the
-    # grid's origin value, and the hat masses only in the pencil's scaling
-    # D = M^{-1/2}.
+    # grid's origin value, and its masses only through exp_mass and the
+    # operator's consistent mass.
     source = inspect.getsource(gelfand)
     assert "origin_fold" not in source
-    assert "weights" not in source.replace(inspect.getsource(gelfand._smallest_pencil_eig), "")
+    assert "weights" not in source
 
 
 def dense_bordered_solve(op, lam, mass, rhs):
@@ -246,8 +246,9 @@ def test_krylov_step_matches_a_dense_bordered_solve(fold_ladder, partial_12):
 
 def test_fold_ladder_matches_the_dense_newton(fold_ladder):
     # data/fold_verify_dense_newton.json is the CLI's branch at the data's
-    # argv as an LU solve per Newton step traced it.  The Krylov step takes
-    # the same iterations at every point and moves lam and mu by roundoff.
+    # argv as an LU solve per Newton step traced it; its mu column is
+    # ``dense_pencil_eig`` at the traced states.  The Krylov step takes the
+    # same iterations at every point and moves lam by roundoff.
     ref = json.loads((Path(__file__).parent / "data" / "fold_verify_dense_newton.json").read_text())
     _, branch = fold_ladder
     peak, lam, mu, iters = (np.array(col) for col in zip(*ref["points"]))
@@ -489,10 +490,22 @@ def dense_mass(op, values):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def test_stability_eigenvalue_matches_dense_solver(branch_1d, operator_cache):
-    def pencil(op, pt):
-        return op.stability_form - pt.lam * dense_mass(op, pt.profile.values)
+def dense_pencil_eig(op, pt):
+    """Smallest eigenvalue of (S - lam E) eta = mu B eta, B built from
+    ``op.mass``, by scipy's generalized ``eigh``, polished by the Rayleigh
+    quotient of its eigenvector.  eigh's own roundoff is ~eps times the
+    pencil's largest eigenvalue (5.9e4 at (3, 0.5), graded(256)), and it
+    moves mu by up to 5e-11 with the LAPACK driver; the quotient carries
+    the square of the eigenvector's error, within 5e-15 of a long-double
+    quotient in every case below."""
+    _, diag, off = op.mass
+    mass = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    pencil = op.stability_form - pt.lam * dense_mass(op, pt.profile.values)
+    x = eigh(pencil, mass, subset_by_index=(0, 0))[1][:, 0]
+    return (x @ pencil @ x) / (x @ mass @ x)
 
+
+def test_stability_eigenvalue_matches_dense_solver(branch_1d, operator_cache, monkeypatch):
     def chain(op, peaks):
         """Warm-started points at the given center values, on ``op``."""
         cfg = ContinuationConfig(params=op.params, grid=op.grid, peak_end=peaks[-1] + 1.0)
@@ -513,29 +526,55 @@ def test_stability_eigenvalue_matches_dense_solver(branch_1d, operator_cache):
         )
     ]
     for op, points in cases:
-        d = 1.0 / np.sqrt(op.weights)
         for pt in points:
-            sym = d[:, None] * pencil(op, pt) * d[None, :]
-            dense = eigvalsh(0.5 * (sym + sym.T)).min()
+            dense = dense_pencil_eig(op, pt)
             assert pt.stability_eig == pytest.approx(dense, abs=1e-9 * max(1.0, abs(dense)))
-    # (12, 0.5): the hat masses reach down to r^11 h, so the scaling
-    # D = M^{-1/2} spans many decades.  Against the generalized symmetric
-    # solver, which never forms D (S - lam E) D: at m = 6 on graded(96), and
-    # along graded(256) up to m = 9, where the pencil takes the most steps.
-    for op, peaks in ((assemble(ProblemParams(12, 0.5), RadialGrid.graded(96)), [6.0]),
-                      (operator_cache(12, 0.5, 256), [float(m) for m in range(1, 10)])):
-        for pt in chain(op, peaks):
-            dense = eigh(pencil(op, pt), np.diag(op.weights), eigvals_only=True)[0]
-            assert abs(pt.stability_eig - dense) <= 1e-12 * abs(dense)
-    # (1, 0.05): as s -> 0 the lowest eigenvalues crowd (0.5941, 0.5976,
-    # 0.6011, ... at m = 0.05), and Davidson needs more than its 64 vectors,
-    # so it restarts.  At m = 0.4 .. 0.55 the lowest modes are grid-scale
-    # ones, orthogonal to M^{1/2} 1 to roundoff; the start's small generic
-    # component finds them.
-    op = operator_cache(1, 0.05, 256)
-    for pt in chain(op, [0.05 * k for k in range(1, 21)]):
-        dense = eigh(pencil(op, pt), np.diag(op.weights), eigvals_only=True)[0]
-        assert abs(pt.stability_eig - dense) <= 1e-12 * max(1.0, abs(dense))
+    # (12, 0.5): B's bands reach down to r^11 h, ~1e-44 on graded(96), at
+    # m = 6 there, and along graded(256) up to m = 9.  (1, 0.05): s near 0,
+    # where a lumped mass has grid-scale modes below the smooth one.
+    # (3, 0.5) on graded(256) up to its depth, Morse index 5 at m = 11:
+    # past m = 9 Davidson needs more than its 64 vectors.
+    restarting = operator_cache(3, 0.5, 256)
+    deep = chain(restarting, [float(m) for m in range(1, 12)])
+    cases = [(restarting, deep)] + [
+        (other, chain(other, peaks)) for other, peaks in (
+            (assemble(ProblemParams(12, 0.5), RadialGrid.graded(96)), [6.0]),
+            (operator_cache(12, 0.5, 256), [float(m) for m in range(1, 10)]),
+            (operator_cache(1, 0.05, 256), [0.05 * k for k in range(1, 21)]),
+        )
+    ]
+    for op, points in cases:
+        for pt in points:
+            dense = dense_pencil_eig(op, pt)
+            assert abs(pt.stability_eig - dense) <= 1e-12 * max(1.0, abs(dense))
+    # Without restarts, at least one of the (3, 0.5) pencils runs out of basis.
+    monkeypatch.setattr(gelfand, "_EIG_RESTARTS", 0)
+    failed = 0
+    for pt in deep:
+        try:
+            stability_eigenvalue(restarting, pt)
+        except EigenSolveError:
+            failed += 1
+    assert failed > 0
+
+
+def test_stability_sign_does_not_depend_on_the_mass(fold_ladder):
+    # Sylvester's law of inertia: mu < 0 exactly when S - lam E has a
+    # negative eigenvalue, whichever SPD mass normalizes the pencil.
+    op, branch = fold_ladder
+    for pt in branch.points:
+        plain = eigvalsh(op.stability_form - pt.lam * dense_mass(op, pt.profile.values)).min()
+        assert np.sign(pt.stability_eig) == np.sign(plain)
+
+
+def test_small_s_pencil_has_no_grid_scale_mode(operator_cache):
+    # Under the consistent mass mu is the smooth mode at small s, 0.59496 on
+    # both grids.  A diagonal (lumped) mass has grid-scale modes below it
+    # here, and its mu reads 0.444 and 0.484.
+    mus = [solve_at_peak(ContinuationConfig(params=op.params, grid=op.grid), 0.4, op=op).stability_eig
+           for op in (operator_cache(1, 0.05, 128), operator_cache(1, 0.05, 256))]
+    assert abs(mus[0] - mus[1]) <= 2e-6
+    assert mus[1] == pytest.approx(0.594958, abs=1e-6)
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])

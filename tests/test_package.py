@@ -23,7 +23,7 @@ def test_public_surface_declared_once():
 
 
 def test_gelfand_imports_no_private_fraclap_name():
-    # The radial basis (panel rule, hat masses, origin fold) belongs to
+    # The radial basis (panel rule, e^u masses, origin fold) belongs to
     # fraclap; gelfand reaches it only through public names.
     tree = ast.parse(Path(fracgelfand.gelfand.__file__).read_text())
     names = [alias.name for node in ast.walk(tree)
