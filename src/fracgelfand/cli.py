@@ -286,7 +286,11 @@ def cmd_branch(args: argparse.Namespace) -> int:
     if args.verify and branch.points:
         op = cfg.operator()
         pre_fold = branch.points[: branch.fold_index]
-        all_ok = True
+        # A branch that starts at or past the fold has no point to check,
+        # and a check of nothing does not pass.
+        all_ok = bool(pre_fold)
+        if not pre_fold:
+            print("no branch point below the fold to verify")
         for pt in pre_fold:
             ok = pt.stable
             checks = [f"mu={pt.stability_eig:+.3e}"]

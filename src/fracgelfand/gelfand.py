@@ -161,12 +161,12 @@ class Branch:
 
     @property
     def fold_detected(self) -> bool:
-        """True when lam attains an interior maximum along the branch."""
+        """True when lam attains an interior maximum along the branch: a
+        maximum at the first point (a branch that starts past the fold) or at
+        the last (one that stops before it) brackets no fold."""
         lams = self.lams
-        if lams.size < 3:
-            return False
-        imax = int(np.argmax(lams))
-        return bool(imax < lams.size - 1 and lams[imax + 1] < lams[imax])
+        imax = int(np.argmax(lams)) if lams.size else 0
+        return bool(0 < imax < lams.size - 1 and lams[imax + 1] < lams[imax])
 
     @property
     def fold_index(self) -> int:

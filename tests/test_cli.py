@@ -218,6 +218,20 @@ def test_branch_verify(tmp_path, capsys):
     assert data["verify_passed"] is True
 
 
+def test_branch_past_the_fold_verifies_nothing(tmp_path, capsys):
+    # Three points on the unstable side, lam decreasing from the first: no
+    # fold is bracketed, no point lies below one, and nothing checked passes
+    # nothing.
+    rc = run(tmp_path, "branch", "--n", "1", "--s", "0.5", "--grid", "64",
+             "--peak-min", "2.9", "--peak-max", "3.5", "--verify")
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "fold detected: False" in out and "PASS" not in out
+    data = json.loads((tmp_path / "branch.json").read_text())
+    assert len(data["points"]) == 3 and all(p["stability_eig"] < 0.0 for p in data["points"])
+    assert data["fold_detected"] is False and data["verify_passed"] is False
+
+
 def test_branch_diagnose_sigma_is_usage_error(tmp_path):
     # The profile diagnostic is `diagnose`'s alone.
     with pytest.raises(SystemExit) as excinfo:

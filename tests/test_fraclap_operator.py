@@ -381,38 +381,147 @@ def test_sliver_rule_near_the_boundary_against_exact_arithmetic(monkeypatch):
 
 
 def test_energy_separated_pairs_near_the_boundary_against_mpmath(monkeypatch):
-    """Kernel values of the energy form's separated panel pairs at the rule's
-    points r_p + h_p (1 + x) / 2, for the ten panels next to r = 1 at
+    """Kernel values of the energy form's separated panel pairs near r = 1 at
     grading 3 (panels ~1e-9 wide, where a rounded point is off by up to half
-    an ulp of 1); K = 4 pi rho^2 / (rho^2 - r^2)^2 at (n, s) = (3, 0.5)."""
+    an ulp of 1); K = 4 pi rho^2 / (rho^2 - r^2)^2 at (n, s) = (3, 0.5).
+
+    The pairs of leaves evaluate K at the rule's points r_p + h_p (1 + x) / 2,
+    for every pair of the ten panels next to r = 1; the admissible pairs of
+    clusters at their Chebyshev points a + (b - a) (1 + cos theta_k) / 2, for
+    every pair whose upper cluster holds those panels.  Both take their
+    distances from offsets."""
     grid = RadialGrid.graded(1024, grading=3.0)
     nodes, npan = grid.nodes, grid.n_panels
     first = npan - 12
-    calls = _recorded_kernel_calls(monkeypatch, lambda r, rho: r.ndim == 4 and r.max() > nodes[first])
+    q, order = fraclap._PANEL_ORDER - 1, fraclap._CLUSTER_ORDER
+    calls = _recorded_kernel_calls(
+        monkeypatch, lambda r, rho: r.shape[1:] == (order, 1) or rho.max() > nodes[first])
     _assemble_energy(ProblemParams(3, 0.5), grid)
-    xg, _ = leggauss(fraclap._PANEL_ORDER - 1)
-    checked = 0
+    xg, _ = leggauss(q)
+    checked = blocks = 0
     with mpmath.workdps(40):
         r = [mpmath.mpf(float(x)) for x in nodes]
         x = [mpmath.mpf(float(v)) for v in xg]
+        cheb = [mpmath.cos((k + mpmath.mpf(0.5)) * mpmath.pi / order) for k in range(order)]
+
+        def kern(ra, rb):
+            return 4 * mpmath.pi * rb**2 / (rb**2 - ra**2) ** 2
 
         def point(pan, k):
             return r[pan] + (r[pan + 1] - r[pan]) * (1 + x[k]) / 2
 
-        for rows, _, kern in calls:                    # (b, q, 1, 1) and (b, q, nj, q)
-            pans = np.searchsorted(nodes, rows[:, 0, 0, 0]) - 1
-            for i, pi in enumerate(pans):
-                for j in range(kern.shape[2]):
-                    pj = pans[0] + 2 + j
-                    if pi < first or pj < pi + 2:
+        def cluster(pts):
+            # A cluster's end nodes from its Chebyshev points (descending).
+            mid, half = (pts[0] + pts[-1]) / 2, (pts[0] - pts[-1]) / (2 * math.cos(math.pi / (2 * order)))
+            return [int(np.abs(nodes - v).argmin()) for v in (mid - half, mid + half)]
+
+        for rows, cols, out in calls:
+            if rows.shape == (out.shape[0], q * q):          # pairs of leaves: (pair, q * q)
+                pans = np.searchsorted(nodes, [rows[:, 0], cols[:, 0]]) - 1
+                for c, (pi, pj) in enumerate(pans.T):
+                    if pi < first:
                         continue
-                    for a in range(xg.size):
-                        for b in range(xg.size):
-                            ra, rb = point(pi, a), point(pj, b)
-                            want = 4 * mpmath.pi * rb**2 / (rb**2 - ra**2) ** 2
-                            assert abs(float(kern[i, a, j, b] / want) - 1.0) <= 1e-14
+                    assert pj >= pi + 2
+                    for a in range(q):
+                        for b in range(q):
+                            want = kern(point(pi, a), point(pj, b))
+                            assert abs(float(out[c, a * q + b] / want) - 1.0) <= 1e-14
                             checked += 1
+            elif rows.shape[1:] == (order, 1):                # admissible pairs: (pair, k, l)
+                for blk in range(rows.shape[0]):
+                    (lo1, hi1), (lo2, hi2) = cluster(rows[blk, :, 0]), cluster(cols[blk, 0])
+                    if hi2 <= npan - 10:
+                        continue
+                    assert hi1 < lo2 and r[lo2] - r[hi1] >= max(r[hi1] - r[lo1], r[hi2] - r[lo2])
+                    xs, ys = ([r[lo] + (r[hi] - r[lo]) * (1 + c) / 2 for c in cheb]
+                              for lo, hi in ((lo1, hi1), (lo2, hi2)))
+                    for k in range(order):
+                        for l in range(order):
+                            assert abs(float(out[blk, k, l] / kern(xs[k], ys[l])) - 1.0) <= 1e-14
+                    blocks += 1
     assert checked == 25 * sum(range(1, 11))
+    assert blocks == sum(hi2 == npan for *_, hi2 in fraclap._energy_partition(nodes)[1]) > 0
+
+
+def _all_pairs_separated(p, grid, smat):
+    """The energy form's separated panel pairs (pj >= pi + 2) by 5x5 tensor
+    Gauss-Legendre over every pair, added to smat's upper triangle: a port of
+    the loop the block-cluster tree replaced, over blocks of 8 rows."""
+    n = p.n
+    pref = operator_normalization(p) * sphere_area(n)
+    r = grid.nodes
+    npan = grid.n_panels
+    h = np.diff(r)
+    xg, wg = leggauss(fraclap._PANEL_ORDER - 1)
+    q = xg.size
+    off, wts = 0.5 * h[:, None] * (1.0 + xg), 0.5 * h[:, None] * wg
+    hat = np.stack([0.5 * (1.0 - xg), 0.5 * (1.0 + xg)])
+    pts = r[:-1, None] + off
+    sep_mass = np.zeros((npan, q))
+    for start in range(0, npan - 2, 8):
+        pi = np.arange(start, min(start + 8, npan - 2))
+        pj = np.arange(start + 2, npan)
+        sep = pj >= pi[:, None] + 2
+        dist = off[pj] - off[pi, :, None, None]
+        dist += np.where(sep, r[pj] - r[pi, None], 1.0)[:, None, :, None]
+        tmat = fraclap._kernel(p, pts[pi, :, None, None], pts[pj], dist)
+        tmat *= pref * pts[pi, :, None, None] ** (n - 1)
+        tmat *= wts[pi, :, None, None] * np.where(sep[:, None, :, None], wts[pj], 0.0)
+        sep_mass[pi] += tmat.sum(axis=(2, 3))
+        sep_mass[pj] += tmat.sum(axis=(0, 1))
+        cross = (hat @ tmat.reshape(pi.size, q, -1)).reshape(pi.size, 2, pj.size, q) @ hat.T
+        for x in (0, 1):
+            for y in (0, 1):
+                smat[pi[0] + x : pi[-1] + 1 + x, pj[0] + y : npan + y] -= cross[:, x, :, y]
+    pan = np.arange(npan)
+    for x, y in ((0, 0), (0, 1), (1, 1)):
+        smat[pan + x, pan + y] += sep_mass @ (hat[x] * hat[y])
+
+
+@pytest.mark.parametrize("n, s", [(3, 0.5), (12, 0.5)])
+def test_clustered_separated_pairs_match_all_pairs_gauss(monkeypatch, n, s):
+    """On admissible pairs of clusters the kernel's tensor Chebyshev
+    interpolant replaces 5x5 Gauss per panel pair: the energy form moves by
+    no more than 1e-13 of its largest entry.  At (12, 0.5) the r^{n-1} factor
+    that the moments carry spans 42 decades over the first leaf."""
+    p, grid = ProblemParams(n, s), RadialGrid.graded(256)
+    got = _assemble_energy(p, grid)
+    monkeypatch.setattr(fraclap, "_separated_pairs", _all_pairs_separated)
+    want = _assemble_energy(p, grid)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_energy_form_kernel_entries(monkeypatch):
+    # The all-pairs 5x5 Gauss took 13.07M kernel entries for the separated
+    # pairs alone at (1, 0.3), N = 1024; the block-cluster tree takes 1.02M,
+    # and the corner-sharing and same-panel pairs 0.17M.
+    entries = []
+    kernel = fraclap._kernel
+
+    def counting(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(fraclap, "_kernel", counting)
+    _assemble_energy(ProblemParams(1, 0.3), RadialGrid.graded(1024))
+    assert sum(entries) <= 1_600_000
+
+
+def test_energy_partition_covers_each_separated_pair_once():
+    # Every panel pair pj >= pi + 2 lies in exactly one pair of leaves or one
+    # admissible pair of clusters, and an admissible pair's gap is at least
+    # the width of each of its clusters.
+    for grid in (RadialGrid.graded(256, 3.0), RadialGrid.graded(1024)):
+        nodes, npan = grid.nodes, grid.n_panels
+        count = np.zeros((npan, npan), dtype=np.int8)
+        near, far = fraclap._energy_partition(nodes)
+        pi, pj = fraclap._panel_pairs(near)
+        count[pi, pj] += 1
+        for lo1, hi1, lo2, hi2 in far:
+            assert nodes[lo2] - nodes[hi1] >= max(nodes[hi1] - nodes[lo1], nodes[hi2] - nodes[lo2])
+            count[lo1:hi1, lo2:hi2] += 1
+        assert far and np.array_equal(count, np.triu(np.ones_like(count), 2))
 
 
 def test_operator_derives_everything_from_params_and_grid(operator_cache, monkeypatch):
@@ -480,11 +589,14 @@ def test_apply_row_blocks_are_bitwise(monkeypatch, operator_cache, n, s, panels)
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n, s, panels", [(1, 0.3, 256), (3, 0.5, 128), (12, 0.5, 64)])
+@pytest.mark.parametrize("n, s, panels", [(1, 0.3, 256), (3, 0.5, 128), (12, 0.5, 64),
+                                           (12, 0.5, 256)])
 def test_assembly_and_energy_form_are_block_size_invariant(monkeypatch, n, s, panels):
     """With row blocks of 1,024 entries instead of 32,768, assembly's far
     field and the energy form's separated, corner and same-panel pairs cover
-    the same entries: each row stays within 1e-14 of its largest entry."""
+    the same entries: each row stays within 1e-14 of its largest entry.  At
+    (12, 0.5) on 256 panels the energy form's admissible pairs, whose
+    moments carry r^{n-1}, share kernel calls four at a time."""
     p, grid = ProblemParams(n, s), RadialGrid.graded(panels)
     want = [assemble(p, grid).couple_quad, _assemble_energy(p, grid)]
     monkeypatch.setattr(fraclap, "_BLOCK_ENTRIES", 1 << 10)

@@ -415,6 +415,18 @@ def test_branch_fold_and_extremal_estimate(branch_1d):
     assert lam_star == pytest.approx(0.4157, abs=5e-3)
 
 
+def test_fold_needs_an_interior_maximum(branch_1d):
+    # A branch that starts past the fold (lam decreasing from its first
+    # point) or stops before it (lam increasing to its last) brackets no
+    # fold; only the whole branch does.
+    _, branch = branch_1d
+    params, i = branch.params, branch.fold_index
+    assert Branch(params, branch.points).fold_detected
+    assert not Branch(params, branch.points[i:]).fold_detected
+    assert not Branch(params, branch.points[: i + 1]).fold_detected
+    assert not Branch(params, branch.points[i - 1 : i + 1]).fold_detected
+
+
 def test_branch_stability_sign_change(branch_1d):
     _, branch = branch_1d
     mus = np.array([pt.stability_eig for pt in branch.points])
