@@ -280,8 +280,10 @@ def cmd_branch(args: argparse.Namespace) -> int:
     if failure is None:
         star = branch.lambda_star_estimate
         print(f"{len(branch.points)} branch points; fold detected: {branch.fold_detected}")
-        if math.isfinite(star):
+        if branch.fold_detected:
             print(f"lambda* estimate: {star:.6g}")
+        elif math.isfinite(star):
+            print(f"no fold bracketed; largest lambda traced: {star:.6g}")
 
     if args.verify and branch.points:
         op = cfg.operator()

@@ -65,7 +65,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.polynomial import polyval
 
 from .constants import DomainError, ProblemParams, operator_normalization
 
@@ -126,8 +125,10 @@ def sphere_area(n: int) -> float:
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(n / 2.0))
 
 
+@functools.lru_cache(maxsize=64)
 def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """q-point Gauss rule for the weight (1 + x)^beta on (-1, 1), beta > -1.
+    """q-point Gauss rule for the weight (1 + x)^beta on (-1, 1), beta > -1,
+    read-only and once per (q, beta).
 
     Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
     matrix of the polynomials P_k^{(0, beta)}.  One Newton step on the
@@ -160,7 +161,7 @@ def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
     p, dp, _ = recurrence(x)
     x = x - p / dp
-    return x, 1.0 / recurrence(x)[2]
+    return _read_only(x), _read_only(1.0 / recurrence(x)[2])
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +374,10 @@ class _PhiTable:
     Node values come from the Gauss series on the first pieces (z <= 1/2
     unless c > 16) and, toward z = 1, from Taylor re-expansion of the
     hypergeometric equation at each piece's centre.  No connection formula is
-    involved, so nothing cancels when c - a - b is close to an integer.
+    involved, so nothing cancels when c - a - b is close to an integer.  The
+    chain of re-expansions is sequential and runs in plain floats; the
+    expansions are kept, and every piece's nodes are then evaluated by one
+    Horner over all pieces at once.
 
     Evaluation finds each entry's piece from the binary exponent of w and runs
     one Horner over all entries with the piece's coefficients gathered per
@@ -402,19 +406,29 @@ class _PhiTable:
                 deriv += (j + 1) * term / z
             return value, deriv
 
+        # One series for the first k0 pieces' nodes and the first expansion point.
+        y, dy = gauss(np.append(1.0 - w[:k0], 1.0 - hi[k0]))
         values = np.empty_like(w)
-        values[:k0] = gauss(1.0 - w[:k0])[0]
-        y, dy = gauss(np.array([1.0 - hi[k0]]))
+        values[:k0] = y[:-1].reshape(k0, -1)
         w0 = float(hi[k0])
-        taylor = self._taylor(a, b, c, w0, float(y[0]), -float(dy[0]))
-        for k in range(k0, _PHI_PIECES - 1):
+        row = self._taylor(a, b, c, w0, float(y[-1]), -float(dy[-1]))
+        centre = 0.75 * hi[k0:]
+        taylor = np.empty((centre.size, len(row)))   # row i: expansion about centre[i]
+        for i, w1 in enumerate(centre.tolist()):
             # Step to the piece's centre (|step| = radius / 4 or / 2), expand there.
-            tau = (0.75 * float(hi[k]) - w0) / w0
-            y = polyval(tau, taylor)
-            dy = polyval(tau, [j * taylor[j] for j in range(1, len(taylor))]) / w0
-            w0 = 0.75 * float(hi[k])
-            taylor = self._taylor(a, b, c, w0, y, dy)
-            values[k] = polyval((w[k] - w0) / w0, taylor)
+            tau = (w1 - w0) / w0
+            y0 = _horner(row, tau)
+            dy0 = _horner([j * row[j] for j in range(1, len(row))], tau) / w0
+            w0 = w1
+            row = self._taylor(a, b, c, w0, y0, dy0)
+            taylor[i] = row
+        # Every piece's nodes at once, by one Horner over the (pieces, nodes) block.
+        t = (w[k0:] - centre[:, None]) / centre[:, None]
+        block = values[k0:]
+        block[:] = taylor[:, -1:]
+        for cj in taylor.T[-2::-1]:
+            block *= t
+            block += cj[:, None]
         # Evaluated by Horner in the monomial basis: the nearest singularity
         # is at x = -3 on every piece, so the coefficients decay and the
         # conversion loses nothing measurable (<= 1 ulp against Clenshaw).
@@ -427,7 +441,7 @@ class _PhiTable:
         mono[:-1] = cheb.chebfit(x, values.T, _PHI_DEGREE).T @ t_mono
         # Phi(1): the last expansion at w = 0, where its singular part
         # (w0 + t)^{1+2s} sums to below w0^{1+2s} ~ 2^-52.
-        mono[-1, 0] = polyval(-1.0, taylor)
+        mono[-1, 0] = _horner(row, -1.0)
         self._coef = np.ascontiguousarray(mono.T)   # row j: x^j coefficient per piece
 
     @staticmethod
@@ -478,6 +492,14 @@ def _phi(a: float, b: float, c: float):
     if b <= 0.0 and b == math.floor(b):
         return functools.partial(_gauss_polynomial, a, b, c)
     return _PhiTable(a, b, c)
+
+
+def _horner(coef: list[float], x: float) -> float:
+    """sum_j coef[j] x^j in plain floats, in numpy polyval's order of operations."""
+    out = coef[-1]
+    for cj in coef[-2::-1]:
+        out = cj + out * x
+    return out
 
 
 def _gauss_polynomial(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:

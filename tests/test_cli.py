@@ -227,6 +227,8 @@ def test_branch_past_the_fold_verifies_nothing(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "fold detected: False" in out and "PASS" not in out
+    assert "lambda* estimate" not in out
+    assert "no fold bracketed; largest lambda traced: 0.244592" in out
     data = json.loads((tmp_path / "branch.json").read_text())
     assert len(data["points"]) == 3 and all(p["stability_eig"] < 0.0 for p in data["points"])
     assert data["fold_detected"] is False and data["verify_passed"] is False

@@ -184,6 +184,63 @@ def test_phi_table_matches_gathered_reference(n, s):
             assert np.array_equal(got, want)
 
 
+def per_piece_phi_coef(a, b, c):
+    """Reference build of the Phi table's coefficients, one piece at a time:
+    two Gauss series, and per piece a numpy polyval for the step to its
+    centre and for its 17 nodes."""
+    from numpy.polynomial.polynomial import polyval
+
+    cheb = np.polynomial.chebyshev
+    hi = np.ldexp(1.0, -np.arange(53))
+    x = cheb.chebpts1(17)
+    w = 0.75 * hi[:, None] + 0.25 * hi[:, None] * x
+    k0 = max(1, math.ceil(math.log2(c / 8.0)))
+
+    def gauss(z):
+        term, value, deriv = np.ones_like(z), np.ones_like(z), np.zeros_like(z)
+        for j in range(1 << (k0 + 5)):
+            term = term * ((a + j) * (b + j) / ((c + j) * (j + 1))) * z
+            value += term
+            deriv += (j + 1) * term / z
+        return value, deriv
+
+    values = np.empty_like(w)
+    values[:k0] = gauss(1.0 - w[:k0])[0]
+    y, dy = gauss(np.array([1.0 - hi[k0]]))
+    w0 = float(hi[k0])
+    taylor = _PhiTable._taylor(a, b, c, w0, float(y[0]), -float(dy[0]))
+    for k in range(k0, 53):
+        tau = (0.75 * float(hi[k]) - w0) / w0
+        y = polyval(tau, taylor)
+        dy = polyval(tau, [j * taylor[j] for j in range(1, len(taylor))]) / w0
+        w0 = 0.75 * float(hi[k])
+        taylor = _PhiTable._taylor(a, b, c, w0, y, dy)
+        values[k] = polyval((w[k] - w0) / w0, taylor)
+    t_mono = np.zeros((17, 17))
+    t_mono[0, 0] = t_mono[1, 1] = 1.0
+    for j in range(1, 16):
+        t_mono[j + 1, 1:] = 2.0 * t_mono[j, :-1]
+        t_mono[j + 1] -= t_mono[j - 1]
+    mono = np.zeros((54, 17))
+    mono[:-1] = cheb.chebfit(x, values.T, 16).T @ t_mono
+    mono[-1, 0] = polyval(-1.0, taylor)
+    return np.ascontiguousarray(mono.T)
+
+
+@settings(max_examples=20, deadline=None)
+@example(1, 0.3)
+@example(64, 0.5)
+@example(200, 0.5)
+@given(st.integers(min_value=1, max_value=64), _ORDERS)
+def test_phi_table_matches_the_per_piece_build(n, s):
+    # The re-expansion chain in plain floats and one Horner over every
+    # piece's nodes give the per-piece build's coefficients bit for bit, for
+    # Phi's and Psi's b.  n > 16 sums the Gauss series over two or more
+    # pieces (k0 >= 2), and n = 200 over four.
+    for b in (0.5 * n - s - 1.0, 0.5 * n - s):
+        assert np.array_equal(_PhiTable(-s, b, 0.5 * n)._coef, per_piece_phi_coef(-s, b, 0.5 * n))
+
+
 @pytest.mark.parametrize("q", [10, 12])
 def test_gauss_jacobi_rule(q):
     # The Gauss-Jacobi rules assembly uses, weight (1 + x)^beta, beta = 1 - 2s
@@ -197,3 +254,14 @@ def test_gauss_jacobi_rule(q):
         assert np.max(np.abs(x - np.array(xm.tolist(), dtype=float).ravel())) <= 1e-15
         wm = np.array(wm.tolist(), dtype=float).ravel()
         assert np.max(np.abs(w / wm - 1.0)) <= 1e-13
+
+
+def test_gauss_jacobi_rule_is_computed_once():
+    # Each rule is an eigensolve; the energy form asks for the same two on
+    # every call, so they are cached per (q, beta) and handed out read-only.
+    x, w = _gauss_jacobi(12, 0.4)
+    again = _gauss_jacobi(12, 0.4)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
