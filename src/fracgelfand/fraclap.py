@@ -94,6 +94,7 @@ _FAR_TERMS = 40            # terms of the kernel's series beyond rho = 2
 _SLIVER_ORDER = 8
 _PHI_DEGREE = 16           # Chebyshev degree per piece of the Phi table
 _PHI_PIECES = 54           # octaves [2^-(k+1), 2^-k] of 1 - z, k < 53, then z = 1
+_POW2 = np.ldexp(1.0, np.arange(_PHI_PIECES) + 2)   # 2^(k+2) takes piece k of 1 - z onto [2, 4]
 # Kernel entries per block of rows.  Bounds every block temporary, and is
 # large enough that a kernel call amortizes its fixed cost (tens of
 # microseconds) over its entries; the far field groups the row blocks of
@@ -379,10 +380,12 @@ class _PhiTable:
     expansions are kept, and every piece's nodes are then evaluated by one
     Horner over all pieces at once.
 
-    Evaluation finds each entry's piece from the binary exponent of w and runs
-    one Horner over all entries with the piece's coefficients gathered per
-    entry.  Called with z it forms w = 1 - z; ``at_gap`` takes w itself from a
-    caller that has it exactly, where 1 - z would carry the rounding of z.
+    Evaluation finds each entry's piece k from the binary exponent of w, maps
+    w onto the piece's [-1, 1] by w 2^(k+2) - 3 (a product by a power of two
+    from the _POW2 table, which does not round), and runs one Horner over
+    all entries with the piece's coefficients gathered per entry.  Called
+    with z it forms w = 1 - z; ``at_gap`` takes w itself from a caller that
+    has it exactly, where 1 - z would carry the rounding of z.
     """
 
     def __init__(self, a: float, b: float, c: float):
@@ -465,13 +468,19 @@ class _PhiTable:
         return self.at_gap(1.0 - np.asarray(z, dtype=float))
 
     def at_gap(self, w: np.ndarray) -> np.ndarray:
-        """Phi(1 - w) for w in [0, 1]."""
+        """Phi(1 - w) for w in [0, 1].
+
+        Piece k's point is x = w 2^(k+2) - 3, with the power of two taken
+        from _POW2: the same bits as ``np.ldexp(w, k + 2) - 3``, subnormal w
+        included, at less cost than ldexp's per-entry exponent arithmetic.
+        """
         w = np.asarray(w, dtype=float)
         flat = w.ravel()
         # w in [2^-(k+1), 2^-k) has binary exponent -k; w = 1 (z = 0) has
         # exponent 1 but belongs to piece 0, and w < 2^-53 is z = 1.
         k = np.maximum(-np.frexp(np.maximum(flat, 2.0**-54))[1], 0).astype(np.intp)
-        x = np.ldexp(flat, k + 2) - 3.0   # piece k mapped onto [-1, 1]
+        x = flat * _POW2.take(k)   # piece k mapped onto [2, 4], exactly
+        x -= 3.0                   # and onto [-1, 1]
         out = self._coef[-1].take(k)
         for cj in self._coef[-2::-1]:
             out *= x
@@ -881,6 +890,29 @@ def _cluster_basis(rel: np.ndarray, radius: float | np.ndarray) -> tuple[np.ndar
     return radius * (1.0 + cheb), t
 
 
+def _transfers(nodes: np.ndarray, clusters) -> dict[tuple[int, int], np.ndarray]:
+    """The transfer matrix of every child of the given clusters, by child.
+
+    On a child, its parent's Lagrange basis (degree < _CLUSTER_ORDER) is
+    exactly the child's interpolant of it, L_k = sum_l L_k(c_l) L'_l, with
+    c_l the child's Chebyshev points; so a parent's moments are its
+    children's moments times L_k(c_l), (k, l), and values at the parent's
+    points are carried down to the child's by the same matrix (H^2-matrices;
+    Hackbusch, *Hierarchical Matrices*, Springer 2015, ch. 8).  The points
+    are placed by their offsets from the parent's left end.  One evaluation
+    of the basis serves every child, and each matrix is a separate array, so
+    a caller can drop them one by one.
+    """
+    pairs = [(c, kid) for c in clusters for kid in _children(*c)]
+    if not pairs:
+        return {}
+    cheb, _ = _chebyshev()
+    (lo, hi), (klo, khi) = (np.array(c).T for c in zip(*pairs))
+    points = (nodes[klo] - nodes[lo])[:, None] + (0.5 * (nodes[khi] - nodes[klo]))[:, None] * (1.0 + cheb)
+    t = _cluster_basis(points, (0.5 * (nodes[hi] - nodes[lo]))[:, None])[1]   # (k, child, l)
+    return {kid: t[:, i].copy() for i, (_, kid) in enumerate(pairs)}
+
+
 def _subtree(lo: int, hi: int):
     """The cluster lo..hi-1 and its descendants in the cluster tree, each
     before its children."""
@@ -925,6 +957,57 @@ def _far_partition(nodes: np.ndarray) -> list[tuple[tuple[slice, ...], int, int,
     return out
 
 
+def _nested_moments(n: int, nodes: np.ndarray, clusters, off: np.ndarray, rho: np.ndarray,
+                    lag: np.ndarray):
+    """Moments of the collocation far field's clusters, children first.
+
+    Yields every cluster (lo, hi) of the panel tree in post-order, left to
+    right, with its moments if it or a cluster holding it is one of
+    ``clusters``, else None.  The moments (2, k, column) are those of its
+    Lagrange basis L_k against the stencil bases of its panels, on the nodes
+    max(lo - 1, 0)..hi: against 1 for rows below it, and against
+    (rho/b)^{n-1}, b = nodes[hi], for rows above.  The panels' Gauss rule
+    is given by its nodes' offsets ``off`` and radii ``rho`` (q, panel) and
+    by ``lag`` (3, q, panel), weight times each stencil node's basis.
+
+    Only the leaves evaluate their basis at the Gauss nodes.  A parent's
+    moments are its children's times their transfer matrices, and
+    (rho/b)^{n-1} picks up (b_child/b)^{n-1} at each step up; both are
+    exact (``_transfers``), so the moments differ from the basis summed
+    over the cluster's Gauss nodes by roundoff.  A cluster's moments are
+    dropped once its parent has them and the caller has moved on.
+    """
+    tree = dict.fromkeys(c for x in clusters for c in _subtree(*x))
+    transfer = _transfers(nodes, tree)
+    done = {}   # moments of the clusters whose parent is still to come
+    for lo, hi in sorted(_subtree(0, nodes.size - 1), key=lambda c: (c[1], c[1] - c[0])):
+        start = max(lo - 1, 0)
+        kids = _children(lo, hi)
+        parts = [done.pop(kid, None) for kid in kids]
+        moments = None
+        if (lo, hi) in tree and kids:
+            moments = np.zeros((2, _CLUSTER_ORDER, hi + 1 - start))
+            for (klo, khi), part in zip(kids, parts):
+                part = transfer.pop((klo, khi)) @ part
+                part[1] *= (nodes[khi] / nodes[hi]) ** (n - 1)
+                moments[..., max(klo - 1, 0) - start : khi + 1 - start] += part
+        elif (lo, hi) in tree:
+            # L_k at the Gauss nodes (k, q, panel), placed by their offsets from
+            # the leaf's left end.
+            t = _cluster_basis((nodes[lo:hi] - nodes[lo]) + off[:, lo:hi], 0.5 * (nodes[hi] - nodes[lo]))[1]
+            w = lag[..., lo:hi]
+            w = np.stack([w, w * (rho[:, lo:hi] / nodes[hi]) ** (n - 1)], axis=1)
+            # Per panel, (stencil node and kind, q) @ (q, k).
+            per_panel = w.reshape(6, -1, hi - lo).transpose(2, 0, 1) @ t.transpose(2, 1, 0)
+            moments = np.zeros((2 * _CLUSTER_ORDER, hi + 1 - start))
+            _add_stencil(moments, lo, *per_panel.reshape(hi - lo, 3, -1).transpose(1, 2, 0))
+            moments = moments.reshape(2, _CLUSTER_ORDER, -1)
+        del parts
+        if moments is not None:
+            done[lo, hi] = moments
+        yield (lo, hi), moments
+
+
 def assemble(p: ProblemParams, grid: RadialGrid) -> OperatorMatrix:
     """The radial operator for (n, s) on the grid, its collocation couplings built.
 
@@ -967,10 +1050,11 @@ def _assemble_couplings(p: ProblemParams, grid: RadialGrid) -> tuple[np.ndarray,
             w * (d0 * d1 / ((x2 - x0) * (x2 - x1)))])
 
     rho_direct, off_direct, lag_direct = far_rule(_PANEL_ORDER)
-    # Moments of the stencil basis against a cluster's Lagrange basis, degree
-    # _CLUSTER_ORDER + 1, times (rho/b)^{n-1} for rows above the cluster (see
+    # Moments of the stencil basis against a leaf's Lagrange basis, degree
+    # _CLUSTER_ORDER + 1, times (rho/b)^{n-1} for rows above the leaf (see
     # below): exact under this rule up to n = 3.
     rho_mom, off_mom, lag_mom = far_rule(_CLUSTER_ORDER // 2 + 2)
+    cheb, _ = _chebyshev()
     cq = np.zeros((ni, npan + 1))
 
     # Far field (Hackbusch-Nowak panel clustering).  On a cluster at least
@@ -984,13 +1068,20 @@ def _assemble_couplings(p: ProblemParams, grid: RadialGrid) -> tuple[np.ndarray,
     # cluster's top, and into the row scale (b/r)^{n-1}.  So couplings to
     # the panels near the origin keep their relative accuracy, which a u
     # singular there needs.  A leaf closer to the row keeps per-panel Gauss,
-    # with the two panels adjacent to the row (near field) zeroed.  Row
-    # blocks of clusters wait until the next one would take their kernel
-    # entries past half of _BLOCK_ENTRIES, then share one kernel call: the
-    # Phi table's gathers make a call's temporaries several times its
-    # entries, and at the whole budget they would pass the trim threshold
+    # with the two panels adjacent to the row (near field) zeroed.
+    #
+    # The moments are nested (``_nested_moments``): formed at the leaves and
+    # carried up by transfer matrices, with the tree swept children first, so
+    # a cluster's moments are dropped once its parent has them and its rows
+    # are queued.  Row blocks of clusters wait until the next one would take
+    # their kernel entries past half of _BLOCK_ENTRIES, then share one kernel
+    # call: the Phi table's gathers make a call's temporaries several times
+    # its entries, and at the whole budget they would pass the trim threshold
     # that _row_blocks sets, so each call would fault its memory in anew.
     radii = grid.interior
+    served, direct = {}, {}
+    for rows, lo, hi, admissible in _far_partition(r):
+        (served if admissible else direct)[lo, hi] = rows
     # (rows, columns, cluster's left end, points' offsets from it, moments,
     # row scale); their kernel entries
     pending, queued = [], 0
@@ -1000,7 +1091,9 @@ def _assemble_couplings(p: ProblemParams, grid: RadialGrid) -> tuple[np.ndarray,
         rad = np.concatenate([radii[blk] for blk, *_ in pending])[:, None]
         gap = np.concatenate([(a - radii[blk])[:, None] + off for blk, _, a, off, *_ in pending])
         pts = rad + gap
-        kmat = _kernel(p, np.minimum(rad, pts), np.maximum(rad, pts), dist=np.abs(gap))
+        low = np.minimum(rad, pts)
+        # In place: two whole-call arrays fewer held through the kernel call.
+        kmat = _kernel(p, low, np.maximum(rad, pts, out=pts), dist=np.abs(gap, out=gap))
         at = 0
         for blk, cols, _, _, moments, scale in pending:
             block = kmat[at : at + blk.stop - blk.start]
@@ -1010,29 +1103,20 @@ def _assemble_couplings(p: ProblemParams, grid: RadialGrid) -> tuple[np.ndarray,
         pending.clear()
         queued = 0
 
-    for rows, lo, hi, admissible in _far_partition(r):
-        cols = slice(max(lo - 1, 0), hi + 1)
-        if admissible:
-            # The Chebyshev points and the moments' Gauss nodes by their offsets
-            # from the cluster's left end, as in the panel rules above.
-            # L_k at the nodes, (k, q, panel).
-            off, t = _cluster_basis((r[lo:hi] - r[lo]) + off_mom[:, 0, lo:hi], 0.5 * (r[hi] - r[lo]))
-            for sl in rows:
-                above = radii[sl.start] > r[hi]
-                lag = lag_mom[..., lo:hi]
-                if above:
-                    lag = lag * (rho_mom[:, 0, lo:hi] / r[hi]) ** (p.n - 1)
-                moments = np.zeros((_CLUSTER_ORDER, cols.stop - cols.start))
-                _add_stencil(moments, lo, *np.einsum("kqp,jqp->jkp", t, lag))
-                for blk in _row_blocks(sl.stop, max(_CLUSTER_ORDER, moments.shape[1]), sl.start):
-                    entries = (blk.stop - blk.start) * _CLUSTER_ORDER
-                    if queued and queued + entries > _BLOCK_ENTRIES // 2:
-                        flush()
-                    scale = ((r[hi] / radii[blk]) ** (p.n - 1))[:, None] if above else 1.0
-                    pending.append((blk, cols, r[lo], off, moments, scale))
-                    queued += entries
-        else:
-            (sl,) = rows
+    for (lo, hi), moments in _nested_moments(p.n, r, served, off_mom[:, 0], rho_mom[:, 0], lag_mom):
+        start = max(lo - 1, 0)
+        cols = slice(start, hi + 1)
+        off = 0.5 * (r[hi] - r[lo]) * (1.0 + cheb)   # the Chebyshev points' offsets from r_lo
+        for sl in served.get((lo, hi), ()):
+            above = radii[sl.start] > r[hi]
+            for blk in _row_blocks(sl.stop, max(_CLUSTER_ORDER, hi + 1 - start), sl.start):
+                entries = (blk.stop - blk.start) * _CLUSTER_ORDER
+                if queued and queued + entries > _BLOCK_ENTRIES // 2:
+                    flush()
+                scale = ((r[hi] / radii[blk]) ** (p.n - 1))[:, None] if above else 1.0
+                pending.append((blk, cols, r[lo], off, moments[int(above)], scale))
+                queued += entries
+        for sl in direct.get((lo, hi), ()):
             pan = np.arange(lo, hi)
             for blk in _row_blocks(sl.stop, _PANEL_ORDER * pan.size, sl.start):
                 k = np.arange(blk.start, blk.stop)[:, None]     # adjacent panels k, k + 1
@@ -1235,13 +1319,10 @@ def _far_pairs(p: ProblemParams, r: np.ndarray, off: np.ndarray, wlow: np.ndarra
     interpolated weights are within 1e-10 of the kernel's, relative to each
     (6e-11 at (10, 0.9)), so they stay positive, and the form PSD.
 
-    The clusters' bases are nested: on a child, the parent's Lagrange basis
-    (degree < _CLUSTER_ORDER) is exactly the child's interpolant of it,
-    L_k = sum_l L_k(c_l) L'_l, so only the leaves evaluate their basis at
-    the Gauss points.  Moments are formed there and carried up, and the
+    The clusters' bases are nested, so only the leaves evaluate their basis
+    at the Gauss points.  Moments are formed there and carried up, and the
     masses' values at a cluster's Chebyshev points carried down, by the
-    transfer matrices L_k(c_l) (H^2-matrices; Hackbusch, *Hierarchical
-    Matrices*, Springer 2015, ch. 8).
+    transfer matrices of ``_transfers``.
     """
     npan, q = off.shape
     cheb, _ = _chebyshev()
@@ -1260,13 +1341,12 @@ def _far_pairs(p: ProblemParams, r: np.ndarray, off: np.ndarray, wlow: np.ndarra
     # pair, and their sums over its nodes (2, k).
     clusters = dict.fromkeys(x for blk in far for x in (blk[:2], blk[2:]))
     tree = sorted(dict.fromkeys(c for x in clusters for c in _subtree(*x)), key=lambda c: c[0] - c[1])
-    transfer, moments, sums = {}, {}, {}
+    transfer = _transfers(r, tree)
+    moments, sums = {}, {}
     for lo, hi in reversed(tree):
         mom = moments[lo, hi] = np.zeros((2, _CLUSTER_ORDER, hi - lo + 1))
         kids = _children(lo, hi)
         for klo, khi in kids:
-            points = (r[klo] - r[lo]) + 0.5 * (r[khi] - r[klo]) * (1.0 + cheb)
-            transfer[klo, khi] = _cluster_basis(points, 0.5 * (r[hi] - r[lo]))[1]
             mom[..., klo - lo : khi - lo + 1] += transfer[klo, khi] @ moments[klo, khi]
         if not kids:
             mom[..., :-1] = per_panel[..., lo:hi, 0]

@@ -141,7 +141,12 @@ def test_phi_polynomial_cases_are_hyp2f1():
 
 def gathered_phi(table, z):
     """Reference evaluator of a Phi table: every entry gathers its piece's coefficients."""
-    w = 1.0 - np.asarray(z, dtype=float)
+    return gathered_phi_at_gap(table, 1.0 - np.asarray(z, dtype=float))
+
+
+def gathered_phi_at_gap(table, w):
+    """``gathered_phi`` at z = 1 - w, each w mapped onto its piece by ldexp."""
+    w = np.asarray(w, dtype=float)
     k = np.maximum(-np.frexp(np.maximum(w, 2.0**-54))[1], 0).astype(np.intp)
     x = np.ldexp(w, k + 2) - 3.0
     out = table._coef[-1].take(k)
@@ -182,6 +187,29 @@ def test_phi_table_matches_gathered_reference(n, s):
             got, want = table(z), gathered_phi(table, z)
             assert np.shape(got) == np.shape(z)
             assert np.array_equal(got, want)
+
+
+_GAP_EDGES = [0.0, 5e-324, 1e-310, 2.0**-60, 2.0**-54, 2.0**-53, np.nextafter(0.5, 0.0), 0.5,
+              0.75, np.nextafter(1.0, 0.0), 1.0]
+# Gaps 1 - z in [0, 1]: uniform, and spread over every binary exponent.
+_GAPS = st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                  st.builds(math.ldexp, st.floats(min_value=0.5, max_value=1.0),
+                            st.integers(min_value=-1074, max_value=0)))
+
+
+@settings(max_examples=25, deadline=None)
+@example(1, 0.3, [])
+@example(7, 0.5, [])
+@given(st.integers(min_value=1, max_value=64), _ORDERS, st.lists(_GAPS, max_size=40))
+def test_at_gap_matches_the_ldexp_mapping(n, s, gaps):
+    # at_gap maps w onto its piece as w * 2^(k+2) from a table of powers of
+    # two; a product by a power of two does not round, so it gives the bits of
+    # the ldexp mapping, at the piece edges and on subnormal w too, for
+    # Phi's and Psi's b.
+    w = np.array(_GAP_EDGES + gaps)
+    for b in (0.5 * n - s - 1.0, 0.5 * n - s):
+        table = _PhiTable(-s, b, 0.5 * n)
+        assert np.array_equal(table.at_gap(w), gathered_phi_at_gap(table, w))
 
 
 def per_piece_phi_coef(a, b, c):

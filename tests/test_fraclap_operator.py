@@ -311,6 +311,41 @@ def test_far_field_kernel_entries(monkeypatch):
     assert sum(entries) < 1_000_000
 
 
+def _direct_moments(n, nodes, clusters, off, rho, lag):
+    """``_nested_moments`` without nesting: every cluster evaluates its own
+    Lagrange basis at all of its panels' Gauss nodes and sums it against
+    the stencil bases, times (rho/b)^{n-1} for the rows above it."""
+    tree = {c for x in clusters for c in fraclap._subtree(*x)}
+    for lo, hi in sorted(fraclap._subtree(0, nodes.size - 1), key=lambda c: (c[1], c[1] - c[0])):
+        if (lo, hi) not in tree:
+            yield (lo, hi), None
+            continue
+        t = fraclap._cluster_basis((nodes[lo:hi] - nodes[lo]) + off[:, lo:hi], 0.5 * (nodes[hi] - nodes[lo]))[1]
+        moments = np.zeros((2, fraclap._CLUSTER_ORDER, hi + 1 - max(lo - 1, 0)))
+        for above in (0, 1):
+            weights = lag[..., lo:hi]
+            if above:
+                weights = weights * (rho[:, lo:hi] / nodes[hi]) ** (n - 1)
+            _add_stencil(moments[above], lo, *np.einsum("kqp,jqp->jkp", t, weights))
+        yield (lo, hi), moments
+
+
+@pytest.mark.parametrize("n, s, panels, grading", [(1, 0.3, 1024, 2.0), (3, 0.5, 256, 3.0),
+                                                   (12, 0.5, 256, 2.0), (60, 0.5, 256, 2.0)])
+def test_nested_moments_match_direct_formation(monkeypatch, n, s, panels, grading):
+    # Moments carried up the tree by transfer matrices, with (rho/b)^{n-1}
+    # rescaled by (b_child/b)^{n-1} at each step, against the same moments
+    # formed cluster by cluster: the couplings agree to roundoff, 1e-15 of
+    # each row's largest one.  At n = 60, (rho/b)^{n-1} spans 256 decades
+    # over the first leaf.
+    p, grid = ProblemParams(n, s), RadialGrid.graded(panels, grading)
+    got = np.column_stack(fraclap._assemble_couplings(p, grid))
+    monkeypatch.setattr(fraclap, "_nested_moments", _direct_moments)
+    want = np.column_stack(fraclap._assemble_couplings(p, grid))
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert (np.abs(got - want) / scale).max() <= 1e-15
+
+
 def test_couplings_near_the_boundary_against_mpmath():
     """Couplings to panels of width ~1e-9 next to r = 1 (grading 3, 1024
     panels), where a Gauss node placed as mid + half x is off by up to half an
