@@ -596,6 +596,12 @@ class OperatorMatrix:
     def n_interior(self) -> int:
         return self.grid.n_panels - 1
 
+    @staticmethod
+    def _block_rows(row_entries: int) -> int:
+        """Rows of ``row_entries`` entries that one block of temporaries holds
+        (at least one): the row blocks here, the pencil batches of gelfand."""
+        return max(1, _BLOCK_ENTRIES // row_entries)
+
     @functools.cached_property
     def _couplings(self) -> tuple[np.ndarray, np.ndarray]:
         return _assemble_couplings(self.params, self.grid)
@@ -756,7 +762,7 @@ def _row_blocks(stop: int, row_entries: int, start: int = 0):
     # temporaries come from the heap and stay there for the next block.
     # np.empty touches no page; under another allocator this changes nothing.
     np.empty(4 * _BLOCK_ENTRIES)   # 1 MiB, freed at once
-    step = max(1, _BLOCK_ENTRIES // row_entries)
+    step = OperatorMatrix._block_rows(row_entries)
     for lo in range(start, stop, step):
         yield slice(lo, min(stop, lo + step))
 

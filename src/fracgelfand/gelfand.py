@@ -15,7 +15,8 @@ point typically costs two Newton iterations.  Each Newton step is a GMRES
 solve preconditioned by the energy form's inverse, which the operator caches
 once; no dense system is factored per iteration.  mu comes from a
 preconditioned Davidson iteration on the same inverse that reads nothing but
-the point and the operator.
+the point and the operator; a trace hands it the pencils of several points
+at once, which it steps together, bit for bit as it would one at a time.
 
 Also provides the diagnostics used to probe the singular regime: the
 log-profile ratio along a branch, the proof-style test function built from a
@@ -65,6 +66,7 @@ __all__ = [
 _STABILITY_TOL = 1e-6
 _EIG_MAX_BASIS = 64        # Davidson basis vectors per stability eigenvalue
 _EIG_RESTARTS = 8          # Davidson restarts, each from the lowest half of the Ritz vectors
+_EIG_FIRST_ROWS = 8        # basis rows a pencil's arrays start with; they double up to _EIG_MAX_BASIS
 _KRYLOV_MAX_BASIS = 64     # GMRES vectors per Newton step
 _KRYLOV_TOL = 1e-10        # GMRES's preconditioned relative residual
 _MAX_NEWTON_ITERS = 50
@@ -398,11 +400,27 @@ def _krylov_step(op: OperatorMatrix, lam: float,
 
 def _tridiagonal(band0: np.ndarray, band1: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The symmetric tridiagonal matrix with diagonal band0 and off-diagonal
-    band1, times x."""
+    band1, times x, or times each row of x with bands of x's shape."""
     y = band0 * x
-    y[:-1] += band1 * x[1:]
-    y[1:] += band1 * x[:-1]
+    y[..., :-1] += band1 * x[..., 1:]
+    y[..., 1:] += band1 * x[..., :-1]
     return y
+
+
+# Products over a stack of pencils, member by member, each by the BLAS
+# routine the product of one member alone runs: dot for x[j] @ y[j], gemv
+# for a[j] @ x[j] and x[j] @ a[j] (a may be one matrix for every member).
+# One matrix product over the whole stack would round otherwise.
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _matvecs(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (a @ x[:, :, None])[:, :, 0]
+
+
+def _vecmats(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return (x[:, None, :] @ a)[:, 0]
 
 
 def _torsion(op: OperatorMatrix) -> np.ndarray:
@@ -411,9 +429,10 @@ def _torsion(op: OperatorMatrix) -> np.ndarray:
     return op._energy_inverse @ op.mass[0]
 
 
-def _smallest_pencil_eig(op: OperatorMatrix,
-                         mass: tuple[np.ndarray, np.ndarray, np.ndarray], lam: float) -> float:
-    """Smallest mu of (S - lam E) eta = mu B eta, (b, E's bands) = ``mass``.
+def _smallest_pencil_eigs(op: OperatorMatrix, pencils: list) -> list:
+    """Smallest mu of (S - lam E) eta = mu B eta for each (mass, lam) of
+    ``pencils``, (b, E's bands) = mass: each mu, or the EigenSolveError its
+    pencil fails with, in order.
 
     B = E(0) is the operator's consistent mass ``op.mass``; by Sylvester's
     law of inertia the sign of mu does not depend on which SPD mass
@@ -430,15 +449,26 @@ def _smallest_pencil_eig(op: OperatorMatrix,
     r S^{-1} r <= eps (theta_2 - theta_1): as S <= nu B, nu the largest
     eigenvalue of (S, B), the Ritz error bound, r's squared B^{-1}-norm
     over the gap, is then below a dense solver's own eps nu.  It also
-    stops, exactly, when the basis spans the space.  Nothing carries over
-    between calls, so the result depends on (op, mass, lam) alone.
-    Non-finite bands (e^u overflow), a basis that loses rank, or no
-    convergence within the restarts raise EigenSolveError.
+    stops, exactly, when the basis spans the space.  Non-finite bands (e^u
+    overflow), a basis that loses rank, or no convergence within the
+    restarts fail the pencil with EigenSolveError; a singular S raises it
+    for every pencil.
+
+    The pencils run as one stack, in step: every numpy call takes all of
+    them, and each call runs, member by member, the BLAS routine (dot,
+    gemv, gemm) and the LAPACK eigensolve a stack of one would.  So each
+    mu depends on its own (op, mass, lam) alone, bitwise, whichever stack
+    it is solved in.  A pencil leaves the stack once it converges or
+    fails; the rest restart together.  The basis arrays grow with the
+    basis, doubling up to _EIG_MAX_BASIS vectors.
     """
+    lams = np.array([[lam] for _, lam in pencils])
     with np.errstate(over="ignore", invalid="ignore"):
-        band0, band1 = (lam * band for band in mass[1:])
-    if not (np.isfinite(band0).all() and np.isfinite(band1).all()):
-        raise EigenSolveError("stability pencil has non-finite entries (e^u overflow)")
+        band0, band1 = (lams * np.array([mass[j] for mass, _ in pencils]) for j in (1, 2))
+    finite = np.isfinite(band0).all(axis=1) & np.isfinite(band1).all(axis=1)
+    out = [None if ok else EigenSolveError("stability pencil has non-finite entries (e^u overflow)")
+           for ok in finite]
+    live = np.flatnonzero(finite)
     smat = op.stability_form
     try:
         sinv = op._energy_inverse
@@ -448,56 +478,149 @@ def _smallest_pencil_eig(op: OperatorMatrix,
 
     ni = op.n_interior
     size = min(_EIG_MAX_BASIS, ni)
-    basis = np.empty((size, ni))      # B-orthonormal rows V
-    weighed = np.empty((size, ni))    # B V, row by row
-    image = np.empty((size, ni))      # (S - lam E) V, row by row
-    proj = np.empty((size, size))     # V (S - lam E) V^T
-    t = _torsion(op)
+    keep = size // 2
+    band0, band1, t = band0[live], band1[live], np.tile(_torsion(op), (live.size, 1))
+    # Pencil by pencil: B-orthonormal rows V, B V, (S - lam E) V, V (S - lam E) V^T.
+    basis, weighed, image, proj = (np.empty((live.size, 0, cols)) for cols in (ni, ni, ni, size))
+    done = np.zeros(live.size, dtype=bool)
     k = restarts = 0
     while True:
         bt = _tridiagonal(mass0, mass1, t)
-        norm2 = float(t @ bt)
-        if not norm2 > 0.0:
-            raise EigenSolveError(f"stability eigensolve lost rank at basis size {k}")
-        norm = math.sqrt(norm2)
-        basis[k] = t / norm
-        weighed[k] = bt / norm
-        image[k] = smat @ basis[k] - _tridiagonal(band0, band1, basis[k])
-        proj[k, : k + 1] = proj[: k + 1, k] = basis[: k + 1] @ image[k]
+        norm2 = _dots(t, bt)
+        for j in np.flatnonzero(~(done | (norm2 > 0.0))):
+            out[live[j]] = EigenSolveError(f"stability eigensolve lost rank at basis size {k}")
+        stay = ~done & (norm2 > 0.0)
+        if not stay.all() or k == basis.shape[1]:   # drop the pencils done; double full arrays
+            live, band0, band1, t, bt, norm2 = (a[stay] for a in (live, band0, band1, t, bt, norm2))
+            if not live.size:
+                return out
+            rows = basis.shape[1] if k < basis.shape[1] else min(size, 2 * k or _EIG_FIRST_ROWS)
+            basis, weighed, image, proj = (
+                np.concatenate((a[stay, :k], np.empty((live.size, rows - k, a.shape[2]))), axis=1)
+                for a in (basis, weighed, image, proj))
+        norm = np.sqrt(norm2)[:, None]
+        basis[:, k], weighed[:, k] = t / norm, bt / norm
+        row = basis[:, k]
+        image[:, k] = _matvecs(smat, row) - _tridiagonal(band0, band1, row)
+        proj[:, k, : k + 1] = proj[:, : k + 1, k] = _matvecs(basis[:, : k + 1], image[:, k])
         k += 1
         try:
-            theta, vecs = np.linalg.eigh(proj[:k, :k])
+            theta, vecs = np.linalg.eigh(proj[:, :k, :k])
         except np.linalg.LinAlgError as exc:
-            raise EigenSolveError(f"Rayleigh-Ritz eigensolve failed: {exc}") from exc
-        y = vecs[:, 0]
-        resid = y @ image[:k] - theta[0] * (y @ weighed[:k])
-        t = sinv @ resid
-        if k == ni or (k > 1 and resid @ t <= np.finfo(float).eps * (theta[1] - theta[0])):
-            return float(theta[0])
-        if k == size:
+            if live.size > 1:   # alone, each pencil takes the same steps: find the one that fails
+                return [_smallest_pencil_eigs(op, [pencils[i]])[0] if i in live else mu
+                        for i, mu in enumerate(out)]
+            out[live[0]] = EigenSolveError(f"Rayleigh-Ritz eigensolve failed: {exc}")
+            out[live[0]].__cause__ = exc
+            return out
+        y = vecs[:, :, 0]
+        resid = _vecmats(y, image[:, :k]) - theta[:, :1] * _vecmats(y, weighed[:, :k])
+        t = _matvecs(sinv, resid)
+        gap = theta[:, 1] - theta[:, 0] if k > 1 else -math.inf
+        done = (k == ni) | (_dots(resid, t) <= np.finfo(float).eps * gap)
+        for j in np.flatnonzero(done):
+            out[live[j]] = float(theta[j, 0])
+        if k == size and not done.all():
             if restarts == _EIG_RESTARTS:
-                raise EigenSolveError(
-                    f"stability eigensolve did not converge in {k} basis vectors and "
-                    f"{restarts} restarts (residual {float(np.linalg.norm(resid)):.3e})")
-            keep = size // 2
-            lowest = vecs[:, :keep].T
-            basis[:keep] = lowest @ basis[:k]
-            weighed[:keep] = lowest @ weighed[:k]
-            image[:keep] = lowest @ image[:k]
-            proj[:keep, :keep] = np.diag(theta[:keep])
-            k = keep
-            restarts += 1
+                for j in np.flatnonzero(~done):
+                    out[live[j]] = EigenSolveError(
+                        f"stability eigensolve did not converge in {k} basis vectors and {restarts} "
+                        f"restarts (residual {float(np.linalg.norm(resid[j])):.3e})")
+                return out
+            lowest = vecs[:, :, :keep].transpose(0, 2, 1)
+            basis[:, :keep], weighed[:, :keep], image[:, :keep] = (
+                lowest @ a[:, :k] for a in (basis, weighed, image))
+            proj[:, :keep, :keep] = 0.0
+            proj[:, range(keep), range(keep)] = theta[:, :keep]
+            k, restarts = keep, restarts + 1
         for _ in range(2):
-            t -= (weighed[:k] @ t) @ basis[:k]
+            t -= _vecmats(_matvecs(weighed[:, :k], t), basis[:, :k])
 
 
 def stability_eigenvalue(op: OperatorMatrix, point: BranchPoint) -> float:
-    """Smallest eigenvalue of the stability pencil at a solved point."""
+    """Smallest eigenvalue of the stability pencil at a solved point: the
+    batched Davidson on this one pencil, bitwise the point's own
+    ``stability_eig``, whichever batch that was solved in."""
     if point.profile.grid != op.grid:
         raise DomainError("branch point grid does not match operator grid")
     with np.errstate(over="ignore", invalid="ignore"):
         mass = op.exp_mass(point.profile.values)
-    return _smallest_pencil_eig(op, mass, point.lam)
+    (mu,) = _smallest_pencil_eigs(op, [(mass, point.lam)])
+    if isinstance(mu, EigenSolveError):
+        raise mu
+    return mu
+
+
+def _solve_peaks(cfg: ContinuationConfig, peaks: list[float], previous: BranchPoint | None,
+                 op: OperatorMatrix | None) -> tuple[list[BranchPoint], tuple | None]:
+    """Newton at each center value of ``peaks`` in turn, warm-started from
+    the point before (``previous`` at the first), and the stability pencils
+    of the points, solved together by ``_smallest_pencil_eigs`` as many at a
+    time as keep its three basis arrays, at _EIG_FIRST_ROWS rows each,
+    within one block of the operator's temporary budget.  Returns the
+    points up to the first center value whose Newton solve or pencil
+    fails, and that (m, error), or None; points past a failed pencil are
+    dropped.  ``solve_at_peak`` documents one solve.
+    """
+    points: list[BranchPoint] = []
+    pending: list = []      # (m, point, (b, E's bands)): solved by Newton, awaiting mu
+    failure = None
+    for m in peaks:
+        try:
+            if not 0.0 < m < math.inf:
+                raise DomainError(f"center value must be positive and finite, got {m}")
+            depth = 2.0 * cfg.params.s * math.log(1.0 / cfg.grid.nodes[1])
+            if m > depth:
+                raise GridDepthError(f"center value m={m} is deeper than the grid resolves: "
+                                     f"2s log(1/r_1) = {depth:.6g}")
+            operator = cfg.operator() if op is None else op
+            if operator.params != cfg.params or operator.grid != cfg.grid:
+                raise DomainError("operator does not match the config's params and grid")
+            if previous is not None:
+                if previous.profile.grid != cfg.grid:
+                    raise DomainError("warm start lies on another grid than the config's")
+                starts = [(previous.profile.interior, previous.lam)]
+                if previous.slope is not None:
+                    du, dlam = previous.slope
+                    step = m - previous.peak
+                    starts.insert(0, (starts[0][0] + step * du, starts[0][1] + step * dlam))
+                # Shift each start to the prescribed center value.
+                starts = [(u0 + (m - operator.grid.origin_value(u0)), lam0) for u0, lam0 in starts]
+            else:
+                z = _torsion(operator)
+                z0 = operator.grid.origin_value(z)
+                starts = [((m / z0) * z, m / z0)]
+            for k, (u0, lam0) in enumerate(starts):
+                try:
+                    u, lam, fnorm, iters, mass = _newton_solve(operator, m, u0, lam0, cfg.newton_tol)
+                    break
+                except (NoConvergenceError, InfeasibleError):
+                    if k == len(starts) - 1:
+                        raise
+            profile = operator.grid.profile(u)
+            peak = profile.values[0]
+            slope = None
+            if previous is not None and peak != previous.peak:
+                step = peak - previous.peak
+                slope = ((u - previous.profile.interior) / step, (lam - previous.lam) / step)
+            previous = BranchPoint(lam=lam, profile=profile, peak=peak, stability_eig=math.nan,
+                                   newton_iters=iters, residual_norm=fnorm, slope=slope)
+            pending.append((m, previous, mass))
+        except (NoConvergenceError, InfeasibleError, GridDepthError) as exc:
+            failure = m, exc
+        if pending and (failure or m == peaks[-1] or len(pending) == operator._block_rows(
+                3 * _EIG_FIRST_ROWS * operator.n_interior)):
+            mus = _smallest_pencil_eigs(operator, [(mass, pt.lam) for _, pt, mass in pending])
+            for (m_pt, point, _), mu in zip(pending, mus):
+                if isinstance(mu, EigenSolveError):
+                    failure = m_pt, mu      # before any failure of a later point
+                    break
+                point.stability_eig = mu
+                points.append(point)
+            pending.clear()
+        if failure:
+            break
+    return points, failure
 
 
 def solve_at_peak(cfg: ContinuationConfig, m: float,
@@ -511,69 +634,34 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
     and grid; ``warm_start`` must lie on the config's grid.  Cold starts
     scale the Galerkin torsion S z = b(0).  Warm starts extrapolate (u, lam)
     linearly in m from the previous point along its recorded secant slope,
-    when it has one, and record their own: so ``trace_branch``, a chain of
-    warm-started calls, is a secant-predictor continuation.  Should Newton
-    fail from the extrapolation, it starts again from the previous point
-    itself, whose failure is the one raised.
+    when it has one, and record their own: so ``trace_branch``, which runs
+    the same Newton solves in a chain, is a secant-predictor continuation.
+    Should Newton fail from the extrapolation, it starts again from the
+    previous point itself, whose failure is the one raised.  The stability
+    eigenvalue is the batched Davidson's on this one pencil, bitwise the
+    value ``trace_branch`` finds in its batches.
     """
-    if not 0.0 < m < math.inf:
-        raise DomainError(f"center value must be positive and finite, got {m}")
-    depth = 2.0 * cfg.params.s * math.log(1.0 / cfg.grid.nodes[1])
-    if m > depth:
-        raise GridDepthError(f"center value m={m} is deeper than the grid resolves: "
-                             f"2s log(1/r_1) = {depth:.6g}")
-    operator = cfg.operator() if op is None else op
-    if operator.params != cfg.params or operator.grid != cfg.grid:
-        raise DomainError("operator does not match the config's params and grid")
-    if warm_start is not None and warm_start.profile.grid != cfg.grid:
-        raise DomainError("warm start lies on another grid than the config's")
-    if warm_start is not None:
-        starts = [(warm_start.profile.interior, warm_start.lam)]
-        if warm_start.slope is not None:
-            du, dlam = warm_start.slope
-            step = m - warm_start.peak
-            starts.insert(0, (starts[0][0] + step * du, starts[0][1] + step * dlam))
-        # Shift each start to the prescribed center value.
-        starts = [(u0 + (m - operator.grid.origin_value(u0)), lam0) for u0, lam0 in starts]
-    else:
-        z = _torsion(operator)
-        z0 = operator.grid.origin_value(z)
-        starts = [((m / z0) * z, m / z0)]
-
-    for k, (u0, lam0) in enumerate(starts):
-        try:
-            u, lam, fnorm, iters, mass = _newton_solve(operator, m, u0, lam0, cfg.newton_tol)
-            break
-        except (NoConvergenceError, InfeasibleError):
-            if k == len(starts) - 1:
-                raise
-    profile = operator.grid.profile(u)
-    mu = _smallest_pencil_eig(operator, mass, lam)
-    peak = profile.values[0]
-    slope = None
-    if warm_start is not None and peak != warm_start.peak:
-        step = peak - warm_start.peak
-        slope = ((u - warm_start.profile.interior) / step, (lam - warm_start.lam) / step)
-    return BranchPoint(
-        lam=lam, profile=profile, peak=peak, stability_eig=mu,
-        newton_iters=iters, residual_norm=fnorm, slope=slope,
-    )
+    points, failure = _solve_peaks(cfg, [m], warm_start, op)
+    if failure:
+        raise failure[1]
+    return points[0]
 
 
 def trace_branch(cfg: ContinuationConfig) -> Branch:
-    """March the center value from peak_start to peak_end with warm starts."""
+    """March the center value from peak_start to peak_end with warm starts.
+
+    The chain of ``solve_at_peak`` solves, with the stability pencils
+    solved in batches (``_solve_peaks``): every value is bitwise the chain's.
+    A failure stops the trace at the first center value whose solve or
+    pencil fails, and ``BranchTraceError`` carries the partial branch of the
+    points before it.
+    """
     peaks = np.arange(cfg.peak_start, cfg.peak_end + 0.5 * cfg.peak_step, cfg.peak_step)
-    branch = Branch(params=cfg.params)
-    previous: BranchPoint | None = None
-    for m in peaks:
-        try:
-            point = solve_at_peak(cfg, float(m), warm_start=previous)
-        except (NoConvergenceError, InfeasibleError, EigenSolveError, GridDepthError) as exc:
-            raise BranchTraceError(
-                f"continuation stopped at center value m={float(m):.6g}: {exc}", branch
-            ) from exc
-        branch.points.append(point)
-        previous = point
+    points, failure = _solve_peaks(cfg, peaks.tolist(), None, None)
+    branch = Branch(params=cfg.params, points=points)
+    if failure:
+        m, exc = failure
+        raise BranchTraceError(f"continuation stopped at center value m={m:.6g}: {exc}", branch) from exc
     return branch
 
 

@@ -682,6 +682,161 @@ def test_stability_eigenvalue_budget_is_typed(branch_1d, monkeypatch):
     assert excinfo.value.partial.points == []
 
 
+def _ladder(n, s, panels, peak_end):
+    """Center values 1, 2, ..., peak_end on graded(panels)."""
+    return ContinuationConfig(params=ProblemParams(n, s), grid=RadialGrid.graded(panels),
+                              peak_start=1.0, peak_end=peak_end, peak_step=1.0)
+
+
+def _summary(points):
+    return [(pt.peak, pt.lam, pt.stability_eig, pt.newton_iters, pt.residual_norm) for pt in points]
+
+
+def one_pencil_davidson(op, mass, lam):
+    """The Davidson iteration on a single pencil, one vector at a time, as
+    the library ran it before it stacked pencils (success path only)."""
+    band0, band1 = lam * mass[1], lam * mass[2]
+    _, mass0, mass1 = op.mass
+    ni = op.n_interior
+    size = min(gelfand._EIG_MAX_BASIS, ni)
+    basis, weighed, image = (np.empty((size, ni)) for _ in range(3))
+    proj = np.empty((size, size))
+    t = _torsion(op)
+    k = restarts = 0
+    while True:
+        bt = gelfand._tridiagonal(mass0, mass1, t)
+        norm = math.sqrt(float(t @ bt))
+        basis[k], weighed[k] = t / norm, bt / norm
+        image[k] = op.stability_form @ basis[k] - gelfand._tridiagonal(band0, band1, basis[k])
+        proj[k, : k + 1] = proj[: k + 1, k] = basis[: k + 1] @ image[k]
+        k += 1
+        theta, vecs = np.linalg.eigh(proj[:k, :k])
+        y = vecs[:, 0]
+        resid = y @ image[:k] - theta[0] * (y @ weighed[:k])
+        t = op._energy_inverse @ resid
+        if k == ni or (k > 1 and resid @ t <= np.finfo(float).eps * (theta[1] - theta[0])):
+            return float(theta[0])
+        if k == size:
+            assert restarts < gelfand._EIG_RESTARTS
+            keep = size // 2
+            lowest = vecs[:, :keep].T
+            basis[:keep], weighed[:keep], image[:keep] = (lowest @ basis[:k], lowest @ weighed[:k],
+                                                          lowest @ image[:k])
+            proj[:keep, :keep] = np.diag(theta[:keep])
+            k, restarts = keep, restarts + 1
+        for _ in range(2):
+            t -= (weighed[:k] @ t) @ basis[:k]
+
+
+def test_batched_pencils_match_one_pencil_solves(fold_ladder):
+    # Every mu of a stack is bitwise the one its pencil gives alone, in
+    # either order, and the one the unstacked iteration gives; so is every
+    # mu trace_branch stored.  On the benchmark's fold ladder, on (3, 0.5)
+    # up to Morse index 5, where the stack restarts past its 64 vectors at
+    # m = 9, 10 and 11, and on (12, 0.5), whose pencils take 13-24 steps.
+    cases = [fold_ladder] + [(cfg.operator(), trace_branch(cfg))
+                             for cfg in (_ladder(3, 0.5, 256, 11.0), _ladder(12, 0.5, 128, 8.0))]
+    for op, branch in cases:
+        pencils = [(op.exp_mass(pt.profile.values), pt.lam) for pt in branch.points]
+        alone = [gelfand._smallest_pencil_eigs(op, [pencil])[0] for pencil in pencils]
+        assert alone == [one_pencil_davidson(op, *pencil) for pencil in pencils]
+        assert alone == [pt.stability_eig for pt in branch.points]
+        assert gelfand._smallest_pencil_eigs(op, pencils) == alone
+        assert gelfand._smallest_pencil_eigs(op, pencils[::-1]) == alone[::-1]
+
+
+def test_trace_solves_its_pencils_in_batches(fold_ladder, monkeypatch):
+    # The ladder's 60 pencils go to the solver a batch at a time, not one
+    # per point; a batch's three 8-row basis arrays fit one block.
+    op, branch = fold_ladder
+    batch = op._block_rows(3 * gelfand._EIG_FIRST_ROWS * op.n_interior)
+    assert batch > 1
+    assert 3 * batch * gelfand._EIG_FIRST_ROWS * op.n_interior <= fraclap._BLOCK_ENTRIES
+    sizes = []
+    solve = gelfand._smallest_pencil_eigs
+
+    def counting(op, pencils):
+        sizes.append(len(pencils))
+        return solve(op, pencils)
+
+    monkeypatch.setattr(gelfand, "_smallest_pencil_eigs", counting)
+    traced = trace_branch(ContinuationConfig(params=op.params, grid=op.grid, peak_start=0.05,
+                                             peak_end=3.0, peak_step=0.05))
+    assert len(sizes) == math.ceil(len(branch.points) / batch)
+    assert sizes[:-1] == [batch] * (len(sizes) - 1)
+    assert _summary(traced.points) == _summary(branch.points)
+
+
+def test_trace_failure_inside_a_batch_is_the_chains(monkeypatch):
+    # With 12 basis vectors the (3, 0.5) pencil runs out of restarts at
+    # m = 8, inside a batch whose later points Newton has solved already.
+    # The trace reports what a chain of solve_at_peak calls meets first.
+    monkeypatch.setattr(gelfand, "_EIG_MAX_BASIS", 12)
+    cfg = _ladder(3, 0.5, 256, 11.0)
+    op = cfg.operator()
+    chain = []
+    with pytest.raises(EigenSolveError) as alone:
+        for m in range(1, 12):
+            chain.append(solve_at_peak(cfg, float(m), warm_start=chain[-1] if chain else None))
+    failed = len(chain) + 1.0
+    batch = op._block_rows(3 * gelfand._EIG_FIRST_ROWS * op.n_interior)
+    assert failed == 8.0 and 0 < len(chain) % batch < batch - 1
+    message = f"continuation stopped at center value m={failed:.6g}: {alone.value}"
+
+    def check(traced):
+        assert str(traced) == message
+        assert type(traced.__cause__) is EigenSolveError
+        assert str(traced.__cause__) == str(alone.value)
+        assert _summary(traced.partial.points) == _summary(chain)
+
+    with pytest.raises(BranchTraceError) as excinfo:
+        trace_branch(cfg)
+    check(excinfo.value)
+    # A Newton failure later in the same batch does not mask it.
+    newton = _newton_solve
+
+    def failing_past(op, m, u0, lam0, tol):
+        if m > failed:
+            raise NoConvergenceError(f"no solve at m={m}", op.grid.profile(u0), lam0, 1.0, 0)
+        return newton(op, m, u0, lam0, tol)
+
+    monkeypatch.setattr(gelfand, "_newton_solve", failing_past)
+    with pytest.raises(BranchTraceError) as excinfo:
+        trace_branch(cfg)
+    check(excinfo.value)
+    # Without the pencil failure, the Newton failure stops the trace.
+    monkeypatch.setattr(gelfand, "_EIG_MAX_BASIS", 64)
+    with pytest.raises(BranchTraceError, match="m=9: no solve at m=9") as excinfo:
+        trace_branch(cfg)
+    assert isinstance(excinfo.value.__cause__, NoConvergenceError)
+    assert len(excinfo.value.partial.points) == 8
+
+
+def test_rayleigh_ritz_failure_stays_with_its_pencil(fold_ladder, monkeypatch):
+    # A stacked eigh that fails names no member: the stack is solved again
+    # one pencil at a time, so the failure lands on its own pencil and the
+    # others keep their values.
+    op, branch = fold_ladder
+    points = branch.points[:5]
+    pencils = [(op.exp_mass(pt.profile.values), pt.lam) for pt in points]
+    eigh = np.linalg.eigh
+    first = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: first.append(a[0, 0, 0]) or eigh(a))
+    gelfand._smallest_pencil_eigs(op, pencils[2:3])
+
+    def failing(a):
+        if a.shape[-1] == 3 and np.any(a[:, 0, 0] == first[0]):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    mus = gelfand._smallest_pencil_eigs(op, pencils)
+    assert mus[:2] + mus[3:] == [pt.stability_eig for pt in points[:2] + points[3:]]
+    assert isinstance(mus[2], EigenSolveError)
+    assert str(mus[2]) == "Rayleigh-Ritz eigensolve failed: Eigenvalues did not converge"
+    assert isinstance(mus[2].__cause__, np.linalg.LinAlgError)
+
+
 def test_small_peak_slope_matches_torsion(operator_cache):
     op = operator_cache(3, 0.5, 128)
     cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=op.grid)
