@@ -27,9 +27,10 @@ Discretization (per collocation row r_i):
   (Hackbusch-Nowak, *Numer. Math.* 54 (1989) 463-491): over a binary tree of
   panel ranges, a cluster at least its own width from the row replaces
   K(r_i, .) by its 16-point Chebyshev interpolant, whose exact moments
-  against the panels' stencil bases are formed once per cluster; panels of
-  leaves (16 panels) nearer the row use 6-point Gauss-Legendre, with which
-  the interpolant agrees to roundoff;
+  against the panels' stencil bases are formed at the leaves and carried up
+  the tree by transfer matrices; panels of leaves (16 panels) nearer the
+  row use 6-point Gauss-Legendre, with which the interpolant agrees to
+  roundoff;
 * for zero exterior data (the Dirichlet problem) the exterior integral is
   u(r) times the row mass int_{rho > 1} K drho = (-Delta)^s 1_B / c_{n,s} in
   Dyda's closed form (*Fract. Calc. Appl. Anal.* 15 (2012) 536-555), which
@@ -41,7 +42,8 @@ Discretization (per collocation row r_i):
 The Galerkin energy form integrates the same kernel over pairs of panels;
 its separated pairs go by the same tree, as pairs of clusters at least their
 widths apart, on which the kernel's tensor Chebyshev interpolant replaces
-it (see ``_assemble_energy``).
+it (see ``_assemble_energy``).  Both far fields take their clusters' moments
+from one sweep up the tree (``_nested_moments``).
 
 All of it runs over blocks of rows, not row by row, through one kernel.  Its
 hypergeometric factor, and the one in the closed-form mass, come from a table
@@ -99,8 +101,8 @@ _POW2 = np.ldexp(1.0, np.arange(_PHI_PIECES) + 2)   # 2^(k+2) takes piece k of 1
 # large enough that a kernel call amortizes its fixed cost (tens of
 # microseconds) over its entries; the far field groups the row blocks of
 # its clusters, a few hundred entries each, up to half of it (see
-# ``assemble``).  A temporary of this size (256 KiB) is above glibc's
-# initial mmap threshold; _row_blocks raises it.
+# ``_assemble_couplings``).  A temporary of this size (256 KiB) is above
+# glibc's initial mmap threshold; _row_blocks raises it.
 _BLOCK_ENTRIES = 1 << 15
 # Largest dense interior matrix, (N-1)^2 float64 values, that a grid may
 # imply.  Each dense stage here holds one such array plus block temporaries:
@@ -553,22 +555,6 @@ def _kernel(p: ProblemParams, r: np.ndarray | float, rho: np.ndarray,
     return out
 
 
-def angular_kernel(p: ProblemParams, r: float, rho: float) -> float:
-    """Angular reduction k(r, rho) of the Riesz kernel; symmetric in (r, rho).
-
-    For n = 1 this is |r-rho|^{-(1+2s)} + (r+rho)^{-(1+2s)}; for r = 0 it is
-    |S^{n-1}| rho^{-(n+2s)}.  Coincident radii are rejected (the diagonal is
-    handled by the principal-value assembly, not here).
-    """
-    r, rho = float(r), float(rho)
-    if r < 0.0 or rho <= 0.0:
-        raise DomainError(f"need r >= 0 and rho > 0, got r={r}, rho={rho}")
-    if r == rho:
-        raise DomainError("coincident radii: kernel is singular on the diagonal")
-    big, small = max(r, rho), min(r, rho)
-    return float(_kernel(p, small, np.array([big]), big - small)[0]) * big ** (1 - p.n)
-
-
 # ----------------------------------------------------------------------
 # operator
 
@@ -841,25 +827,24 @@ def _exterior_mass(p: ProblemParams, radii: np.ndarray, gaps: np.ndarray) -> np.
     return sphere_area(n) / (2.0 * s) * w ** (-2.0 * s) * psi
 
 
-def _add_stencil(out: np.ndarray, lo: int, c0: np.ndarray, c1: np.ndarray,
-                 c2: np.ndarray) -> None:
+def _add_stencil(out: np.ndarray, lo: int, *parts: np.ndarray) -> None:
     """Add contributions (rows, m) of panels lo..lo+m-1 to their node columns in out.
 
-    Panel p feeds its stencil nodes p-1, p, p+1 (panel 0: nodes 0, 1, 2)
-    through c0, c1, c2, and out's columns are the nodes from the first
-    panel's first stencil node on: max(lo - 1, 0) .. lo + m.  Slice adds,
-    ordered so that every column sums its panels in ascending order, as one
-    ``np.add.at`` over the stencil does.
+    Over a w-node stencil (w = len(parts), 2 or 3) panel p feeds the nodes
+    max(p + 2 - w, 0) + j through parts[j]: the 3-node Lagrange stencil p-1,
+    p, p+1 (panel 0: nodes 0, 1, 2) and the 2-node hats p, p+1.  out's
+    columns are the nodes from the first panel's first stencil node on:
+    max(lo + 2 - w, 0) .. lo + m.  Slice adds, last node first, so that every
+    column sums its panels in ascending order, as one ``np.add.at`` over the
+    stencil does.
     """
-    if lo == 0:
-        out[:, 0] += c0[:, 0]
-        out[:, 1] += c1[:, 0]
-        out[:, 2] += c2[:, 0]
-        c0, c1, c2 = c0[:, 1:], c1[:, 1:], c2[:, 1:]   # panel 1 feeds nodes 0, 1, 2 too
-    m = c0.shape[1]
-    out[:, 2 : m + 2] += c2
-    out[:, 1 : m + 1] += c1
-    out[:, :m] += c0
+    if lo + 2 < len(parts):
+        for j, part in enumerate(parts):
+            out[:, j] += part[:, 0]
+        parts = [part[:, 1:] for part in parts]   # panel 1 feeds nodes 0, 1, 2 too
+    m = parts[0].shape[1]
+    for j in reversed(range(len(parts))):
+        out[:, j : m + j] += parts[j]
 
 
 def _children(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
@@ -963,51 +948,56 @@ def _far_partition(nodes: np.ndarray) -> list[tuple[tuple[slice, ...], int, int,
     return out
 
 
-def _nested_moments(n: int, nodes: np.ndarray, clusters, off: np.ndarray, rho: np.ndarray,
-                    lag: np.ndarray):
-    """Moments of the collocation far field's clusters, children first.
+def _nested_moments(nodes: np.ndarray, tree, transfer: dict, off: np.ndarray,
+                    weights: np.ndarray, grow: int):
+    """Moments of a far field's clusters, children first: the one moment
+    sweep of the collocation far field and the energy form.
 
     Yields every cluster (lo, hi) of the panel tree in post-order, left to
-    right, with its moments if it or a cluster holding it is one of
-    ``clusters``, else None.  The moments (2, k, column) are those of its
-    Lagrange basis L_k against the stencil bases of its panels, on the nodes
-    max(lo - 1, 0)..hi: against 1 for rows below it, and against
-    (rho/b)^{n-1}, b = nodes[hi], for rows above.  The panels' Gauss rule
-    is given by its nodes' offsets ``off`` and radii ``rho`` (q, panel) and
-    by ``lag`` (3, q, panel), weight times each stencil node's basis.
+    right, with its moments if it is in ``tree`` (a set of clusters with all
+    their descendants), else None.  The moments (kind, k, column) are those
+    of its Lagrange basis L_k against the stencil bases of its panels, on
+    the nodes max(lo + 2 - w, 0)..hi of a w-node stencil (``_add_stencil``).
+    The panels' Gauss rule is given by its nodes' offsets ``off`` (q, panel)
+    and by ``weights`` (kind, stencil node, q, panel), weight times each
+    stencil node's basis; the last kind also carries (rho/b)^grow, rho the
+    Gauss node and b = nodes[hi].  The collocation far field passes its
+    3-node Lagrange stencil as two kinds, for rows below and above a
+    cluster, with grow = n - 1; the energy form the two hats times the
+    weights of a lower and of an upper cluster, with grow = 0.
 
     Only the leaves evaluate their basis at the Gauss nodes.  A parent's
-    moments are its children's times their transfer matrices, and
-    (rho/b)^{n-1} picks up (b_child/b)^{n-1} at each step up; both are
-    exact (``_transfers``), so the moments differ from the basis summed
-    over the cluster's Gauss nodes by roundoff.  A cluster's moments are
-    dropped once its parent has them and the caller has moved on.
+    moments are its children's times their transfer matrices, which it
+    takes out of ``transfer`` (``_transfers`` of the tree) as it uses them,
+    and (rho/b)^grow picks up (b_child/b)^grow at each step up; both are
+    exact, so the moments differ from the basis summed over the cluster's
+    Gauss nodes by roundoff.  A cluster's moments are dropped once its
+    parent has them and the caller has moved on.
     """
-    tree = dict.fromkeys(c for x in clusters for c in _subtree(*x))
-    transfer = _transfers(nodes, tree)
+    kinds, width = weights.shape[:2]
     done = {}   # moments of the clusters whose parent is still to come
     for lo, hi in sorted(_subtree(0, nodes.size - 1), key=lambda c: (c[1], c[1] - c[0])):
-        start = max(lo - 1, 0)
+        start = max(lo + 2 - width, 0)
         kids = _children(lo, hi)
         parts = [done.pop(kid, None) for kid in kids]
         moments = None
         if (lo, hi) in tree and kids:
-            moments = np.zeros((2, _CLUSTER_ORDER, hi + 1 - start))
+            moments = np.zeros((kinds, _CLUSTER_ORDER, hi + 1 - start))
             for (klo, khi), part in zip(kids, parts):
                 part = transfer.pop((klo, khi)) @ part
-                part[1] *= (nodes[khi] / nodes[hi]) ** (n - 1)
-                moments[..., max(klo - 1, 0) - start : khi + 1 - start] += part
+                part[-1] *= (nodes[khi] / nodes[hi]) ** grow
+                moments[..., max(klo + 2 - width, 0) - start : khi + 1 - start] += part
         elif (lo, hi) in tree:
             # L_k at the Gauss nodes (k, q, panel), placed by their offsets from
             # the leaf's left end.
             t = _cluster_basis((nodes[lo:hi] - nodes[lo]) + off[:, lo:hi], 0.5 * (nodes[hi] - nodes[lo]))[1]
-            w = lag[..., lo:hi]
-            w = np.stack([w, w * (rho[:, lo:hi] / nodes[hi]) ** (n - 1)], axis=1)
+            w = np.array(weights[..., lo:hi].swapaxes(0, 1))   # (stencil node, kind, q, panel)
+            w[:, -1] *= ((nodes[lo:hi] + off[:, lo:hi]) / nodes[hi]) ** grow
             # Per panel, (stencil node and kind, q) @ (q, k).
-            per_panel = w.reshape(6, -1, hi - lo).transpose(2, 0, 1) @ t.transpose(2, 1, 0)
-            moments = np.zeros((2 * _CLUSTER_ORDER, hi + 1 - start))
-            _add_stencil(moments, lo, *per_panel.reshape(hi - lo, 3, -1).transpose(1, 2, 0))
-            moments = moments.reshape(2, _CLUSTER_ORDER, -1)
+            per_panel = w.reshape(width * kinds, -1, hi - lo).transpose(2, 0, 1) @ t.transpose(2, 1, 0)
+            moments = np.zeros((kinds * _CLUSTER_ORDER, hi + 1 - start))
+            _add_stencil(moments, lo, *per_panel.reshape(hi - lo, width, -1).transpose(1, 2, 0))
+            moments = moments.reshape(kinds, _CLUSTER_ORDER, -1)
         del parts
         if moments is not None:
             done[lo, hi] = moments
@@ -1059,7 +1049,7 @@ def _assemble_couplings(p: ProblemParams, grid: RadialGrid) -> tuple[np.ndarray,
     # Moments of the stencil basis against a leaf's Lagrange basis, degree
     # _CLUSTER_ORDER + 1, times (rho/b)^{n-1} for rows above the leaf (see
     # below): exact under this rule up to n = 3.
-    rho_mom, off_mom, lag_mom = far_rule(_CLUSTER_ORDER // 2 + 2)
+    _, off_mom, lag_mom = far_rule(_CLUSTER_ORDER // 2 + 2)
     cheb, _ = _chebyshev()
     cq = np.zeros((ni, npan + 1))
 
@@ -1076,7 +1066,9 @@ def _assemble_couplings(p: ProblemParams, grid: RadialGrid) -> tuple[np.ndarray,
     # singular there needs.  A leaf closer to the row keeps per-panel Gauss,
     # with the two panels adjacent to the row (near field) zeroed.
     #
-    # The moments are nested (``_nested_moments``): formed at the leaves and
+    # The moments are nested (``_nested_moments``, which the energy form
+    # shares; the stencil basis goes in twice, as is for rows below a cluster
+    # and times (rho/b)^{n-1} for rows above): formed at the leaves and
     # carried up by transfer matrices, with the tree swept children first, so
     # a cluster's moments are dropped once its parent has them and its rows
     # are queued.  Row blocks of clusters wait until the next one would take
@@ -1109,7 +1101,9 @@ def _assemble_couplings(p: ProblemParams, grid: RadialGrid) -> tuple[np.ndarray,
         pending.clear()
         queued = 0
 
-    for (lo, hi), moments in _nested_moments(p.n, r, served, off_mom[:, 0], rho_mom[:, 0], lag_mom):
+    tree = dict.fromkeys(c for x in served for c in _subtree(*x))
+    for (lo, hi), moments in _nested_moments(r, tree, _transfers(r, tree), off_mom[:, 0],
+                                             np.broadcast_to(lag_mom, (2,) + lag_mom.shape), p.n - 1):
         start = max(lo - 1, 0)
         cols = slice(start, hi + 1)
         off = 0.5 * (r[hi] - r[lo]) * (1.0 + cheb)   # the Chebyshev points' offsets from r_lo
@@ -1325,39 +1319,27 @@ def _far_pairs(p: ProblemParams, r: np.ndarray, off: np.ndarray, wlow: np.ndarra
     interpolated weights are within 1e-10 of the kernel's, relative to each
     (6e-11 at (10, 0.9)), so they stay positive, and the form PSD.
 
-    The clusters' bases are nested, so only the leaves evaluate their basis
-    at the Gauss points.  Moments are formed there and carried up, and the
-    masses' values at a cluster's Chebyshev points carried down, by the
-    transfer matrices of ``_transfers``.
+    The moments come from the collocation far field's sweep,
+    ``_nested_moments``, against the two hats: formed at the leaves and
+    carried up the tree.  The masses' values at a cluster's Chebyshev points
+    are carried down by the same transfer matrices, and at the leaves to the
+    Gauss points.
     """
     npan, q = off.shape
     cheb, _ = _chebyshev()
     weights = np.stack([wlow, wts])      # (2, panel, q): as a lower and as an upper cluster
-    leaf_lo, leaf_hi = np.empty((2, npan), dtype=np.intp)
-    for lo, hi in _subtree(0, npan):
-        leaf_lo[lo:hi], leaf_hi[lo:hi] = lo, hi          # the last, smallest, cluster holding it
-    rel = (r[:-1] - r[leaf_lo])[:, None] + off
-    lag = _cluster_basis(rel, 0.5 * (r[leaf_hi] - r[leaf_lo])[:, None])[1]   # (k, panel, q)
-    # Falling and rising hat moments of every panel in its leaf's basis, (2, k, panel, 2).
-    per_panel = ((lag * weights[:, None]).reshape(-1, q) @ hat.T).reshape(2, _CLUSTER_ORDER, npan, 2)
-
-    # The admissible pairs' clusters and their descendants, parents first.
-    # Per child: the transfer matrix L_k(c_l), k of its parent; per cluster:
-    # its moments (2, k, node), as the lower and as the upper cluster of a
-    # pair, and their sums over its nodes (2, k).
+    # The admissible pairs' clusters and their descendants; per child, the
+    # transfer matrix L_k(c_l), k of its parent (the sweep up empties a copy
+    # of the dict, the sweep down reads it).  Per cluster of a pair: its
+    # moments (2, k, node), as the lower and as the upper cluster, and their
+    # sums over its nodes (2, k).
     clusters = dict.fromkeys(x for blk in far for x in (blk[:2], blk[2:]))
-    tree = sorted(dict.fromkeys(c for x in clusters for c in _subtree(*x)), key=lambda c: c[0] - c[1])
+    tree = dict.fromkeys(c for x in clusters for c in _subtree(*x))
     transfer = _transfers(r, tree)
-    moments, sums = {}, {}
-    for lo, hi in reversed(tree):
-        mom = moments[lo, hi] = np.zeros((2, _CLUSTER_ORDER, hi - lo + 1))
-        kids = _children(lo, hi)
-        for klo, khi in kids:
-            mom[..., klo - lo : khi - lo + 1] += transfer[klo, khi] @ moments[klo, khi]
-        if not kids:
-            mom[..., :-1] = per_panel[..., lo:hi, 0]
-            mom[..., 1:] += per_panel[..., lo:hi, 1]
-        sums[lo, hi] = mom.sum(axis=2)
+    hats = weights.transpose(0, 2, 1)[:, None] * hat[:, :, None]   # (kind, hat, q, panel)
+    moments = {c: mom for c, mom in _nested_moments(r, tree, dict(transfer), off.T, hats, 0)
+               if c in clusters}
+    sums = {c: mom.sum(axis=2) for c, mom in moments.items()}
 
     # The masses' sums at each cluster's Chebyshev points, (2, k).
     at_cheb = {c: np.zeros((2, _CLUSTER_ORDER)) for c in tree}
@@ -1375,18 +1357,19 @@ def _far_pairs(p: ProblemParams, r: np.ndarray, off: np.ndarray, wlow: np.ndarra
             at_cheb[a, b][0] += tb @ sums[c, d][1]
             at_cheb[c, d][1] += sums[a, b][0] @ tb
 
-    # The masses' values at each cluster's Chebyshev points, carried down to
-    # the leaves, per panel in its leaf's basis.
-    at_leaf = np.zeros((npan, 2, _CLUSTER_ORDER))
+    # The masses' values at each cluster's Chebyshev points, carried down
+    # (parents first) to the leaves, and there to the Gauss points.
+    mass = np.zeros((npan, q))
     down = {}
-    for c in tree:
-        vals = at_cheb[c] + down.pop(c, 0.0)
-        kids = _children(*c)
+    for lo, hi in sorted(tree, key=lambda c: c[0] - c[1]):
+        vals = at_cheb[lo, hi] + down.pop((lo, hi), 0.0)
+        kids = _children(lo, hi)
         for kid in kids:
             down[kid] = vals @ transfer[kid]
         if not kids:
-            at_leaf[c[0] : c[1]] = vals
-    return (np.einsum("prk,kpa->rpa", at_leaf, lag) * weights).sum(axis=0)
+            t = _cluster_basis((r[lo:hi] - r[lo])[:, None] + off[lo:hi], 0.5 * (r[hi] - r[lo]))[1]
+            mass[lo:hi] = (np.einsum("rk,kpa->rpa", vals, t) * weights[:, lo:hi]).sum(axis=0)
+    return mass
 
 
 def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:

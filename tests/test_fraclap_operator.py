@@ -221,25 +221,27 @@ def test_exterior_mass_near_the_boundary_at_grading_3(n, s, gate):
 
 
 def test_stencil_slice_adds_match_add_at():
-    # The far field's slice adds sum each column in the order of one
+    # The far fields' slice adds sum each column in the order of one
     # np.add.at over the panel stencil, bit for bit; magnitudes spread over
     # 16 decades make any other order round differently.  Panel ranges from
-    # panel 0 (whose stencil is nodes 0, 1, 2) and from inside the grid.
+    # panel 0 and from inside the grid, over the 3-node stencil (panel 0:
+    # nodes 0, 1, 2) and the 2-node hats.
     rng = np.random.default_rng(5)
     rows, npan = 7, 40
     contrib = [rng.standard_normal((rows, npan)) * 10.0 ** rng.integers(-8, 8, (rows, npan))
                for _ in range(3)]
     start = rng.standard_normal((rows, npan + 1))
-    stencil = np.stack([np.arange(npan) - 1, np.arange(npan), np.arange(npan) + 1], axis=1)
-    stencil[0] = [0, 1, 2]
     base = (np.arange(rows) * (npan + 1))[:, None, None]
-    for lo, hi in ((0, npan), (0, 9), (1, 17), (23, npan)):
-        want = start.copy()
-        np.add.at(want.reshape(-1), (base + stencil[None, lo:hi]).ravel(),
-                  np.stack(contrib, axis=2)[:, lo:hi].ravel())
-        got = start.copy()
-        _add_stencil(got[:, max(lo - 1, 0) : hi + 1], lo, *(c[:, lo:hi] for c in contrib))
-        assert got.tobytes() == want.tobytes()
+    for width in (3, 2):
+        stencil = np.maximum(np.arange(npan) + 2 - width, 0)[:, None] + np.arange(width)
+        for lo, hi in ((0, npan), (0, 9), (1, 17), (23, npan)):
+            want = start.copy()
+            np.add.at(want.reshape(-1), (base + stencil[None, lo:hi]).ravel(),
+                      np.stack(contrib[:width], axis=2)[:, lo:hi].ravel())
+            got = start.copy()
+            _add_stencil(got[:, max(lo + 2 - width, 0) : hi + 1], lo,
+                         *(c[:, lo:hi] for c in contrib[:width]))
+            assert got.tobytes() == want.tobytes()
 
 
 def _assert_clusters_match_six_points(monkeypatch, p, grid):
@@ -311,39 +313,55 @@ def test_far_field_kernel_entries(monkeypatch):
     assert sum(entries) < 1_000_000
 
 
-def _direct_moments(n, nodes, clusters, off, rho, lag):
+def _direct_moments(nodes, tree, transfer, off, weights, grow):
     """``_nested_moments`` without nesting: every cluster evaluates its own
     Lagrange basis at all of its panels' Gauss nodes and sums it against
-    the stencil bases, times (rho/b)^{n-1} for the rows above it."""
-    tree = {c for x in clusters for c in fraclap._subtree(*x)}
+    each kind's weights per stencil node, the last kind times (rho/b)^grow."""
+    kinds, width = weights.shape[:2]
     for lo, hi in sorted(fraclap._subtree(0, nodes.size - 1), key=lambda c: (c[1], c[1] - c[0])):
         if (lo, hi) not in tree:
             yield (lo, hi), None
             continue
         t = fraclap._cluster_basis((nodes[lo:hi] - nodes[lo]) + off[:, lo:hi], 0.5 * (nodes[hi] - nodes[lo]))[1]
-        moments = np.zeros((2, fraclap._CLUSTER_ORDER, hi + 1 - max(lo - 1, 0)))
-        for above in (0, 1):
-            weights = lag[..., lo:hi]
-            if above:
-                weights = weights * (rho[:, lo:hi] / nodes[hi]) ** (n - 1)
-            _add_stencil(moments[above], lo, *np.einsum("kqp,jqp->jkp", t, weights))
+        moments = np.zeros((kinds, fraclap._CLUSTER_ORDER, hi + 1 - max(lo + 2 - width, 0)))
+        for kind in range(kinds):
+            w = weights[kind, ..., lo:hi]
+            if kind == kinds - 1:
+                w = w * ((nodes[lo:hi] + off[:, lo:hi]) / nodes[hi]) ** grow
+            _add_stencil(moments[kind], lo, *np.einsum("kqp,jqp->jkp", t, w))
         yield (lo, hi), moments
 
 
 @pytest.mark.parametrize("n, s, panels, grading", [(1, 0.3, 1024, 2.0), (3, 0.5, 256, 3.0),
-                                                   (12, 0.5, 256, 2.0), (60, 0.5, 256, 2.0)])
+                                                   (12, 0.5, 256, 2.0), (60, 0.5, 256, 2.0),
+                                                   (3, 0.5, 777, 2.0)])
 def test_nested_moments_match_direct_formation(monkeypatch, n, s, panels, grading):
     # Moments carried up the tree by transfer matrices, with (rho/b)^{n-1}
     # rescaled by (b_child/b)^{n-1} at each step, against the same moments
     # formed cluster by cluster: the couplings agree to roundoff, 1e-15 of
-    # each row's largest one.  At n = 60, (rho/b)^{n-1} spans 256 decades
-    # over the first leaf.
+    # each row's largest one (the largest gap is 1e-17).  At n = 60,
+    # (rho/b)^{n-1} spans 256 decades over the first leaf; on graded(777)
+    # sibling clusters differ by one panel.
     p, grid = ProblemParams(n, s), RadialGrid.graded(panels, grading)
     got = np.column_stack(fraclap._assemble_couplings(p, grid))
     monkeypatch.setattr(fraclap, "_nested_moments", _direct_moments)
     want = np.column_stack(fraclap._assemble_couplings(p, grid))
     scale = np.abs(want).max(axis=1, keepdims=True)
     assert (np.abs(got - want) / scale).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n, s, panels", [(3, 0.5, 256), (12, 0.5, 256), (3, 0.5, 300), (12, 0.5, 300)])
+def test_energy_moments_match_direct_formation(monkeypatch, n, s, panels):
+    # The energy form takes its clusters' hat moments from the same sweep
+    # (two kinds, a 2-node stencil, grow = 0); against the moments formed
+    # cluster by cluster it moves by roundoff, at most 1.5e-16 of its largest
+    # entry here (about one ulp), against a 1e-15 gate.  On graded(300)
+    # sibling clusters differ by one panel.
+    p, grid = ProblemParams(n, s), RadialGrid.graded(panels)
+    got = _assemble_energy(p, grid)
+    monkeypatch.setattr(fraclap, "_nested_moments", _direct_moments)
+    want = _assemble_energy(p, grid)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_couplings_near_the_boundary_against_mpmath():
