@@ -49,8 +49,9 @@ All of it runs over blocks of rows, not row by row, through one kernel.  Its
 hypergeometric factor, and the one in the closed-form mass, come from a table
 built on first use per parameter set: piecewise Chebyshev on octaves of 1 - z,
 refined geometrically toward the endpoint term, or the terminating Gauss sum
-where the function is a polynomial.  The module needs numpy and the standard
-library only.
+where the function is a polynomial.  The module needs numpy's arrays and
+linear algebra and the standard library only: every Gauss rule comes from
+``_gauss_jacobi`` and every Chebyshev point from ``_chebyshev``.
 
 The origin node is eliminated by the even-quadratic fold u_0 = e1 u_1 +
 e2 u_2 (u'(0) = 0); the boundary node carries the datum's limit g(1).
@@ -66,7 +67,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .constants import DomainError, ProblemParams, operator_normalization
 
@@ -138,7 +138,7 @@ def _gauss_jacobi(q: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     orthonormal p_q polishes them, and the weights are the Christoffel numbers
     1 / sum_{k<q} p_k(x)^2 at the polished nodes.  Against 30-digit rules for
     beta in [-0.98, 1.98] the nodes are within 2.3e-16 and the weights within
-    8e-15 relative.
+    8e-15 relative; beta = 0, Gauss-Legendre, within 1.1e-16 and 1.3e-15.
     """
     k = np.arange(1, q + 1, dtype=float)
     t = 2.0 * k + beta
@@ -374,13 +374,14 @@ class _PhiTable:
     holds the constant Phi(1) for w < 2^-53, which for a double z means z = 1
     (accurate for c - a - b >= 1, where the endpoint term is below 2^-52).
 
-    Node values come from the Gauss series on the first pieces (z <= 1/2
-    unless c > 16) and, toward z = 1, from Taylor re-expansion of the
-    hypergeometric equation at each piece's centre.  No connection formula is
-    involved, so nothing cancels when c - a - b is close to an integer.  The
-    chain of re-expansions is sequential and runs in plain floats; the
-    expansions are kept, and every piece's nodes are then evaluated by one
-    Horner over all pieces at once.
+    Each piece interpolates at _PHI_DEGREE + 1 first-kind Chebyshev points, by
+    one solve with the matrix cos(j theta_k) of their angles.  Node values
+    come from the Gauss series on the first pieces (z <= 1/2 unless c > 16)
+    and, toward z = 1, from Taylor re-expansion of the hypergeometric equation
+    at each piece's centre.  No connection formula is involved, so nothing
+    cancels when c - a - b is close to an integer.  The chain of re-expansions
+    is sequential and runs in plain floats; the expansions are kept, and every
+    piece's nodes are then evaluated by one Horner over all pieces at once.
 
     Evaluation finds each entry's piece k from the binary exponent of w, maps
     w onto the piece's [-1, 1] by w 2^(k+2) - 3 (a product by a power of two
@@ -391,9 +392,8 @@ class _PhiTable:
     """
 
     def __init__(self, a: float, b: float, c: float):
-        cheb = np.polynomial.chebyshev
         hi = np.ldexp(1.0, -np.arange(_PHI_PIECES - 1))
-        x = cheb.chebpts1(_PHI_DEGREE + 1)
+        x, _ = _chebyshev(_PHI_DEGREE + 1)
         w = 0.75 * hi[:, None] + 0.25 * hi[:, None] * x   # nodes per piece, in w
         # A forward Taylor recurrence amplifies roundoff through the equation's
         # z^{1-c} solution, the more the larger c w0, so re-expansion starts
@@ -442,8 +442,11 @@ class _PhiTable:
         for j in range(1, _PHI_DEGREE):
             t_mono[j + 1, 1:] = 2.0 * t_mono[j, :-1]
             t_mono[j + 1] -= t_mono[j - 1]
+        # T_j(x_k) = cos(j theta_k), at the points' angles theta_k.
+        theta = (np.arange(_PHI_DEGREE + 1) + 0.5) * (np.pi / (_PHI_DEGREE + 1))
+        vander = np.cos(theta[:, None] * np.arange(_PHI_DEGREE + 1))
         mono = np.zeros((_PHI_PIECES, _PHI_DEGREE + 1))
-        mono[:-1] = cheb.chebfit(x, values.T, _PHI_DEGREE).T @ t_mono
+        mono[:-1] = np.linalg.solve(vander, values.T).T @ t_mono
         # Phi(1): the last expansion at w = 0, where its singular part
         # (w0 + t)^{1+2s} sums to below w0^{1+2s} ~ 2^-52.
         mono[-1, 0] = _horner(row, -1.0)
@@ -714,14 +717,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@functools.lru_cache(maxsize=None)
-def _legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """leggauss(q), read-only, once per order: each call is an eigensolve (~0.2 ms at 12)."""
-    return tuple(_read_only(a) for a in leggauss(q))
-
-
 def _panel_rule(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q-point Gauss-Legendre on every panel of widths h (any shape), by offset.
+    """q-point Gauss-Legendre, _gauss_jacobi(q, 0), on every panel of widths h
+    (any shape), by offset.
 
     Returns the nodes' offsets from each panel's left node and their weights
     (h.shape + (q,)), and the panel's two hats at the nodes (2, q): falling
@@ -729,7 +727,7 @@ def _panel_rule(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     A point is then the left node plus its offset, and a distance between
     points the difference of nodes plus the difference of offsets.
     """
-    x, w = _legendre(q)
+    x, w = _gauss_jacobi(q, 0.0)
     half = 0.5 * np.asarray(h)[..., None]
     return half * (1.0 + x), half * w, np.stack([0.5 * (1.0 - x), 0.5 * (1.0 + x)])
 
@@ -857,11 +855,12 @@ def _children(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _chebyshev() -> tuple[np.ndarray, np.ndarray]:
-    """The _CLUSTER_ORDER first-kind Chebyshev points on [-1, 1] and their
-    barycentric weights (-1)^k sin theta_k (read-only)."""
-    theta = (np.arange(_CLUSTER_ORDER) + 0.5) * (np.pi / _CLUSTER_ORDER)
-    bary = np.where(np.arange(_CLUSTER_ORDER) % 2, -1.0, 1.0) * np.sin(theta)
+def _chebyshev(order: int = _CLUSTER_ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev points cos theta_k, theta_k = (k + 1/2) pi/order,
+    and barycentric weights (-1)^k sin theta_k (read-only): the clusters'
+    points, and at order _PHI_DEGREE + 1 the Phi table's."""
+    theta = (np.arange(order) + 0.5) * (np.pi / order)
+    bary = np.where(np.arange(order) % 2, -1.0, 1.0) * np.sin(theta)
     return _read_only(np.cos(theta)), _read_only(bary)
 
 
@@ -1428,7 +1427,7 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     # Gap u (Jacobi weight u^{1-2s}) outer, position along the panel inner.
     qj, qg = 10, 6
     xj, wj = _gauss_jacobi(qj, 1.0 - 2.0 * s)
-    xgi, wgi = _legendre(qg)
+    xgi, wgi = _gauss_jacobi(qg, 0.0)
     edge = np.empty(npan)
     for rows in _row_blocks(npan, qj * qg):
         u_gap = 0.5 * h[rows, None] * (1.0 + xj)               # (panel, qj)
@@ -1444,7 +1443,7 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     # around the shared node r_c; the net t-power is 2-2s (Jacobi) on
     # t < min width.  Rows: the npan-1 corners, over blocks; columns: t nodes.
     qt = 8
-    xt, wt = _legendre(qt)
+    xt, wt = _gauss_jacobi(qt, 0.0)
     xj2, wj2 = _gauss_jacobi(qj, 2.0 - 2.0 * s)
     for rows in _row_blocks(npan - 1, (qj + qt) * qg):
         a, b = h[rows, None], h[rows.start + 1 : rows.stop + 1, None]

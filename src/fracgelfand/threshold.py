@@ -88,8 +88,6 @@ def critical_s(n: int) -> float | None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     hi = _s_upper(n)
-    if hi <= _S_LO:
-        return None
     samples = [_S_LO + (hi - _S_LO) * k / (_SCAN_SAMPLES - 1) for k in range(_SCAN_SAMPLES)]
     values = [_margin_ns(n, s) for s in samples]
     bracket = None
@@ -137,24 +135,19 @@ def threshold_table(n_max: int) -> list[ThresholdRow]:
     """One row per dimension n in [1, n_max], critical s from ``critical_s``.
 
     ``all_s_bounded`` is True when every s in (0, 1) yields a bounded
-    extremal solution: either because n <= 2s applies at the top of the
-    range and the margin stays positive below it, or because the margin is
-    positive on the whole admissible interval.
+    extremal solution: the margin is positive on the whole admissible
+    interval s < min(1, n/2), and for n = 1 the s >= 1/2 above it are
+    subcritical (n <= 2s).  Dimensions past ProblemParams' bound (10^6) are
+    refused before any row is computed.
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    ProblemParams(n_max, 1.0)   # DomainError past the dimension bound
     rows = []
     for n in range(1, n_max + 1):
         root = critical_s(n)
-        if root is None:
-            # Constant-sign margin: bounded for all s iff the sign is positive
-            # (sample mid-interval), or the whole range is subcritical.
-            hi = _s_upper(n)
-            if hi <= _S_LO:
-                all_bounded = True
-            else:
-                all_bounded = _margin_ns(n, 0.5 * (_S_LO + hi)) > 0.0
-        else:
-            all_bounded = False
+        # A constant-sign margin is bounded for all s iff it is positive
+        # (sampled mid-interval).
+        all_bounded = root is None and _margin_ns(n, 0.5 * (_S_LO + _s_upper(n))) > 0.0
         rows.append(ThresholdRow(n=n, critical_s=root, all_s_bounded=all_bounded))
     return rows

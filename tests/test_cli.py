@@ -491,6 +491,30 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert "scipy" not in meta["versions"]
 
 
+# Runs the two benchmark subcommands in a fresh interpreter and prints every
+# numpy.polynomial module that got loaded: the runtime takes its Gauss and
+# Chebyshev rules from fraclap, and that package costs each process ~3 ms and
+# ~0.8 MB to import.
+_NO_POLYNOMIAL_SCRIPT = """
+import json, sys
+from fracgelfand.cli import main
+codes = [main(["--outdir", sys.argv[1], *argv]) for argv in (
+    ["verify-powers", "--n", "1", "--s", "0.3", "--grid", "64"],
+    ["branch", "--n", "1", "--s", "0.5", "--grid", "64", "--peak-max", "1", "--verify"],
+)]
+loaded = sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "polynomial"])
+print(json.dumps({"codes": codes, "polynomial_modules": loaded}))
+"""
+
+
+def test_runtime_never_imports_numpy_polynomial(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _NO_POLYNOMIAL_SCRIPT, str(tmp_path)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report == {"codes": [0, 0], "polynomial_modules": []}
+
+
 def _src_env() -> dict:
     src = str(Path(fracgelfand.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import hyp2f1, roots_jacobi
 
 from fracgelfand import ProblemParams, sphere_area
-from fracgelfand.fraclap import _gauss_jacobi, _kernel, _phi, _PhiTable
+from fracgelfand.fraclap import _chebyshev, _gauss_jacobi, _kernel, _phi, _PhiTable
 
 
 def test_sphere_area_against_mpmath():
@@ -212,12 +212,12 @@ def test_at_gap_matches_the_ldexp_mapping(n, s, gaps):
 def per_piece_phi_coef(a, b, c):
     """Reference build of the Phi table's coefficients, one piece at a time:
     two Gauss series, and per piece a numpy polyval for the step to its
-    centre and for its 17 nodes."""
+    centre and for its 17 nodes, the library's 17 first-kind Chebyshev
+    points."""
     from numpy.polynomial.polynomial import polyval
 
-    cheb = np.polynomial.chebyshev
     hi = np.ldexp(1.0, -np.arange(53))
-    x = cheb.chebpts1(17)
+    x, _ = _chebyshev(17)
     w = 0.75 * hi[:, None] + 0.25 * hi[:, None] * x
     k0 = max(1, math.ceil(math.log2(c / 8.0)))
 
@@ -246,8 +246,9 @@ def per_piece_phi_coef(a, b, c):
     for j in range(1, 16):
         t_mono[j + 1, 1:] = 2.0 * t_mono[j, :-1]
         t_mono[j + 1] -= t_mono[j - 1]
+    theta = (np.arange(17) + 0.5) * (np.pi / 17)
     mono = np.zeros((54, 17))
-    mono[:-1] = cheb.chebfit(x, values.T, 16).T @ t_mono
+    mono[:-1] = np.linalg.solve(np.cos(theta[:, None] * np.arange(17)), values.T).T @ t_mono
     mono[-1, 0] = polyval(-1.0, taylor)
     return np.ascontiguousarray(mono.T)
 
@@ -266,19 +267,35 @@ def test_phi_table_matches_the_per_piece_build(n, s):
         assert np.array_equal(_PhiTable(-s, b, 0.5 * n)._coef, per_piece_phi_coef(-s, b, 0.5 * n))
 
 
-@pytest.mark.parametrize("q", [10, 12])
-def test_gauss_jacobi_rule(q):
+_JACOBI_BETAS = np.linspace(-0.98, 1.98, 38)
+
+
+@pytest.mark.parametrize(
+    "orders, betas, node_tol, weight_tol",
+    [
+        pytest.param([10], _JACOBI_BETAS, 1e-15, 1e-13, id="10"),
+        pytest.param([12], _JACOBI_BETAS, 1e-15, 1e-13, id="12"),
+        # beta = 0 is Gauss-Legendre: the panel rules' orders and the Jacobi rules'.
+        pytest.param([5, 6, 8, 10, 12], [0.0], 2e-16, 2e-15, id="legendre"),
+    ],
+)
+def test_gauss_jacobi_rule(orders, betas, node_tol, weight_tol):
     # The Gauss-Jacobi rules assembly uses, weight (1 + x)^beta, beta = 1 - 2s
-    # or 2 - 2s.  Weights are gated against 30-digit rules rather than scipy:
-    # near beta = -1 scipy's own weights are off by 2.7e-12 relative.
-    for beta in np.linspace(-0.98, 1.98, 38):
-        x, w = _gauss_jacobi(q, beta)
-        assert np.max(np.abs(x - roots_jacobi(q, 0.0, beta)[0])) <= 1e-15
-        with mpmath.workdps(30):
-            xm, wm = mpmath.gauss_quadrature(q, "jacobi", 0, mpmath.mpf(beta))
-        assert np.max(np.abs(x - np.array(xm.tolist(), dtype=float).ravel())) <= 1e-15
-        wm = np.array(wm.tolist(), dtype=float).ravel()
-        assert np.max(np.abs(w / wm - 1.0)) <= 1e-13
+    # or 2 - 2s, and the Gauss-Legendre rules.  Weights are gated against
+    # 30-digit rules rather than scipy: near beta = -1 scipy's own weights are
+    # off by 2.7e-12 relative.
+    for q in orders:
+        for beta in betas:
+            x, w = _gauss_jacobi(q, beta)
+            assert np.max(np.abs(x - roots_jacobi(q, 0.0, beta)[0])) <= 1e-15
+            with mpmath.workdps(30):
+                if beta == 0.0:
+                    xm, wm = mpmath.gauss_quadrature(q, "legendre")
+                else:
+                    xm, wm = mpmath.gauss_quadrature(q, "jacobi", 0, mpmath.mpf(beta))
+            assert np.max(np.abs(x - np.array(xm.tolist(), dtype=float).ravel())) <= node_tol
+            wm = np.array(wm.tolist(), dtype=float).ravel()
+            assert np.max(np.abs(w / wm - 1.0)) <= weight_tol
 
 
 def test_gauss_jacobi_rule_is_computed_once():

@@ -1,8 +1,8 @@
 import dataclasses
+import functools
 import inspect
 import json
 import math
-import sys
 from pathlib import Path
 
 import mpmath
@@ -632,27 +632,28 @@ def test_weighted_mass_closed_form(operator_cache, n):
 
 
 def test_gauss_legendre_rules_are_computed_once_per_order(monkeypatch):
-    """Every Gauss-Legendre rule is read from a cache: over a power-tail
-    apply at N = 1024, whose exterior quadrature runs many blocks of rows,
-    and two solves with their pencils, each order is computed once, and
-    nothing but the cache computes one."""
+    """Every Gauss-Legendre rule is _gauss_jacobi(q, 0.0), read from its
+    cache: over a power-tail apply at N = 1024, whose exterior quadrature
+    runs many blocks of rows, and two solves with their pencils, each rule is
+    computed once, and nothing but the cache computes one."""
     calls = []
-    leggauss = fraclap.leggauss
+    compute = fraclap._gauss_jacobi.__wrapped__
 
-    def counting(q):
-        calls.append((sys._getframe(1).f_code.co_name, q))
-        return leggauss(q)
+    def counting(q, beta):
+        calls.append((q, beta))
+        return compute(q, beta)
 
-    monkeypatch.setattr(fraclap, "leggauss", counting)
-    fraclap._legendre.cache_clear()
+    cached = functools.lru_cache(maxsize=64)(counting)
+    monkeypatch.setattr(fraclap, "_gauss_jacobi", cached)
     op = assemble(ProblemParams(1, 0.3), RadialGrid.graded(1024))
     op.apply_interior(np.cos(op.grid.interior), TailSpec.power(0.2))
     cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=RadialGrid.graded(64))
     solve_at_peak(cfg, 1.0, warm_start=solve_at_peak(cfg, 0.5))
-    cached = [q for caller, q in calls if caller == "_legendre"]
-    assert fraclap._TAIL_ORDER in cached
-    assert sorted(cached) == sorted(set(cached))
-    assert [c for c in calls if c[0] != "_legendre"] == []
+    legendre = [q for q, beta in calls if beta == 0.0]
+    assert {fraclap._TAIL_ORDER, fraclap._SLIVER_ORDER, fraclap._PANEL_ORDER - 1} <= set(legendre)
+    assert sorted(calls) == sorted(set(calls))
+    # A call past the cache (through __wrapped__) is a computation but no miss.
+    assert cached.cache_info().misses == len(calls)
 
 
 def test_stability_eigenvalue_overflow_is_typed(branch_1d):

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import pytest
 
 from fracgelfand import (
+    DomainError,
     ProblemParams,
     Regime,
     RegimeError,
@@ -43,6 +45,32 @@ def test_high_dimensions_have_no_root():
         assert critical_s(n) is None
         for s in (0.05, 0.5, 0.95):
             assert margin(ProblemParams(n, s)) < 0.0
+
+
+def test_dimension_bound():
+    # Up to n = 10^6 the margin keeps its sign down to the scan's lowest s,
+    # and lambda0 and H keep their digits up to the lgamma differences'
+    # rounding (one ulp of lgamma(n/2) ~ 6.2e6 is 9.3e-10; gated at four).
+    # Past it that rounding sets the margin to zero near s = 0, where the
+    # scan would report a bogus root, so the dimension is refused, by the
+    # table before its loop.
+    for n in (10, 10**3, 10**6):
+        assert critical_s(n) is None
+    big = mpmath.mpf(10**6)
+    with mpmath.workdps(40):
+        for s in (1e-6, 0.3, 0.5, 0.9, 1.0):
+            p, sm = ProblemParams(10**6, s), mpmath.mpf(s)
+            lam = 4**sm * mpmath.gamma(big / 2) * mpmath.gamma(1 + sm) / mpmath.gamma((big - 2 * sm) / 2)
+            har = 4**sm * (mpmath.gamma((big + 2 * sm) / 4) / mpmath.gamma((big - 2 * sm) / 4)) ** 2
+            assert lambda0(p) == pytest.approx(float(lam), rel=4e-9)
+            assert hardy_constant(p) == pytest.approx(float(har), rel=4e-9)
+    with pytest.raises(DomainError, match=r"\[1, 10\^6\]"):
+        ProblemParams(10**6 + 1, 0.5)
+    for n in (10**6 + 1, 10**11):
+        with pytest.raises(DomainError):
+            critical_s(n)
+    with pytest.raises(DomainError):
+        threshold_table(10**6 + 1)
 
 
 def test_dimension_ten_classical_endpoint():
