@@ -226,15 +226,14 @@ def cmd_verify_powers(args: argparse.Namespace) -> int:
     return 0
 
 
+def _solve_config(args: argparse.Namespace, **peaks: float) -> ContinuationConfig:
+    return ContinuationConfig(params=_params(args), newton_tol=args.newton_tol,
+                              grid=RadialGrid.graded(args.grid, grading=args.grading), **peaks)
+
+
 def _branch_config(args: argparse.Namespace) -> ContinuationConfig:
-    return ContinuationConfig(
-        params=_params(args),
-        grid=RadialGrid.graded(args.grid, grading=args.grading),
-        peak_start=args.peak_min,
-        peak_end=args.peak_max,
-        peak_step=args.peak_step,
-        newton_tol=args.newton_tol,
-    )
+    return _solve_config(args, peak_start=args.peak_min, peak_end=args.peak_max,
+                         peak_step=args.peak_step)
 
 
 def _trace(cfg: ContinuationConfig) -> tuple[Branch, BranchTraceError | None]:
@@ -255,14 +254,14 @@ def _inequality(op: OperatorMatrix, point: BranchPoint, rho0: float,
     return lhs, rhs, lhs <= rhs + _INEQ_SLACK * abs(rhs)
 
 
-def _check_rho0(rho0: float) -> None:
-    if not 0.0 < rho0 < 1.0:
-        raise DomainError(f"--rho0 must satisfy 0 < rho0 < 1, got {rho0}")
+def _check_unit(flag: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise DomainError(f"--{flag} must satisfy 0 < {flag} < 1, got {value}")
 
 
 def cmd_branch(args: argparse.Namespace) -> int:
     if args.verify:
-        _check_rho0(args.rho0)
+        _check_unit("rho0", args.rho0)
     cfg = _branch_config(args)
     config = _config(args)
     out = _outdir(args, config)
@@ -313,16 +312,10 @@ def cmd_branch(args: argparse.Namespace) -> int:
 def cmd_stability(args: argparse.Namespace) -> int:
     if not 0.0 < args.peak < math.inf:
         raise DomainError(f"--peak must satisfy 0 < peak < inf, got {args.peak}")
-    _check_rho0(args.rho0)
+    _check_unit("rho0", args.rho0)
     if not 0.0 < args.eps < math.inf:
         raise DomainError(f"--eps must satisfy 0 < eps < inf, got {args.eps}")
-    # One solve, which reads only params, grid and newton_tol: the peak range
-    # keeps its defaults.
-    cfg = ContinuationConfig(
-        params=_params(args),
-        grid=RadialGrid.graded(args.grid, grading=args.grading),
-        newton_tol=args.newton_tol,
-    )
+    cfg = _solve_config(args)   # one solve: the peak range keeps its defaults
     config = _config(args)
     out = _outdir(args, config)
 
@@ -351,16 +344,16 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.singular_residual:
-        p = _params(args)
         grid = RadialGrid.graded(args.grid, grading=args.grading)
+        res = singular_solution_residual(_params(args), grid)
         config = _config(args)
         out = _outdir(args, config)
-        res = singular_solution_residual(p, grid)
         print(f"singular solution relative residual on [0.1, 0.9]: {res:.6g}")
         (out / "diagnose.json").write_text(json.dumps(
             {"config": config, "relative_residual": res}, indent=2))
         return 0
 
+    _check_unit("sigma", args.sigma)
     cfg = _branch_config(args)
     config = _config(args)
     out = _outdir(args, config)

@@ -54,9 +54,11 @@ linear algebra and the standard library only: every Gauss rule comes from
 ``_gauss_jacobi`` and every Chebyshev point from ``_chebyshev``.
 
 The origin node is eliminated by the even-quadratic fold u_0 = e1 u_1 +
-e2 u_2 (u'(0) = 0); the boundary node carries the datum's limit g(1).
-``apply`` sums couplings times u_i - u_j, so constants are annihilated at
-roundoff even where the tail mass is ~ dist^{-2s} large.
+e2 u_2 (u'(0) = 0), which only ``RadialGrid`` applies; the boundary node
+carries the datum's limit g(1).  Every Galerkin local mass and load comes
+from ``_local_mass``.  ``apply`` sums couplings times u_i - u_j, so
+constants are annihilated at roundoff even where the tail mass is
+~ dist^{-2s} large.
 """
 
 from __future__ import annotations
@@ -214,6 +216,22 @@ class RadialGrid:
     def origin_value(self, u_int: np.ndarray) -> float:
         """The origin value e1 u_1 + e2 u_2 of interior values u_1 .. u_{N-1}."""
         return self.origin_fold[0] * u_int[0] + self.origin_fold[1] * u_int[1]
+
+    def fold_origin(self, rows: np.ndarray) -> None:
+        """Add e1 and e2 times row 0 to rows 1 and 2 in place (fold a matrix, then its .T)."""
+        e1, e2 = self.origin_fold
+        rows[1] += e1 * rows[0]
+        rows[2] += e2 * rows[0]
+
+    def fold_origin_bands(self, diag: np.ndarray, off: np.ndarray) -> None:
+        """Both folds of a symmetric tridiagonal matrix, in place on its bands:
+        the dense folds' operations on its leading 3x3 block, in scalars."""
+        e1, e2 = self.origin_fold
+        m00, m01 = diag[0], off[0]
+        m10 = m01 + e1 * m00   # entry (1, 0) after the row fold
+        diag[1] = (diag[1] + e1 * m01) + e1 * m10
+        diag[2] += e2 * (e2 * m00)
+        off[1] += e2 * m10
 
     def profile(self, u_int: np.ndarray) -> "RadialFunction":
         """The Dirichlet profile of interior values: u_0 by the fold, u_N = 0."""
@@ -565,12 +583,12 @@ def _kernel(p: ProblemParams, r: np.ndarray | float, rho: np.ndarray,
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """The radial operator for (params, grid); every part is built on first
-    access, cached and read-only.  Galerkin (the Gelfand solver's): the
-    energy form ``stability_form`` and its inverse, the e^u load and mass
-    of ``exp_mass``, and ``mass``, their value at u = 0.  Collocation
-    (``assemble`` builds it up front): the couplings ``couple_quad`` and
-    ``couple_quad_bnd`` and the row masses ``tail_mass`` of
-    ``apply_interior``'s difference form, exact on constants.
+    access, cached and read-only, its origin node folded by the grid.
+    Galerkin (the Gelfand solver's): the energy form ``stability_form`` and
+    its inverse, the e^u load and mass of ``exp_mass``, and ``mass``, their
+    value at u = 0.  Collocation (``assemble`` builds it up front): the
+    couplings ``couple_quad`` and ``couple_quad_bnd`` and the row masses
+    ``tail_mass`` of ``apply_interior``'s difference form, exact on constants.
     """
 
     params: ProblemParams
@@ -603,39 +621,21 @@ class OperatorMatrix:
         """The constant c_{n,s} in front of the principal-value integral."""
         return operator_normalization(self.params)
 
-    @functools.cached_property
-    def _exp_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """exp_mass's rule: falling and rising hat, |S^{n-1}| w r^{n-1} per panel."""
-        nodes = self.grid.nodes
-        off, w, (fall, rise) = _panel_rule(np.diff(nodes), 6)
-        weight = sphere_area(self.params.n) * w * (nodes[:-1, None] + off) ** (self.params.n - 1)
-        return fall, rise, _read_only(weight)
+    _exp_rule = functools.cached_property(lambda self: _mass_rule(self.params, self.grid))
 
     def exp_mass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Load b_i = int e^{u_h} phi_i and mass E_ij = int e^{u_h} phi_i phi_j.
 
         u_h is the hat interpolant of ``values`` (at all nodes, u_0 the origin
-        fold of u_1, u_2), linear in r on every panel; E = db/du.  One 6-point
-        panel rule, nodes placed by offset, gives the Newton steps' and the
-        pencil's e^u term.  Over the folded hats E is tridiagonal.
-        Returns b (Ni,), E's diagonal (Ni,) and first off-diagonal (Ni-1,).
+        fold of u_1, u_2), linear in r on every panel; E = db/du.  ``_local_mass``
+        takes e^{u_h} at ``_mass_rule``'s points, and the grid folds the origin
+        hat.  Returns b (Ni,), E's diagonal (Ni,) and off-diagonal (Ni-1,).
         """
-        fall, rise, weight = self._exp_rule
-        dens = weight * np.exp(values[:-1, None] * fall + values[1:, None] * rise)
-        # Load and bands over all nodes 0..N, panel by panel.
-        load, diag = np.zeros((2, values.size))
-        load[:-1], diag[:-1] = dens @ fall, dens @ (fall * fall)
-        load[1:] += dens @ rise
-        diag[1:] += dens @ (rise * rise)
-        off = dens @ (rise * fall)
-        # Origin fold (the congruence u_0 = e1 u_1 + e2 u_2), then the interior.
-        e1, e2 = self.grid.origin_fold
-        load[1] += e1 * load[0]
-        load[2] += e2 * load[0]
-        m00, m01 = diag[0], off[0]
-        diag[1] = (diag[1] + e1 * m01) + e1 * (m01 + e1 * m00)
-        diag[2] += e2 * (e2 * m00)
-        off[1] += e2 * (m01 + e1 * m00)
+        _, weight, (fall, rise) = self._exp_rule
+        load, diag, off = _local_mass(
+            weight * np.exp(values[:-1, None] * fall + values[1:, None] * rise), (fall, rise))
+        self.grid.fold_origin(load)
+        self.grid.fold_origin_bands(diag, off)
         return load[1:-1], diag[1:-1], off[1:-1]
 
     @functools.cached_property
@@ -730,6 +730,26 @@ def _panel_rule(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     x, w = _gauss_jacobi(q, 0.0)
     half = 0.5 * np.asarray(h)[..., None]
     return half * (1.0 + x), half * w, np.stack([0.5 * (1.0 - x), 0.5 * (1.0 + x)])
+
+
+def _mass_rule(p: ProblemParams, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The local masses' 6-point panel rule: offsets (panel, 6), weights
+    |S^{n-1}| w r^{n-1} (read-only), and the falling and rising hats."""
+    off, w, (fall, rise) = _panel_rule(np.diff(grid.nodes), 6)
+    weight = sphere_area(p.n) * w * (grid.nodes[:-1, None] + off) ** (p.n - 1)
+    return off, _read_only(weight), (fall, rise)
+
+
+def _local_mass(dens: np.ndarray, hat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Load int f phi_i (N+1,) and the bands (N+1,), (N,) of int f phi_i phi_j
+    over all nodes, unfolded, for f given by its weighted values ``dens``
+    (panel, q) at a panel rule's points, where the hats are ``hat`` (2, q)."""
+    fall, rise = hat
+    load, diag = np.zeros((2, dens.shape[0] + 1))
+    load[:-1], diag[:-1] = dens @ fall, dens @ (fall * fall)
+    load[1:] += dens @ rise
+    diag[1:] += dens @ (rise * rise)
+    return load, diag, dens @ (rise * fall)
 
 
 def _row_blocks(stop: int, row_entries: int, start: int = 0):
@@ -1020,7 +1040,6 @@ def _assemble_couplings(p: ProblemParams, grid: RadialGrid) -> tuple[np.ndarray,
     r = grid.nodes
     npan = grid.n_panels
     ni = npan - 1
-    e1, e2 = grid.origin_fold
 
     q_near = 2 * _PANEL_ORDER
     xj, wj = _gauss_jacobi(q_near, 1.0 - 2.0 * s)
@@ -1162,8 +1181,7 @@ def _assemble_couplings(p: ProblemParams, grid: RadialGrid) -> tuple[np.ndarray,
 
     # Fold the origin column onto nodes 1 and 2:  C(u_i - u_0) =
     # C e1 (u_i - u_1) + C e2 (u_i - u_2)  since e1 + e2 = 1.
-    cq[:, 1] += e1 * cq[:, 0]
-    cq[:, 2] += e2 * cq[:, 0]
+    grid.fold_origin(cq.T)
 
     # The interior couplings are a read-only view of cq, without a copy.
     return _read_only(cq[:, 1:npan]), _read_only(cq[:, npan].copy())
@@ -1203,18 +1221,10 @@ def _energy_partition(nodes: np.ndarray) -> tuple[list[tuple[int, int, int, int]
     return near, far
 
 
-def _add_local_mass(smat: np.ndarray, mass: np.ndarray, hat: np.ndarray) -> None:
-    """Add int m hat_i hat_j over every panel to smat's upper triangle, for a
-    density m given by its weighted values ``mass`` (panel, point) at points
-    where the panel's two hats take the values ``hat`` (2, point)."""
-    pan = np.arange(mass.shape[0])
-    for x, y in ((0, 0), (0, 1), (1, 1)):
-        smat[pan + x, pan + y] += mass @ (hat[x] * hat[y])
-
-
-def _separated_pairs(p: ProblemParams, grid: RadialGrid, smat: np.ndarray) -> None:
-    """Add the energy form's separated panel pairs (pj >= pi + 2) to the upper
-    triangle of smat, (N+1)^2 over all nodes.
+def _separated_pairs(p: ProblemParams, grid: RadialGrid, smat: np.ndarray) -> tuple:
+    """Add the cross terms of the energy form's separated panel pairs
+    (pj >= pi + 2) to the upper triangle of smat, (N+1)^2 over all nodes, and
+    return their local masses (panel, q) and the hats (2, q) at the points.
 
     Each pair is integrated by 5x5 tensor Gauss-Legendre, and its quadrature
     weights t satisfy the split
@@ -1235,8 +1245,7 @@ def _separated_pairs(p: ProblemParams, grid: RadialGrid, smat: np.ndarray) -> No
     wlow = operator_normalization(p) * sphere_area(p.n) * (r[:-1, None] + off) ** (p.n - 1) * wts
     near, far = _energy_partition(r)
     mass = _near_pairs(p, r, off, wlow, wts, hat, near, smat)
-    mass += _far_pairs(p, r, off, wlow, wts, hat, far, smat)
-    _add_local_mass(smat, mass, hat)
+    return mass + _far_pairs(p, r, off, wlow, wts, hat, far, smat), hat
 
 
 def _panel_pairs(blocks: list[tuple[int, int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -1387,14 +1396,14 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     Chebyshev interpolant on pairs of clusters at least their widths apart
     (``_separated_pairs``); the exterior region contributes the local density
     tau(r) = cns |S| r^{n-1} times the closed-form exterior mass, which is
-    positive.  The origin hat is folded with the even-quadratic weights, the
-    boundary hat is dropped (Dirichlet), so the result is PSD by
-    construction.  Against the exact energy of Dyda's (1-r^2)_+^{s+1} the
-    relative error is ~9e-5 at 128 panels and falls like N^-2.  The
-    interpolant moves the form by ~2e-15 of its largest entry against 5x5
-    Gauss on every separated pair, and cuts the kernel entries of those
-    pairs from 0.81M to 0.24M at (1, 0.5), N = 256, and from 13.07M to
-    1.02M at (1, 0.3), N = 1024.
+    positive.  One ``_local_mass`` adds every tridiagonal part.  The grid
+    folds the origin hat, the boundary hat is dropped (Dirichlet), so the
+    result is PSD by construction.  Against the exact energy of Dyda's
+    (1-r^2)_+^{s+1} the relative error is ~9e-5 at 128 panels and falls
+    like N^-2.  The interpolant moves the form by ~2e-15 of its largest
+    entry against 5x5 Gauss on every separated pair, and cuts the kernel
+    entries of those pairs from 0.81M to 0.24M at (1, 0.5), N = 256, and
+    from 13.07M to 1.02M at (1, 0.3), N = 1024.
 
     All three kinds of pairs run over blocks, and the contributions go to
     the upper triangle only, which is then mirrored in place: the one
@@ -1402,25 +1411,17 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
     its interior.
     """
     n, s = p.n, p.s
-    area = sphere_area(n)
-    pref = operator_normalization(p) * area
+    cns = operator_normalization(p)
+    pref = cns * sphere_area(n)
     r = grid.nodes
     npan = grid.n_panels
     h = np.diff(r)
-    pan = np.arange(npan)
     smat = np.zeros((npan + 1, npan + 1))
 
     def kap_reg(rv: np.ndarray, pv: np.ndarray) -> np.ndarray:
         return pref * rv ** (n - 1) * _kernel(p, rv, pv, dist=1.0)
 
-    _separated_pairs(p, grid, smat)
-
-    # --- exterior region: local positive density tau(r), whose masses
-    # enter like the separated pairs'; its 1 - r is (1 - r_p) - offset.
-    off_x, w_x, hat_x = _panel_rule(h, 6)
-    rq = r[:-1, None] + off_x
-    tau = w_x * pref * rq ** (n - 1) * _exterior_mass(p, rq, (1.0 - r[:-1, None]) - off_x)
-    _add_local_mass(smat, tau, hat_x)
+    sep_mass, sep_hat = _separated_pairs(p, grid, smat)
 
     # --- same-panel pairs: hat differences are slope*(r-rho) exactly, so the
     # pair energy is a single edge weight times the graph-Laplacian block.
@@ -1435,9 +1436,16 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
         rg = r[rows, None, None] + wdt[:, :, None] * (1.0 + xgi)   # (panel, qj, qg)
         inner = wdt * (kap_reg(rg, rg + u_gap[:, :, None]) @ wgi)
         edge[rows] = (0.5 * h[rows]) ** (2.0 - 2.0 * s) * (inner @ wj) / h[rows] ** 2
-    smat[pan + 1, pan + 1] += edge
-    smat[pan, pan] += edge
-    smat[pan, pan + 1] -= edge
+
+    # --- exterior region: local positive density tau(r) at exp_mass's
+    # points, 1 - r as (1 - r_p) - offset.  Its masses, the separated pairs'
+    # and the edges, edge (eta_p - eta_{p+1}) (zeta_p - zeta_{p+1}) as a
+    # local mass against hat values 1 and -1, make one tridiagonal matrix.
+    off, weight, hat = _mass_rule(p, grid)
+    tau = weight * (cns * _exterior_mass(p, r[:-1, None] + off, (1.0 - r[:-1, None]) - off))
+    _, band0, band1 = _local_mass(np.c_[sep_mass, tau, edge], np.c_[sep_hat, hat, [1.0, -1.0]])
+    smat.flat[:: npan + 2] += band0
+    smat.flat[1 :: npan + 2] += band1
 
     # --- corner-sharing pairs: Duffy coordinates xi = t v, chi = t (1-v)
     # around the shared node r_c; the net t-power is 2-2s (Jacobi) on
@@ -1465,7 +1473,7 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
         wkv = wv * kap_reg(rc - tv * v, rc + tv * (1.0 - v))
         a3, b3 = a[:, :, None], b[:, :, None]
         d = (v / a3, (1.0 - v) / b3 - v / a3, -(1.0 - v) / b3)   # hats p, p+1, p+2
-        corner = pan[rows]
+        corner = np.arange(rows.start, rows.stop)
         for i, j in ((2, 2), (1, 1), (1, 2), (0, 0), (0, 1), (0, 2)):
             smat[corner + i, corner + j] += (wkv * d[i] * d[j]).sum(axis=(1, 2))
 
@@ -1475,11 +1483,8 @@ def _assemble_energy(p: ProblemParams, grid: RadialGrid) -> np.ndarray:
         smat[rows, : rows.start] = smat[: rows.start, rows].T
         diag = smat[rows, rows]
         diag += np.triu(diag, 1).T
-    e1, e2 = grid.origin_fold
-    smat[1, :] += e1 * smat[0, :]
-    smat[2, :] += e2 * smat[0, :]
-    smat[:, 1] += e1 * smat[:, 0]
-    smat[:, 2] += e2 * smat[:, 0]
+    grid.fold_origin(smat)
+    grid.fold_origin(smat.T)
     return smat[1:npan, 1:npan]
 
 

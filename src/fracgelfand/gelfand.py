@@ -219,7 +219,7 @@ class Branch:
 
 @dataclass
 class ContinuationConfig:
-    """Settings for one branch trace; ``operator()`` builds once and caches."""
+    """Settings for one branch trace, and its operator ``operator()``."""
 
     params: ProblemParams
     grid: RadialGrid
@@ -241,10 +241,11 @@ class ContinuationConfig:
         if points > _MAX_PEAK_POINTS:
             raise DomainError(f"peak range needs ~{points:.3g} solves, above the budget "
                               f"of {_MAX_PEAK_POINTS} (peak_step {self.peak_step:g})")
+        # Its parts are built on first use; making it here refuses s = 1 and an
+        # overflowing c_{n,s} before a caller writes anything.
+        self._op = OperatorMatrix(params=self.params, grid=self.grid)
 
     def operator(self) -> OperatorMatrix:
-        if self._op is None:
-            self._op = OperatorMatrix(params=self.params, grid=self.grid)
         return self._op
 
 

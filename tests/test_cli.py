@@ -94,6 +94,22 @@ def test_non_finite_solver_settings_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "run_metadata.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("diagnose", "--n", "3", "--s", "0.5", "--sigma", "2"), "sigma"),
+    (("diagnose", "--n", "3", "--s", "0.5", "--sigma", "nan"), "sigma"),
+    (("diagnose", "--n", "1", "--s", "0.5", "--singular-residual"), "n > 2s"),
+] + [((*cmd, "--n", n, "--s", s), message)
+     for cmd in (("branch",), ("stability", "--peak", "1"), ("diagnose",),
+                 ("diagnose", "--singular-residual"))
+     for n, s, message in (("500", "0.5", "overflows"), ("3", "1", "0 < s < 1"))])
+def test_operator_usage_error_before_artifacts(tmp_path, capsys, argv, message):
+    # Refused before run_metadata.json, and before a trace that a bad
+    # --sigma would only reject at its end.
+    assert run(tmp_path, *argv, "--grid", "32") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run_metadata.json").exists()
+
+
 @pytest.mark.parametrize("subcommand", ["branch", "diagnose"])
 def test_peak_budget_usage_error(tmp_path, capsys, subcommand):
     # ~6e9 continuation points: refused before any solve or artifact.

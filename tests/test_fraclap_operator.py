@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import platform
@@ -498,8 +499,10 @@ def test_energy_separated_pairs_near_the_boundary_against_mpmath(monkeypatch):
 
 def _all_pairs_separated(p, grid, smat):
     """The energy form's separated panel pairs (pj >= pi + 2) by 5x5 tensor
-    Gauss-Legendre over every pair, added to smat's upper triangle: a port of
-    the loop the block-cluster tree replaced, over blocks of 8 rows."""
+    Gauss-Legendre over every pair, as ``_separated_pairs`` gives them: the
+    cross terms added to smat's upper triangle, the local masses and hats
+    returned.  A port of the loop the block-cluster tree replaced, over
+    blocks of 8 rows."""
     n = p.n
     pref = operator_normalization(p) * sphere_area(n)
     r = grid.nodes
@@ -526,9 +529,7 @@ def _all_pairs_separated(p, grid, smat):
         for x in (0, 1):
             for y in (0, 1):
                 smat[pi[0] + x : pi[-1] + 1 + x, pj[0] + y : npan + y] -= cross[:, x, :, y]
-    pan = np.arange(npan)
-    for x, y in ((0, 0), (0, 1), (1, 1)):
-        smat[pan + x, pan + y] += sep_mass @ (hat[x] * hat[y])
+    return sep_mass, hat
 
 
 @pytest.mark.parametrize("n, s", [(3, 0.5), (12, 0.5)])
@@ -966,6 +967,70 @@ def test_energy_form_oracle(n, s):
     # Order over two doublings: at (8, 0.7) the 128 -> 256 step alone reads
     # 1.73, then 1.98 and 2.09 on the next two.
     assert math.log2(errs[0] / errs[2]) / 2.0 >= 1.8
+
+
+_DYDA_CASES = [(1, 0.5), (3, 0.5), (8, 0.35), (12, 0.5), (1, 0.1), (1, 0.9), (2, 0.9)]
+_DYDA_BANDS = (0.25, 0.5, 0.75, 0.9, 0.99)   # inner edges of the six radial bands
+
+
+@functools.lru_cache(maxsize=None)
+def _dyda_band_errors(n, s, panels):
+    """Dirichlet solves of Dyda's (-Delta)^s (1 - r^2)_+^{s+k} = C0 (k = 0)
+    and C1 (1 - (1 + 2s/n) r^2) (k = 1), C_k = 4^s Gamma(1+s+k)
+    Gamma(n/2+s) / Gamma(n/2): S z = the folded Galerkin load of the right
+    side at the masses' rule.  Returns max |z - (1 - r^2)^{s+k}| per band,
+    relative to the exact maximum, (k, band)."""
+    p, grid = ProblemParams(n, s), RadialGrid.graded(panels)
+    smat = _assemble_energy(p, grid)
+    off, weight, hat = fraclap._mass_rule(p, grid)
+    rq, r = grid.nodes[:-1, None] + off, grid.interior
+    band = np.digitize(r, _DYDA_BANDS)
+    errs = []
+    for k in (0, 1):
+        c = 4.0**s * math.gamma(1.0 + s + k) * math.gamma(0.5 * n + s) / math.gamma(0.5 * n)
+        load = fraclap._local_mass(weight * c * (1.0 - k * (1.0 + 2.0 * s / n) * rq**2), hat)[0]
+        grid.fold_origin(load)
+        exact = (1.0 - r * r) ** (s + k)
+        err = np.abs(np.linalg.solve(smat, load[1:-1]) - exact) / exact.max()
+        errs.append([err[band == b].max() for b in range(6)])
+    return np.array(errs)
+
+
+@pytest.mark.parametrize("n, s", _DYDA_CASES)
+def test_dyda_oracle_band_errors(n, s):
+    # At 256 panels every band but k = 0's last is within 1.9e-5.  There the
+    # dist^s boundary layer leaves 0.011-0.11 times 256^-2s (3.6e-2 at
+    # s = 0.1).
+    errs = _dyda_band_errors(n, s, 256)
+    assert errs[1].max() <= 2.5e-5
+    assert errs[0, :5].max() <= 2.5e-5
+    assert errs[0, 5] <= 0.15 * 256.0 ** (-2.0 * s)
+
+
+_S09_REASON = ("at s = 0.9 k = 0's orders are erratic: 0.12 in the last band from 256 to "
+               "512 panels, 0.9-1.7 in the inner bands from 512 to 1024.  The energy "
+               "form's corner-sharing pairs integrate t over (m, a + b) by one Gauss "
+               "rule across the kink of the v-limits at t = max(a, b)")
+
+
+@pytest.mark.parametrize("n, s, k", [
+    pytest.param(n, s, k, marks=[pytest.mark.xfail(strict=True, reason=_S09_REASON)]
+                 if s == 0.9 and k == 0 else [])
+    for n, s in _DYDA_CASES for k in (0, 1)])
+def test_dyda_oracle_band_orders(n, s, k):
+    # Observed orders per band, from 256 to 512 panels: >= 1.84 below
+    # r = 0.99; in the last band >= 2.02 for k = 1, and ~2s for k = 0 (the
+    # dist^s boundary layer, 1.01, 0.71 and 0.20 at s = 0.5, 0.35 and 0.1).
+    # At s = 0.9 they are measured from 512 to 1024, where k = 1's bands
+    # below r = 0.99 read 1.82-1.99 (1.56-1.77 from 256 to 512) and its last
+    # band 1.64 (2.10 from 256 to 512), ungated for the xfail's reason.
+    coarse = 512 if s == 0.9 else 256
+    order = np.log2(_dyda_band_errors(n, s, coarse)[k] / _dyda_band_errors(n, s, 2 * coarse)[k])
+    assert order[:5].min() >= 1.8
+    if k == 0:
+        assert order[5] >= 2.0 * s - 0.15
+    elif s < 0.9:
+        assert order[5] >= 1.8
 
 
 def test_interval_ground_state_eigenvalue(operator_cache):

@@ -210,6 +210,18 @@ def test_gelfand_writes_no_fold_arithmetic():
     assert "weights" not in source
 
 
+def test_only_the_grid_reads_the_origin_fold():
+    # The couplings, the energy form and the operator's masses fold the
+    # origin node through the grid's methods, and every Galerkin local mass
+    # goes through one routine.
+    for obj in (fraclap._assemble_couplings, fraclap._assemble_energy,
+                fraclap._separated_pairs, fraclap.OperatorMatrix):
+        assert "origin_fold" not in inspect.getsource(obj)
+    assert (inspect.getsource(fraclap).count("origin_fold")
+            == inspect.getsource(fraclap.RadialGrid).count("origin_fold"))
+    assert not hasattr(fraclap, "_add_local_mass")
+
+
 def dense_bordered_solve(op, lam, mass, rhs):
     """[[S - lam E, -b], [c^T, 0]] x = rhs by LU, the rows of S scaled by
     1 / max_j |S_ij| as the dense Newton did."""
