@@ -43,13 +43,13 @@ from .constants import (
 from .fraclap import OperatorMatrix, RadialFunction, RadialGrid, TailSpec, apply, assemble
 from .gelfand import (
     Branch,
-    BranchPoint,
     BranchTraceError,
     ContinuationConfig,
     EigenSolveError,
     GridDepthError,
     InfeasibleError,
     NoConvergenceError,
+    _inequality_sides,
     singular_profile_diagnostic,
     singular_solution_residual,
     solve_at_peak,
@@ -247,11 +247,9 @@ def _trace(cfg: ContinuationConfig) -> tuple[Branch, BranchTraceError | None]:
         return exc.partial, exc
 
 
-def _inequality(op: OperatorMatrix, point: BranchPoint, rho0: float,
-                eps: float) -> tuple[float, float, bool]:
-    """Both sides of the energy inequality, and whether lhs <= rhs up to _INEQ_SLACK."""
-    lhs, rhs = stability_inequality_check(op, point, rho0=rho0, eps=eps)
-    return lhs, rhs, lhs <= rhs + _INEQ_SLACK * abs(rhs)
+def _holds(lhs: float, rhs: float) -> bool:
+    """Whether the energy inequality lhs <= rhs holds up to _INEQ_SLACK."""
+    return lhs <= rhs + _INEQ_SLACK * abs(rhs)
 
 
 def _check_unit(flag: str, value: float) -> None:
@@ -292,13 +290,13 @@ def cmd_branch(args: argparse.Namespace) -> int:
         all_ok = bool(pre_fold)
         if not pre_fold:
             print("no branch point below the fold to verify")
-        for pt in pre_fold:
-            ok = pt.stable
+        # All points and eps at once; an unstable point is refused, as by
+        # stability_inequality_check.
+        for pt, sides in zip(pre_fold, _inequality_sides(op, pre_fold, args.rho0, _VERIFY_EPS)):
+            ok = all(_holds(lhs, rhs) for lhs, rhs in sides)
             checks = [f"mu={pt.stability_eig:+.3e}"]
-            for eps in _VERIFY_EPS:
-                lhs, rhs, ineq_ok = _inequality(op, pt, args.rho0, eps)
-                ok = ok and ineq_ok
-                checks.append(f"eps={eps:g}: lhs-rhs={lhs - rhs:+.3e}")
+            checks += [f"eps={eps:g}: lhs-rhs={lhs - rhs:+.3e}"
+                       for eps, (lhs, rhs) in zip(_VERIFY_EPS, sides)]
             all_ok = all_ok and ok
             print(f"m={pt.peak:.4g}  {'PASS' if ok else 'FAIL'}  " + "  ".join(checks))
         extra["verify_passed"] = all_ok
@@ -331,7 +329,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
     }
     rc = 0
     if stable:
-        lhs, rhs, ok = _inequality(cfg.operator(), point, args.rho0, args.eps)
+        lhs, rhs = stability_inequality_check(cfg.operator(), point, rho0=args.rho0, eps=args.eps)
+        ok = _holds(lhs, rhs)
         print(f"energy inequality (rho0={args.rho0:g}, eps={args.eps:g}): "
               f"lhs = {lhs:.6g}, rhs = {rhs:.6g}  {'PASS' if ok else 'FAIL'}")
         record["inequality"] = {"rho0": args.rho0, "eps": args.eps,

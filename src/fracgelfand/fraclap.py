@@ -604,10 +604,11 @@ class OperatorMatrix:
         return self.grid.n_panels - 1
 
     @staticmethod
-    def _block_rows(row_entries: int) -> int:
-        """Rows of ``row_entries`` entries that one block of temporaries holds
-        (at least one): the row blocks here, the pencil batches of gelfand."""
-        return max(1, _BLOCK_ENTRIES // row_entries)
+    def _block_rows(row_entries: int, blocks: int = 1) -> int:
+        """Rows of ``row_entries`` entries that ``blocks`` blocks of
+        temporaries hold (at least one): the row blocks here, the pencil
+        stacks of gelfand."""
+        return max(1, blocks * _BLOCK_ENTRIES // row_entries)
 
     @functools.cached_property
     def _couplings(self) -> tuple[np.ndarray, np.ndarray]:

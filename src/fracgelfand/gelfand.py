@@ -16,12 +16,15 @@ solve preconditioned by the energy form's inverse, which the operator caches
 once; no dense system is factored per iteration.  mu comes from a
 preconditioned Davidson iteration on the same inverse that reads nothing but
 the point and the operator; a trace hands it the pencils of several points
-at once, which it steps together, bit for bit as it would one at a time.
+at once, up to two of fraclap's blocks of basis arrays, which it steps
+together, bit for bit as it would one at a time.
 
 Also provides the diagnostics used to probe the singular regime: the
 log-profile ratio along a branch, the proof-style test function built from a
 negative power core and a quintic cutoff, the two-sided energy inequality for
-stable points, and the residual of the exact singular solution log r^{-2s}.
+stable points (for many points and eps at once, each test function and load
+built once, bit for bit as point by point), and the residual of the exact
+singular solution log r^{-2s}.
 """
 
 from __future__ import annotations
@@ -67,6 +70,10 @@ _STABILITY_TOL = 1e-6
 _EIG_MAX_BASIS = 64        # Davidson basis vectors per stability eigenvalue
 _EIG_RESTARTS = 8          # Davidson restarts, each from the lowest half of the Ritz vectors
 _EIG_FIRST_ROWS = 8        # basis rows a pencil's arrays start with; they double up to _EIG_MAX_BASIS
+# A trace's Davidson stacks hold as many pencils as keep their three basis
+# arrays, at _EIG_FIRST_ROWS rows each, within this many of fraclap's 256 KiB
+# blocks: 10 pencils at N = 256, 21 at N = 128, one from N = 1367 on.
+_EIG_STACK_BLOCKS = 2
 _KRYLOV_MAX_BASIS = 64     # GMRES vectors per Newton step
 _KRYLOV_TOL = 1e-10        # GMRES's preconditioned relative residual
 _MAX_NEWTON_ITERS = 50
@@ -558,11 +565,13 @@ def _solve_peaks(cfg: ContinuationConfig, peaks: list[float], previous: BranchPo
     the point before (``previous`` at the first), and the stability pencils
     of the points, solved together by ``_smallest_pencil_eigs`` as many at a
     time as keep its three basis arrays, at _EIG_FIRST_ROWS rows each,
-    within one block of the operator's temporary budget.  Returns the
-    points up to the first center value whose Newton solve or pencil
-    fails, and that (m, error), or None; points past a failed pencil are
-    dropped.  ``solve_at_peak`` documents one solve.
+    within _EIG_STACK_BLOCKS blocks of the operator's temporary budget.
+    Returns the points up to the first center value whose Newton solve or
+    pencil fails, and that (m, error), or None; points past a failed pencil
+    are dropped.  ``solve_at_peak`` documents one solve.
     """
+    stack = OperatorMatrix._block_rows(3 * _EIG_FIRST_ROWS * (cfg.grid.n_panels - 1),
+                                       _EIG_STACK_BLOCKS)
     points: list[BranchPoint] = []
     pending: list = []      # (m, point, (b, E's bands)): solved by Newton, awaiting mu
     failure = None
@@ -609,8 +618,7 @@ def _solve_peaks(cfg: ContinuationConfig, peaks: list[float], previous: BranchPo
             pending.append((m, previous, mass))
         except (NoConvergenceError, InfeasibleError, GridDepthError) as exc:
             failure = m, exc
-        if pending and (failure or m == peaks[-1] or len(pending) == operator._block_rows(
-                3 * _EIG_FIRST_ROWS * operator.n_interior)):
+        if pending and (failure or m == peaks[-1] or len(pending) == stack):
             mus = _smallest_pencil_eigs(operator, [(mass, pt.lam) for _, pt, mass in pending])
             for (m_pt, point, _), mu in zip(pending, mus):
                 if isinstance(mu, EigenSolveError):
@@ -699,19 +707,40 @@ def stability_inequality_check(op: OperatorMatrix, point: BranchPoint,
     solved equation S u = lam b(u) as lam int e^{u_h} (psi^2)_h, the e^u load
     against psi^2 at the nodes.  For a stable point the contract is
     lhs <= rhs up to quadrature tolerance.  Unstable input is rejected, as is
-    a point on another grid than the operator's.
+    a point on another grid than the operator's.  The one-point, one-eps
+    call of ``_inequality_sides``, which ``branch --verify`` makes for all
+    its points and eps at once.
     """
-    if point.profile.grid != op.grid:
-        raise DomainError("branch point grid does not match operator grid")
-    if not point.stable:
-        raise DomainError(
-            f"inequality check requires a stable point (stability_eig = "
-            f"{point.stability_eig:.3e})"
-        )
-    psi = proof_test_function(op.params, op.grid, rho0, eps)
-    lhs = float(point.lam * (psi.interior**2 @ op.exp_mass(point.profile.values)[0]))
-    rhs = quadratic_form(op, psi, psi)
-    return lhs, rhs
+    ((lhs_rhs,),) = _inequality_sides(op, [point], rho0, [eps])
+    return lhs_rhs
+
+
+def _inequality_sides(op: OperatorMatrix, points: list[BranchPoint], rho0: float,
+                      eps_values: list[float]) -> list[list[tuple[float, float]]]:
+    """``stability_inequality_check`` at every point of ``points`` for every
+    eps of ``eps_values``: (lhs, rhs) by point, then by eps, each bitwise
+    the same whichever points and eps share the call.  Builds psi and its
+    energy once per eps, and each point's e^u load once.  Refuses the first
+    point on another grid or unstable, as the one-point check does, before
+    computing anything.
+    """
+    for point in points:
+        if point.profile.grid != op.grid:
+            raise DomainError("branch point grid does not match operator grid")
+        if not point.stable:
+            raise DomainError(
+                f"inequality check requires a stable point (stability_eig = "
+                f"{point.stability_eig:.3e})"
+            )
+    tests = []      # (psi^2, energy of psi) by eps
+    for eps in eps_values:
+        psi = proof_test_function(op.params, op.grid, rho0, eps)
+        tests.append((psi.interior**2, quadratic_form(op, psi, psi)))
+    sides = []
+    for point in points:
+        load = op.exp_mass(point.profile.values)[0]
+        sides.append([(float(point.lam * (weight @ load)), rhs) for weight, rhs in tests])
+    return sides
 
 
 @dataclass(frozen=True)

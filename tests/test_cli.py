@@ -234,6 +234,23 @@ def test_branch_verify(tmp_path, capsys):
     assert data["verify_passed"] is True
 
 
+def test_branch_verify_checks_every_point_in_one_call(tmp_path, capsys, monkeypatch):
+    # branch --verify hands all pre-fold points and its three eps to the
+    # batched inequality at once; stability keeps the one-point check.
+    calls = []
+    sides = cli._inequality_sides
+    monkeypatch.setattr(cli, "_inequality_sides",
+                        lambda op, points, rho0, eps: calls.append((len(points), eps))
+                        or sides(op, points, rho0, eps))
+    monkeypatch.setattr(cli, "stability_inequality_check", None)
+    assert run(tmp_path, "branch", "--n", "1", "--s", "0.5", "--grid", "64",
+               "--peak-max", "3", "--verify") == 0
+    data = json.loads((tmp_path / "branch.json").read_text())
+    pre_fold = [line for line in capsys.readouterr().out.split("\n") if "PASS" in line]
+    assert calls == [(len(pre_fold), cli._VERIFY_EPS)]
+    assert 0 < len(pre_fold) < len(data["points"]) and data["verify_passed"] is True
+
+
 def test_branch_past_the_fold_verifies_nothing(tmp_path, capsys):
     # Three points on the unstable side, lam decreasing from the first: no
     # fold is bracketed, no point lies below one, and nothing checked passes

@@ -36,6 +36,7 @@ from fracgelfand import (
     trace_branch,
 )
 from fracgelfand import fraclap, gelfand
+from fracgelfand.cli import _VERIFY_EPS
 from fracgelfand.gelfand import (
     _MAX_NEWTON_ITERS,
     _MAX_PEAK_POINTS,
@@ -758,13 +759,13 @@ def test_batched_pencils_match_one_pencil_solves(fold_ladder):
         assert gelfand._smallest_pencil_eigs(op, pencils[::-1]) == alone[::-1]
 
 
-def test_trace_solves_its_pencils_in_batches(fold_ladder, monkeypatch):
-    # The ladder's 60 pencils go to the solver a batch at a time, not one
-    # per point; a batch's three 8-row basis arrays fit one block.
-    op, branch = fold_ladder
-    batch = op._block_rows(3 * gelfand._EIG_FIRST_ROWS * op.n_interior)
-    assert batch > 1
-    assert 3 * batch * gelfand._EIG_FIRST_ROWS * op.n_interior <= fraclap._BLOCK_ENTRIES
+def _stack(op):
+    """Pencils per Davidson stack in a trace on ``op``'s grid."""
+    return op._block_rows(3 * gelfand._EIG_FIRST_ROWS * op.n_interior, gelfand._EIG_STACK_BLOCKS)
+
+
+def _stack_sizes(monkeypatch):
+    """The sizes of the stacks gelfand's pencil solver is handed from now on."""
     sizes = []
     solve = gelfand._smallest_pencil_eigs
 
@@ -773,11 +774,43 @@ def test_trace_solves_its_pencils_in_batches(fold_ladder, monkeypatch):
         return solve(op, pencils)
 
     monkeypatch.setattr(gelfand, "_smallest_pencil_eigs", counting)
-    traced = trace_branch(ContinuationConfig(params=op.params, grid=op.grid, peak_start=0.05,
-                                             peak_end=3.0, peak_step=0.05))
+    return sizes
+
+
+def _trace_ladder(op):
+    return trace_branch(ContinuationConfig(params=op.params, grid=op.grid, peak_start=0.05,
+                                           peak_end=3.0, peak_step=0.05))
+
+
+def test_trace_solves_its_pencils_in_batches(fold_ladder, monkeypatch):
+    # The ladder's 60 pencils go to the solver a stack at a time, not one per
+    # point: as many as keep their three 8-row basis arrays within 512 KiB,
+    # two of fraclap's blocks, which is 10 at N = 256.
+    op, branch = fold_ladder
+    batch = _stack(op)
+    budget = gelfand._EIG_STACK_BLOCKS * fraclap._BLOCK_ENTRIES * 8    # bytes
+    assert budget == 512 * 1024 and batch == 10
+    assert 3 * batch * gelfand._EIG_FIRST_ROWS * op.n_interior * 8 <= budget
+    assert 3 * (batch + 1) * gelfand._EIG_FIRST_ROWS * op.n_interior * 8 > budget
+    sizes = _stack_sizes(monkeypatch)
+    traced = _trace_ladder(op)
     assert len(sizes) == math.ceil(len(branch.points) / batch)
     assert sizes[:-1] == [batch] * (len(sizes) - 1)
     assert _summary(traced.points) == _summary(branch.points)
+
+
+@pytest.mark.parametrize("blocks, sizes", [(0, [1] * 60), (2, [10] * 6), (12, [60])],
+                         ids=["one-pencil", "default", "whole-ladder"])
+def test_pencil_stack_size_leaves_the_branch_alone(fold_ladder, monkeypatch, blocks, sizes):
+    # A budget that holds no pencil still stacks one; 12 blocks hold all 60.
+    # Every value of the trace, the fold estimate too, is the default's.
+    op, branch = fold_ladder
+    monkeypatch.setattr(gelfand, "_EIG_STACK_BLOCKS", blocks)
+    stacks = _stack_sizes(monkeypatch)
+    traced = _trace_ladder(op)
+    assert stacks == sizes
+    assert _summary(traced.points) == _summary(branch.points)
+    assert traced.to_json() == branch.to_json()
 
 
 def test_trace_failure_inside_a_batch_is_the_chains(monkeypatch):
@@ -792,7 +825,7 @@ def test_trace_failure_inside_a_batch_is_the_chains(monkeypatch):
         for m in range(1, 12):
             chain.append(solve_at_peak(cfg, float(m), warm_start=chain[-1] if chain else None))
     failed = len(chain) + 1.0
-    batch = op._block_rows(3 * gelfand._EIG_FIRST_ROWS * op.n_interior)
+    batch = _stack(op)
     assert failed == 8.0 and 0 < len(chain) % batch < batch - 1
     message = f"continuation stopped at center value m={failed:.6g}: {alone.value}"
 
@@ -1026,6 +1059,53 @@ def test_inequality_rejects_unstable_point(branch_1d):
     op, branch = branch_1d
     with pytest.raises(DomainError):
         stability_inequality_check(op, branch.points[-1], 0.5, 0.1)
+
+
+def _one_point_sides(op, pt, rho0, eps):
+    """Both sides of the energy inequality, built for this point and eps alone."""
+    psi = proof_test_function(op.params, op.grid, rho0, eps)
+    lhs = float(pt.lam * (psi.interior**2 @ op.exp_mass(pt.profile.values)[0]))
+    return lhs, quadratic_form(op, psi, psi)
+
+
+def test_batched_inequality_is_the_one_point_check(fold_ladder):
+    # branch --verify's sides at the ladder's 22 pre-fold points and its
+    # three eps, in one call: each bitwise the one-point check's, in any
+    # order of the points.
+    op, branch = fold_ladder
+    pre_fold = branch.points[: branch.fold_index]
+    assert len(pre_fold) == 22
+    want = [[_one_point_sides(op, pt, 0.5, eps) for eps in _VERIFY_EPS] for pt in pre_fold]
+    assert [[stability_inequality_check(op, pt, 0.5, eps) for eps in _VERIFY_EPS]
+            for pt in pre_fold] == want
+    assert gelfand._inequality_sides(op, pre_fold, 0.5, _VERIFY_EPS) == want
+    order = np.random.default_rng(3).permutation(len(pre_fold))
+    shuffled = gelfand._inequality_sides(op, [pre_fold[i] for i in order], 0.5, _VERIFY_EPS)
+    assert shuffled == [want[i] for i in order]
+    assert gelfand._inequality_sides(op, pre_fold[::-1], 0.5, _VERIFY_EPS[::-1]) == [
+        row[::-1] for row in want[::-1]]
+
+
+def test_batched_inequality_refuses_before_any_work(fold_ladder, monkeypatch):
+    # An unstable point, or one on another grid, anywhere in the list is
+    # refused with the one-point check's error, before any test function
+    # or e^u load is built.
+    op, branch = fold_ladder
+    pre_fold = branch.points[: branch.fold_index]
+    other = fraclap.OperatorMatrix(params=op.params, grid=RadialGrid.graded(256, grading=3.0))
+    elsewhere = dataclasses.replace(pre_fold[0],
+                                    profile=other.grid.profile(pre_fold[0].profile.interior))
+    built = []
+    monkeypatch.setattr(gelfand, "proof_test_function", lambda *a: built.append(a))
+    monkeypatch.setattr(fraclap.OperatorMatrix, "exp_mass", lambda self, v: built.append(v))
+    for bad, check_op in ((branch.points[-1], op), (elsewhere, op), (pre_fold[0], other)):
+        with pytest.raises(DomainError) as alone:
+            stability_inequality_check(check_op, bad, 0.5, 0.1)
+        for points in ([bad] + pre_fold[1:], pre_fold[1:] + [bad]):
+            with pytest.raises(DomainError) as batched:
+                gelfand._inequality_sides(check_op, points, 0.5, _VERIFY_EPS)
+            assert str(batched.value) == str(alone.value)
+    assert built == []
 
 
 def test_singular_residual_decreases_under_refinement():
