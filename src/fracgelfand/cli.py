@@ -166,11 +166,11 @@ def _power_map_error(op: OperatorMatrix, alpha: float) -> float:
 def cmd_verify_powers(args: argparse.Namespace) -> int:
     p = _params(args)
     if args.eps_table:
-        config = _config(args, eps_values=list(_EPS_TABLE))
-        out = _outdir(args, config)
         h = hardy_constant(p)
         l0 = lambda0(p)
         table = [(eps, *epsilon_expansion(p, eps)) for eps in _EPS_TABLE]
+        config = _config(args, eps_values=list(_EPS_TABLE))
+        out = _outdir(args, config)
         lines = [_config_line(config), "eps,abs_err_midpoint,abs_err_endpoint"]
         print(f"{'eps':>8}  {'|A-H|':>12}  {'|B-lambda0|':>12}")
         for eps, a_val, b_val in table:
@@ -290,8 +290,8 @@ def cmd_branch(args: argparse.Namespace) -> int:
         all_ok = bool(pre_fold)
         if not pre_fold:
             print("no branch point below the fold to verify")
-        # All points and eps at once; an unstable point is refused, as by
-        # stability_inequality_check.
+        # All points and eps at once; every point before fold_index is
+        # stable, so _inequality_sides refuses none.
         for pt, sides in zip(pre_fold, _inequality_sides(op, pre_fold, args.rho0, _VERIFY_EPS)):
             ok = all(_holds(lhs, rhs) for lhs, rhs in sides)
             checks = [f"mu={pt.stability_eig:+.3e}"]

@@ -885,20 +885,19 @@ def _chebyshev(order: int = _CLUSTER_ORDER) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.cos(theta)), _read_only(bary)
 
 
-def _cluster_basis(rel: np.ndarray, radius: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A cluster's Chebyshev points and their Lagrange basis at given points.
+def _cluster_basis(rel: np.ndarray, radius: float | np.ndarray) -> np.ndarray:
+    """The Lagrange basis of a cluster's Chebyshev points at given points.
 
     The cluster spans [a, a + 2 radius], and points are given by their
-    offsets from a.  Returns the Chebyshev points' offsets and their
-    Lagrange basis L_k at the offsets ``rel`` by the barycentric formula,
-    (_CLUSTER_ORDER,) + rel.shape; an array ``radius`` broadcasts against
-    ``rel``, one cluster per point.
+    offsets from a.  Returns the basis L_k at the offsets ``rel`` by the
+    barycentric formula, (_CLUSTER_ORDER,) + rel.shape; an array ``radius``
+    broadcasts against ``rel``, one cluster per point.
     """
     cheb, bary = _chebyshev()
     expand = (slice(None),) + (None,) * np.ndim(rel)
     t = bary[expand] / ((rel - radius) / radius - cheb[expand])
     t /= t.sum(axis=0)
-    return radius * (1.0 + cheb), t
+    return t
 
 
 def _transfers(nodes: np.ndarray, clusters) -> dict[tuple[int, int], np.ndarray]:
@@ -920,7 +919,7 @@ def _transfers(nodes: np.ndarray, clusters) -> dict[tuple[int, int], np.ndarray]
     cheb, _ = _chebyshev()
     (lo, hi), (klo, khi) = (np.array(c).T for c in zip(*pairs))
     points = (nodes[klo] - nodes[lo])[:, None] + (0.5 * (nodes[khi] - nodes[klo]))[:, None] * (1.0 + cheb)
-    t = _cluster_basis(points, (0.5 * (nodes[hi] - nodes[lo]))[:, None])[1]   # (k, child, l)
+    t = _cluster_basis(points, (0.5 * (nodes[hi] - nodes[lo]))[:, None])   # (k, child, l)
     return {kid: t[:, i].copy() for i, (_, kid) in enumerate(pairs)}
 
 
@@ -1010,7 +1009,7 @@ def _nested_moments(nodes: np.ndarray, tree, transfer: dict, off: np.ndarray,
         elif (lo, hi) in tree:
             # L_k at the Gauss nodes (k, q, panel), placed by their offsets from
             # the leaf's left end.
-            t = _cluster_basis((nodes[lo:hi] - nodes[lo]) + off[:, lo:hi], 0.5 * (nodes[hi] - nodes[lo]))[1]
+            t = _cluster_basis((nodes[lo:hi] - nodes[lo]) + off[:, lo:hi], 0.5 * (nodes[hi] - nodes[lo]))
             w = np.array(weights[..., lo:hi].swapaxes(0, 1))   # (stencil node, kind, q, panel)
             w[:, -1] *= ((nodes[lo:hi] + off[:, lo:hi]) / nodes[hi]) ** grow
             # Per panel, (stencil node and kind, q) @ (q, k).
@@ -1376,7 +1375,7 @@ def _far_pairs(p: ProblemParams, r: np.ndarray, off: np.ndarray, wlow: np.ndarra
         for kid in kids:
             down[kid] = vals @ transfer[kid]
         if not kids:
-            t = _cluster_basis((r[lo:hi] - r[lo])[:, None] + off[lo:hi], 0.5 * (r[hi] - r[lo]))[1]
+            t = _cluster_basis((r[lo:hi] - r[lo])[:, None] + off[lo:hi], 0.5 * (r[hi] - r[lo]))
             mass[lo:hi] = (np.einsum("rk,kpa->rpa", vals, t) * weights[:, lo:hi]).sum(axis=0)
     return mass
 

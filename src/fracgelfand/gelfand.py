@@ -155,7 +155,8 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    """Ordered continuation output for one (n, s): points by increasing peak."""
+    """Ordered continuation output for one (n, s): points by increasing peak,
+    with the fold (``fold_index``) no later than the first unstable point."""
 
     params: ProblemParams
     points: list[BranchPoint] = field(default_factory=list)
@@ -169,35 +170,33 @@ class Branch:
         return np.array([pt.lam for pt in self.points])
 
     @property
-    def fold_detected(self) -> bool:
-        """True when lam attains an interior maximum along the branch: a
-        maximum at the first point (a branch that starts past the fold) or at
-        the last (one that stops before it) brackets no fold."""
-        lams = self.lams
-        imax = int(np.argmax(lams)) if lams.size else 0
-        return bool(0 < imax < lams.size - 1 and lams[imax + 1] < lams[imax])
+    def fold_index(self) -> int:
+        """The point nearest the fold: the largest lam up to and including the
+        first point that is not ``stable`` (over all points when every one
+        is), so every point before it is stable."""
+        end = next((i + 1 for i, pt in enumerate(self.points) if not pt.stable), len(self.points))
+        return int(np.argmax(self.lams[:end])) if end else 0
 
     @property
-    def fold_index(self) -> int:
-        return int(np.argmax(self.lams))
+    def fold_detected(self) -> bool:
+        """True when ``fold_index`` is interior and lam falls after it; a
+        branch that starts past the fold or stops before it brackets none."""
+        lams, i = self.lams, self.fold_index
+        return bool(0 < i < lams.size - 1 and lams[i + 1] < lams[i])
 
     @property
     def lambda_star_estimate(self) -> float:
-        """Max computed lam, refined by the vertex of a quadratic fit in m
-        through the three points nearest the fold when one is bracketed."""
+        """When ``fold_detected``, lam at ``fold_index`` refined by the vertex
+        of a quadratic fit in m through it and its neighbours; otherwise only
+        the largest lam traced (nan on an empty branch)."""
         lams = self.lams
-        if lams.size == 0:
-            return math.nan
-        best = float(lams.max())
+        if not self.fold_detected:
+            return float(lams.max()) if lams.size else math.nan
         i = self.fold_index
-        if 0 < i < lams.size - 1:
-            m = self.peaks[i - 1 : i + 2]
-            y = lams[i - 1 : i + 2]
-            coef = np.polyfit(m, y, 2)
-            if coef[0] < 0.0:
-                vertex = float(np.polyval(coef, -coef[1] / (2.0 * coef[0])))
-                best = max(best, vertex)
-        return best
+        coef = np.polyfit(self.peaks[i - 1 : i + 2], lams[i - 1 : i + 2], 2)
+        if coef[0] >= 0.0:
+            return float(lams[i])
+        return max(float(lams[i]), float(np.polyval(coef, -coef[1] / (2.0 * coef[0]))))
 
     def to_csv(self) -> str:
         lines = ["peak,lambda,stability_eig,residual_norm,newton_iters"]

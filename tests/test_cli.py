@@ -101,10 +101,15 @@ def test_non_finite_solver_settings_usage_error(tmp_path, capsys, argv):
 ] + [((*cmd, "--n", n, "--s", s), message)
      for cmd in (("branch",), ("stability", "--peak", "1"), ("diagnose",),
                  ("diagnose", "--singular-residual"))
-     for n, s, message in (("500", "0.5", "overflows"), ("3", "1", "0 < s < 1"))])
+     for n, s, message in (("500", "0.5", "overflows"), ("3", "1", "0 < s < 1"))] + [
+    (("verify-powers", "--n", "1", "--s", "0.5", "--eps-table"), "n > 2s"),
+    (("verify-powers", "--n", "1", "--s", "0.495", "--eps-table"), "eps must lie in"),
+])
 def test_operator_usage_error_before_artifacts(tmp_path, capsys, argv, message):
     # Refused before run_metadata.json, and before a trace that a bad
-    # --sigma would only reject at its end.
+    # --sigma would only reject at its end.  The eps table is computed before
+    # run_metadata.json too: n = 2s has no expansion, and (n - 2s)/2 = 0.005
+    # admits none of its eps.
     assert run(tmp_path, *argv, "--grid", "32") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run_metadata.json").exists()
@@ -265,6 +270,34 @@ def test_branch_past_the_fold_verifies_nothing(tmp_path, capsys):
     data = json.loads((tmp_path / "branch.json").read_text())
     assert len(data["points"]) == 3 and all(p["stability_eig"] < 0.0 for p in data["points"])
     assert data["fold_detected"] is False and data["verify_passed"] is False
+
+
+# (3, 0.5) on graded(64) from m = 3: every point lies past the fold, with
+# mu from -3.3 down to -183, while lam falls to m = 3.5 and turns again at
+# m = 5.5.
+_PAST_THE_FOLD_3D = ("--n", "3", "--s", "0.5", "--grid", "64",
+                     "--peak-min", "3", "--peak-max", "7", "--peak-step", "0.5")
+
+
+def test_branch_past_a_later_turn_verifies_nothing(tmp_path, capsys):
+    # The later turn of lam is not the fold: the fold is bounded by the
+    # first unstable point, here the first point, so none is checked.
+    rc = run(tmp_path, "branch", *_PAST_THE_FOLD_3D, "--verify")
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "fold detected: False" in out and "PASS" not in out
+    assert "lambda* estimate" not in out
+    assert "no fold bracketed; largest lambda traced: 0.88075" in out
+    assert "no branch point below the fold to verify" in out
+    data = json.loads((tmp_path / "branch.json").read_text())
+    assert all(p["stability_eig"] < 0.0 for p in data["points"])
+    assert data["fold_detected"] is False and data["verify_passed"] is False
+
+
+def test_diagnose_past_a_later_turn_detects_no_fold(tmp_path):
+    assert run(tmp_path, "diagnose", *_PAST_THE_FOLD_3D) == 0
+    data = json.loads((tmp_path / "diagnose.json").read_text())
+    assert data["fold_detected"] is False
 
 
 def test_branch_diagnose_sigma_is_usage_error(tmp_path):

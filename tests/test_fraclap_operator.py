@@ -323,7 +323,7 @@ def _direct_moments(nodes, tree, transfer, off, weights, grow):
         if (lo, hi) not in tree:
             yield (lo, hi), None
             continue
-        t = fraclap._cluster_basis((nodes[lo:hi] - nodes[lo]) + off[:, lo:hi], 0.5 * (nodes[hi] - nodes[lo]))[1]
+        t = fraclap._cluster_basis((nodes[lo:hi] - nodes[lo]) + off[:, lo:hi], 0.5 * (nodes[hi] - nodes[lo]))
         moments = np.zeros((kinds, fraclap._CLUSTER_ORDER, hi + 1 - max(lo + 2 - width, 0)))
         for kind in range(kinds):
             w = weights[kind, ..., lo:hi]

@@ -449,6 +449,34 @@ def test_branch_stability_sign_change(branch_1d):
     assert abs(first_negative - branch.fold_index) <= 1
 
 
+def test_points_before_the_fold_are_stable(fold_ladder):
+    # The fold is bounded by the first loss of stability, also on a window
+    # that starts past it, where lam's later turn is no fold.  (3, 0.5)
+    # folds at m = 1.5; past it lam falls to m = 3.5 and turns again at
+    # m = 5.5, every point unstable.
+    cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=RadialGrid.graded(64),
+                             peak_start=0.25, peak_end=7.0, peak_step=0.25)
+    branch_3d = trace_branch(cfg)
+    window = Branch(branch_3d.params, [pt for pt in branch_3d.points if pt.peak >= 3.0])
+    for branch in (fold_ladder[1], branch_3d, window):
+        first_unstable = next(i for i, pt in enumerate(branch.points) if not pt.stable)
+        assert all(pt.stable for pt in branch.points[: branch.fold_index])
+        assert branch.fold_index <= first_unstable
+    assert branch_3d.fold_detected and branch_3d.peaks[branch_3d.fold_index] == 1.5
+    assert window.fold_index == 0 and not window.fold_detected
+
+
+def test_window_past_the_fold_estimates_no_lambda_star():
+    # (3, 0.5) from m = 3: every point is unstable, so lam's turn at m = 5.5
+    # brackets no fold, and the estimate is only the largest lam traced.
+    cfg = ContinuationConfig(params=ProblemParams(3, 0.5), grid=RadialGrid.graded(64),
+                             peak_start=3.0, peak_end=7.0, peak_step=0.5)
+    branch = trace_branch(cfg)
+    assert not any(pt.stable for pt in branch.points)
+    assert not branch.fold_detected
+    assert branch.lambda_star_estimate == branch.lams.max()
+
+
 def test_fold_is_where_the_stability_eigenvalue_vanishes():
     # Newton and the stability pencil share one discretization, the Galerkin
     # energy form, so the fold of lam(m) is where the pencil turns singular:
