@@ -10,14 +10,15 @@ The branch is parametrized by the center value m = u(0) rather than lam: lam
 folds at the extremal parameter, m does not.  Each solve treats lam as an
 extra Newton unknown closed by the center constraint, which keeps the
 augmented Jacobian square and well conditioned through the fold.  Warm starts
-extrapolate (u, lam) along the secant slope the previous point recorded, so a
-point typically costs two Newton iterations.  Each Newton step is a GMRES
-solve preconditioned by the energy form's inverse, which the operator caches
-once; no dense system is factored per iteration.  mu comes from a
-preconditioned Davidson iteration on the same inverse that reads nothing but
-the point and the operator; a trace hands it the pencils of several points
-at once, up to two of fraclap's blocks of basis arrays, which it steps
-together, bit for bit as it would one at a time.
+extrapolate (u, lam) by the polynomial in m through the previous point and
+up to three before it, a cubic along a trace, so a point typically costs one
+Newton iteration.  Each Newton step is a GMRES solve preconditioned by the
+energy form's inverse, which the operator caches once; no dense system is
+factored per iteration.  mu comes from a preconditioned Davidson iteration
+on the same inverse that reads nothing but the point and the operator; a
+trace hands it the pencils of several points at once, up to two of fraclap's
+blocks of basis arrays, which it steps together, bit for bit as it would one
+at a time.
 
 Also provides the diagnostics used to probe the singular regime: the
 log-profile ratio along a branch, the proof-style test function built from a
@@ -142,10 +143,11 @@ class BranchPoint:
     stability_eig: float
     newton_iters: int
     residual_norm: float
-    # (du/dm, dlam/dm) over the step from the warm start this point was
-    # solved from (None after a cold start); solve_at_peak extrapolates along
-    # it from here.  Not serialized.
-    slope: tuple[np.ndarray, float] | None = field(default=None, repr=False, compare=False)
+    # (m, u, lam) of up to three points solved before this one, newest
+    # first, u their own arrays (empty after a cold start): solve_at_peak
+    # extrapolates from here by the polynomial in m through them and this
+    # point.  Not serialized.
+    _predecessors: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def stable(self) -> bool:
@@ -558,6 +560,21 @@ def stability_eigenvalue(op: OperatorMatrix, point: BranchPoint) -> float:
     return mu
 
 
+def _extrapolate(nodes: tuple, m: float) -> tuple[np.ndarray, float]:
+    """(u, lam) at center value m of the polynomial in m through the
+    (m_i, u_i, lam_i) of ``nodes``, at distinct m_i: Newton's divided
+    differences from the first node, evaluated by Horner's rule."""
+    peaks = [node[0] for node in nodes]
+    diffs = [np.append(u, lam) for _, u, lam in nodes]
+    for k in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (peaks[i] - peaks[i - k])
+    value = diffs[-1]
+    for i in range(len(nodes) - 2, -1, -1):
+        value = diffs[i] + (m - peaks[i]) * value
+    return value[:-1], float(value[-1])
+
+
 def _solve_peaks(cfg: ContinuationConfig, peaks: list[float], previous: BranchPoint | None,
                  op: OperatorMatrix | None) -> tuple[list[BranchPoint], tuple | None]:
     """Newton at each center value of ``peaks`` in turn, warm-started from
@@ -585,14 +602,14 @@ def _solve_peaks(cfg: ContinuationConfig, peaks: list[float], previous: BranchPo
             operator = cfg.operator() if op is None else op
             if operator.params != cfg.params or operator.grid != cfg.grid:
                 raise DomainError("operator does not match the config's params and grid")
+            nodes = ()      # (m, u, lam) of the warm start, then of its predecessors
             if previous is not None:
                 if previous.profile.grid != cfg.grid:
                     raise DomainError("warm start lies on another grid than the config's")
                 starts = [(previous.profile.interior, previous.lam)]
-                if previous.slope is not None:
-                    du, dlam = previous.slope
-                    step = m - previous.peak
-                    starts.insert(0, (starts[0][0] + step * du, starts[0][1] + step * dlam))
+                nodes = ((previous.peak, *starts[0]), *previous._predecessors)
+                if previous._predecessors:
+                    starts.insert(0, _extrapolate(nodes, m))
                 # Shift each start to the prescribed center value.
                 starts = [(u0 + (m - operator.grid.origin_value(u0)), lam0) for u0, lam0 in starts]
             else:
@@ -608,12 +625,10 @@ def _solve_peaks(cfg: ContinuationConfig, peaks: list[float], previous: BranchPo
                         raise
             profile = operator.grid.profile(u)
             peak = profile.values[0]
-            slope = None
-            if previous is not None and peak != previous.peak:
-                step = peak - previous.peak
-                slope = ((u - previous.profile.interior) / step, (lam - previous.lam) / step)
             previous = BranchPoint(lam=lam, profile=profile, peak=peak, stability_eig=math.nan,
-                                   newton_iters=iters, residual_norm=fnorm, slope=slope)
+                                   newton_iters=iters, residual_norm=fnorm)
+            # Up to three nodes, all at center values other than this point's.
+            previous._predecessors = tuple(node for node in nodes if node[0] != peak)[:3]
             pending.append((m, previous, mass))
         except (NoConvergenceError, InfeasibleError, GridDepthError) as exc:
             failure = m, exc
@@ -641,13 +656,15 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
     ``cfg.operator()``, or on ``op``, which must match the config's params
     and grid; ``warm_start`` must lie on the config's grid.  Cold starts
     scale the Galerkin torsion S z = b(0).  Warm starts extrapolate (u, lam)
-    linearly in m from the previous point along its recorded secant slope,
-    when it has one, and record their own: so ``trace_branch``, which runs
-    the same Newton solves in a chain, is a secant-predictor continuation.
-    Should Newton fail from the extrapolation, it starts again from the
-    previous point itself, whose failure is the one raised.  The stability
-    eigenvalue is the batched Davidson's on this one pencil, bitwise the
-    value ``trace_branch`` finds in its batches.
+    to m by the polynomial through the previous point and the up to three
+    points it was chained from, at distinct center values: linear from a
+    chain's second point, quadratic from its third, cubic after.  The new
+    point holds its own up to three predecessors, so ``trace_branch``, which
+    runs the same Newton solves in a chain, is a cubic-predictor
+    continuation.  Should Newton fail from the extrapolation, it starts again
+    from the previous point itself, whose failure is the one raised.  The
+    stability eigenvalue is the batched Davidson's on this one pencil,
+    bitwise the value ``trace_branch`` finds in its batches.
     """
     points, failure = _solve_peaks(cfg, [m], warm_start, op)
     if failure:

@@ -259,14 +259,15 @@ def test_krylov_step_matches_a_dense_bordered_solve(fold_ladder, partial_12):
 
 def test_fold_ladder_matches_the_dense_newton(fold_ladder):
     # data/fold_verify_dense_newton.json is the CLI's branch at the data's
-    # argv as an LU solve per Newton step traced it; its mu column is
-    # ``dense_pencil_eig`` at the traced states.  The Krylov step takes the
-    # same iterations at every point and moves lam by roundoff.
+    # argv as ``dense_bordered_solve`` per Newton step traced it, in place
+    # of ``_krylov_step``; its mu column is ``dense_pencil_eig`` at the
+    # traced states.  The Krylov step takes the same iterations at every
+    # point and moves lam by roundoff.
     ref = json.loads((Path(__file__).parent / "data" / "fold_verify_dense_newton.json").read_text())
     _, branch = fold_ladder
     peak, lam, mu, iters = (np.array(col) for col in zip(*ref["points"]))
     assert [pt.newton_iters for pt in branch.points] == iters.tolist()
-    assert iters.sum() == 121
+    assert iters.sum() == 65
     assert np.abs(branch.peaks - peak).max() <= 1e-14
     assert np.abs(branch.lams - lam).max() <= 1e-13
     assert np.abs(np.array([pt.stability_eig for pt in branch.points]) - mu).max() <= 1e-11
@@ -299,9 +300,10 @@ def test_warm_start_agrees_with_cold(branch_1d):
 
 def test_warm_start_chain_replays_trace_branch(operator_cache):
     # Chaining solve_at_peak from each previous point over trace_branch's
-    # peaks must reproduce trace_branch bit for bit: the secant predictor
-    # may use nothing but the warm start.  trace_branch assembles the
-    # config's own operator, which must equal the shared one bit for bit.
+    # peaks must reproduce trace_branch bit for bit: the extrapolation may
+    # use nothing but the warm start and the predecessors it holds.
+    # trace_branch assembles the config's own operator, which must equal the
+    # shared one bit for bit.
     op = operator_cache(1, 0.5, 64)
     cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid, peak_start=0.05,
                              peak_end=3.0, peak_step=0.05)
@@ -313,14 +315,18 @@ def test_warm_start_chain_replays_trace_branch(operator_cache):
     traced = trace_branch(cfg)
     assert traced.fold_detected
     assert chained.to_json() == traced.to_json()
-    assert chained.points[0].slope is None
-    assert all(pt.slope is not None for pt in chained.points[1:])
+    # Each point holds its up to three predecessors' own arrays, no copy.
+    assert [len(pt._predecessors) for pt in chained.points[:5]] == [0, 1, 2, 3, 3]
+    for pt, before in zip(chained.points[1:], chained.points):
+        m, u, lam = pt._predecessors[0]
+        assert (m, lam) == (before.peak, before.lam) and u.base is before.profile.values
+        assert pt._predecessors[1:] == before._predecessors[:2]
 
 
 def test_long_warm_start_step_falls_back_to_the_point(operator_cache, monkeypatch):
-    # Should Newton fail from the secant extrapolation of a jump to m = 3,
-    # past the fold, it starts again from the m = 0.5 point shifted to m.
-    # The first start is made to fail here, whether or not it overshoots.
+    # Should Newton fail from the extrapolation of a jump to m = 3, past the
+    # fold, it starts again from the m = 0.5 point shifted to m.  The first
+    # start is made to fail here, whether or not it overshoots.
     op = operator_cache(1, 0.5, 128)
     cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=op.grid, peak_start=0.25,
                              peak_end=3.0)
@@ -336,16 +342,101 @@ def test_long_warm_start_step_falls_back_to_the_point(operator_cache, monkeypatc
     monkeypatch.setattr(gelfand, "_newton_solve", failing_first)
     far = solve_at_peak(cfg, 3.0, warm_start=near, op=op)
     assert len(calls) == 2
-    du, dlam = near.slope
-    # Each start is shifted to center value 3; for the secant start that
-    # shift is roundoff, since the slope's own center value is 1.
-    secant = near.profile.interior + (3.0 - near.peak) * du
-    assert abs(op.grid.origin_value(secant) - 3.0) < 1e-14
-    assert np.array_equal(calls[0], secant + (3.0 - op.grid.origin_value(secant)))
+    # near holds one predecessor, so the extrapolation is the line through
+    # it and near.  Each start is shifted to center value 3; for the line
+    # that shift is roundoff, since its center values are m.
+    (m0, u0, _), = near._predecessors
+    u1 = near.profile.interior
+    line = u1 + (3.0 - near.peak) * ((u0 - u1) / (m0 - near.peak))
+    assert abs(op.grid.origin_value(line) - 3.0) < 1e-14
+    assert np.array_equal(calls[0], line + (3.0 - op.grid.origin_value(line)))
     assert np.array_equal(calls[1], near.profile.interior + (3.0 - near.peak))
     monkeypatch.undo()
     # The same state as the end of a trace in steps of 0.25.
     assert far.lam == pytest.approx(trace_branch(cfg).points[-1].lam, abs=1e-9)
+
+
+def test_warm_start_extrapolates_by_the_cubic_through_four_points(operator_cache, monkeypatch):
+    # On states cubic in m, at uneven steps, the start from a chain's k-th
+    # point is the polynomial of order min(k - 1, 3) through it and the
+    # points before it: the line from the second, the quadratic from the
+    # third, and from the fourth on the cubic itself.  Newton and the pencil
+    # are stubbed: Newton records its start and returns the exact state.
+    op = operator_cache(1, 0.5, 32)
+    cfg = ContinuationConfig(params=op.params, grid=op.grid, peak_end=2.0)
+    w = np.sin(7.0 * op.grid.interior)
+    w -= op.grid.origin_value(w)               # u(0) = m on every state
+
+    def state(m):
+        return m + (0.2 - m + 0.7 * m**2 - 0.3 * m**3) * w, 0.4 * m - 0.1 * m**2 + 0.05 * m**3
+
+    starts = []
+
+    def exact(op, m, u0, lam0, tol):
+        starts.append((u0, lam0))
+        u, lam = state(m)
+        return u, lam, 0.0, 1, None
+
+    monkeypatch.setattr(gelfand, "_newton_solve", exact)
+    monkeypatch.setattr(gelfand, "_smallest_pencil_eigs", lambda op, pencils: [1.0] * len(pencils))
+    peaks = [0.3, 0.5, 0.9, 1.0, 1.35, 1.4]
+    chain = [solve_at_peak(cfg, peaks[0], op=op)]
+    for m in peaks[1:]:
+        chain.append(solve_at_peak(cfg, m, warm_start=chain[-1], op=op))
+    assert [pt.peak for pt in chain] == pytest.approx(peaks, abs=1e-15)
+
+    def interpolant(nodes, m):
+        # Lagrange's form of the polynomial through the states at nodes.
+        weights = [math.prod((m - b) / (a - b) for b in nodes if b != a) for a in nodes]
+        return tuple(sum(c * v for c, v in zip(weights, vals)) for vals in zip(*map(state, nodes)))
+
+    # Newton succeeds from each first start: one start per solve.  The
+    # second starts from the first point alone, shifted to its m; then the
+    # orders run 1, 2, 3, 3, and only the cubic is exact.
+    assert len(starts) == len(peaks)
+    for k in range(1, len(peaks)):
+        m, nodes = peaks[k], peaks[max(0, k - 4) : k]
+        u, lam = interpolant(nodes, m)
+        u0, lam0 = starts[k]
+        assert np.abs(u0 - (u + (m - op.grid.origin_value(u)))).max() <= 1e-14
+        assert lam0 == pytest.approx(lam, abs=1e-15)
+        exact_u, exact_lam = state(m)
+        assert (np.abs(u0 - exact_u).max() <= 1e-14) == (len(nodes) == 4)
+
+
+def test_a_chain_that_revisits_a_center_value_divides_by_no_zero_step(operator_cache):
+    # A point keeps no predecessor at its own center value: the next
+    # extrapolation's divided differences would divide by a zero step, a
+    # RuntimeWarning, which the suite makes an error.
+    op = operator_cache(1, 0.5, 64)
+    cfg = ContinuationConfig(params=op.params, grid=op.grid, peak_end=3.0)
+    chain = [solve_at_peak(cfg, 0.25, op=op)]
+    for m in (0.5, 0.75, 0.5, 0.5, 0.75, 1.0):
+        chain.append(solve_at_peak(cfg, m, warm_start=chain[-1], op=op))
+    kept = [[m for m, _, _ in pt._predecessors] for pt in chain[3:]]
+    assert kept == [pytest.approx(ms, abs=1e-15) for ms in
+                    ([0.75, 0.25], [0.75, 0.25], [0.5, 0.25], [0.75, 0.5, 0.25])]
+    assert all(pt.residual_norm <= cfg.newton_tol for pt in chain)
+
+
+@pytest.mark.parametrize("n, s, panels, peak_start, peak_end, peak_step, secant", [
+    (3, 0.5, 256, 1.0, 11.0, 1.0, 54),
+    (12, 0.5, 128, 1.0, 8.0, 1.0, 40),
+    (2, 0.9, 256, 0.25, 6.0, 0.25, 56),
+], ids=["3-0.5", "12-0.5", "2-0.9"])
+def test_extrapolation_takes_no_more_newton_iterations_than_the_secant(
+        operator_cache, n, s, panels, peak_start, peak_end, peak_step, secant):
+    # ``secant``: the Newton iterations over the branch when each start was
+    # the line through the warm start and the point before it.  The cubic
+    # takes 52, 38 and 51.
+    op = operator_cache(n, s, panels)
+    cfg = ContinuationConfig(params=op.params, grid=op.grid, peak_start=peak_start,
+                             peak_end=peak_end, peak_step=peak_step)
+    chain = []
+    for m in np.arange(peak_start, peak_end + 0.5 * peak_step, peak_step):
+        chain.append(solve_at_peak(cfg, float(m), warm_start=chain[-1] if chain else None, op=op))
+    assert all(pt.residual_norm <= cfg.newton_tol for pt in chain)
+    assert sum(pt.newton_iters for pt in chain) <= secant
 
 
 def test_invalid_center_value(operator_cache):
