@@ -15,7 +15,8 @@ branch and diagnose share one trace: when continuation stops partway, both
 report the failure on stderr, write their artifacts from the points solved so
 far (diagnose writes none when there are no points), and exit 1.
 
-Exit codes: 0 success, 1 numerical or tolerance failure, 2 usage error.
+Exit codes: 0 success, 1 numerical or tolerance failure (a singular energy
+form among them), 2 usage error.
 """
 
 from __future__ import annotations
@@ -453,15 +454,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except (NoConvergenceError, InfeasibleError, EigenSolveError, GridDepthError,
+            np.linalg.LinAlgError) as exc:      # first: a LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (DomainError, RegimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: run 'fracgelfand {args.subcommand} --help' for valid inputs",
               file=sys.stderr)
         return 2
-    except (NoConvergenceError, InfeasibleError, EigenSolveError, GridDepthError,
-            np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -701,9 +701,13 @@ class OperatorMatrix:
 
         Newton's Krylov steps and the stability pencil precondition by it:
         lam E is a bounded L^2 term next to the energy, so one inverse
-        serves every point of a branch.  The torsion reads it too.
+        serves every point of a branch.  The torsion reads it too.  Where S is
+        singular (zero rows once r^{n-1} underflows) it raises LinAlgError.
         """
-        return _read_only(np.linalg.inv(self.stability_form))
+        try:
+            return _read_only(np.linalg.inv(self.stability_form))
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"energy form S is singular: {exc}") from exc
 
     @functools.cached_property
     def _stability_rows(self) -> tuple[np.ndarray, np.ndarray]:

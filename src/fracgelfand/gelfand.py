@@ -268,8 +268,10 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
     n) on one scale.  ``tol`` bounds the row-relative residual, each row
     against its roundoff scale: max_i |F_i| / (|S| |u| + |lam| |b|)_i.  The
     line search and this bound alone judge convergence; an inexact step only
-    costs iterations.  c^T u = m holds from the start.  Returns u, lam,
-    the residual, the iteration count and (b, E's bands) at u.
+    costs iterations.  The merit keeps D fixed: the row-relative residual
+    rescales rows by the iterate, and as the merit it fails cold starts that
+    converge here or lands them on another lam.  c^T u = m holds from the start.
+    Returns u, lam, the residual, the iteration count and (b, E's bands) at u.
     """
     smat = op.stability_form
     mag, scale = op._stability_rows
@@ -288,16 +290,9 @@ def _newton_solve(op: OperatorMatrix, m: float, u0: np.ndarray, lam0: float,
     fvec, merit, fnorm, mass = residual(u, lam)
     iters = 0
     while not fnorm <= tol and iters < _MAX_NEWTON_ITERS:   # a NaN residual iterates too
-        try:
-            # Non-finite data (e^u overflow) give a non-finite step, which the
-            # line search refuses.
-            with np.errstate(over="ignore", invalid="ignore"):
-                step = _krylov_step(op, lam, mass, -fvec, m - op.grid.origin_value(u))
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(
-                f"singular energy form at center value m={m}",
-                op.grid.profile(u), lam, fnorm, iters,
-            ) from exc
+        # Non-finite data (e^u overflow) give a non-finite step, which the line search refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = _krylov_step(op, lam, mass, -fvec, m - op.grid.origin_value(u))
         t = 1.0
         for _ in range(30):
             u_new = u + t * step[:ni]
@@ -460,8 +455,8 @@ def _smallest_pencil_eigs(op: OperatorMatrix, pencils: list) -> list:
     over the gap, is then below a dense solver's own eps nu.  It also
     stops, exactly, when the basis spans the space.  Non-finite bands (e^u
     overflow), a basis that loses rank, or no convergence within the
-    restarts fail the pencil with EigenSolveError; a singular S raises it
-    for every pencil.
+    restarts fail the pencil with EigenSolveError; a singular S raises
+    the operator's LinAlgError.
 
     The pencils run as one stack, in step: every numpy call takes all of
     them, and each call runs, member by member, the BLAS routine (dot,
@@ -479,10 +474,7 @@ def _smallest_pencil_eigs(op: OperatorMatrix, pencils: list) -> list:
            for ok in finite]
     live = np.flatnonzero(finite)
     smat = op.stability_form
-    try:
-        sinv = op._energy_inverse
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(f"energy form is singular: {exc}") from exc
+    sinv = op._energy_inverse
     _, mass0, mass1 = op.mass
 
     ni = op.n_interior
@@ -549,7 +541,8 @@ def _smallest_pencil_eigs(op: OperatorMatrix, pencils: list) -> list:
 def stability_eigenvalue(op: OperatorMatrix, point: BranchPoint) -> float:
     """Smallest eigenvalue of the stability pencil at a solved point: the
     batched Davidson on this one pencil, bitwise the point's own
-    ``stability_eig``, whichever batch that was solved in."""
+    ``stability_eig``, whichever batch that was solved in; a singular
+    energy form raises LinAlgError, a failed pencil EigenSolveError."""
     if point.profile.grid != op.grid:
         raise DomainError("branch point grid does not match operator grid")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -582,12 +575,17 @@ def _solve_peaks(cfg: ContinuationConfig, peaks: list[float], previous: BranchPo
     of the points, solved together by ``_smallest_pencil_eigs`` as many at a
     time as keep its three basis arrays, at _EIG_FIRST_ROWS rows each,
     within _EIG_STACK_BLOCKS blocks of the operator's temporary budget.
-    Returns the points up to the first center value whose Newton solve or
-    pencil fails, and that (m, error), or None; points past a failed pencil
-    are dropped.  ``solve_at_peak`` documents one solve.
+    Returns the points up to the first center value whose solve (LinAlgError
+    for a singular S) or pencil fails, and that (m, error), or None; points
+    past a failed pencil are dropped.  ``solve_at_peak`` documents one solve.
     """
-    stack = OperatorMatrix._block_rows(3 * _EIG_FIRST_ROWS * (cfg.grid.n_panels - 1),
-                                       _EIG_STACK_BLOCKS)
+    operator = cfg.operator() if op is None else op
+    if operator.params != cfg.params or operator.grid != cfg.grid:
+        raise DomainError("operator does not match the config's params and grid")
+    if previous is not None and previous.profile.grid != cfg.grid:
+        raise DomainError("warm start lies on another grid than the config's")
+    depth = 2.0 * cfg.params.s * math.log(1.0 / cfg.grid.nodes[1])
+    stack = OperatorMatrix._block_rows(3 * _EIG_FIRST_ROWS * operator.n_interior, _EIG_STACK_BLOCKS)
     points: list[BranchPoint] = []
     pending: list = []      # (m, point, (b, E's bands)): solved by Newton, awaiting mu
     failure = None
@@ -595,17 +593,12 @@ def _solve_peaks(cfg: ContinuationConfig, peaks: list[float], previous: BranchPo
         try:
             if not 0.0 < m < math.inf:
                 raise DomainError(f"center value must be positive and finite, got {m}")
-            depth = 2.0 * cfg.params.s * math.log(1.0 / cfg.grid.nodes[1])
             if m > depth:
                 raise GridDepthError(f"center value m={m} is deeper than the grid resolves: "
                                      f"2s log(1/r_1) = {depth:.6g}")
-            operator = cfg.operator() if op is None else op
-            if operator.params != cfg.params or operator.grid != cfg.grid:
-                raise DomainError("operator does not match the config's params and grid")
+            operator._energy_inverse    # a singular S fails here, before any start reads S
             nodes = ()      # (m, u, lam) of the warm start, then of its predecessors
             if previous is not None:
-                if previous.profile.grid != cfg.grid:
-                    raise DomainError("warm start lies on another grid than the config's")
                 starts = [(previous.profile.interior, previous.lam)]
                 nodes = ((previous.peak, *starts[0]), *previous._predecessors)
                 if previous._predecessors:
@@ -630,7 +623,7 @@ def _solve_peaks(cfg: ContinuationConfig, peaks: list[float], previous: BranchPo
             # Up to three nodes, all at center values other than this point's.
             previous._predecessors = tuple(node for node in nodes if node[0] != peak)[:3]
             pending.append((m, previous, mass))
-        except (NoConvergenceError, InfeasibleError, GridDepthError) as exc:
+        except (NoConvergenceError, InfeasibleError, GridDepthError, np.linalg.LinAlgError) as exc:
             failure = m, exc
         if pending and (failure or m == peaks[-1] or len(pending) == stack):
             mus = _smallest_pencil_eigs(operator, [(mass, pt.lam) for _, pt, mass in pending])
@@ -664,7 +657,8 @@ def solve_at_peak(cfg: ContinuationConfig, m: float,
     continuation.  Should Newton fail from the extrapolation, it starts again
     from the previous point itself, whose failure is the one raised.  The
     stability eigenvalue is the batched Davidson's on this one pencil,
-    bitwise the value ``trace_branch`` finds in its batches.
+    bitwise the value ``trace_branch`` finds in its batches.  A singular S
+    raises LinAlgError before any start.
     """
     points, failure = _solve_peaks(cfg, [m], warm_start, op)
     if failure:
@@ -678,8 +672,8 @@ def trace_branch(cfg: ContinuationConfig) -> Branch:
     The chain of ``solve_at_peak`` solves, with the stability pencils
     solved in batches (``_solve_peaks``): every value is bitwise the chain's.
     A failure stops the trace at the first center value whose solve or
-    pencil fails, and ``BranchTraceError`` carries the partial branch of the
-    points before it.
+    pencil fails (a singular energy form fails the first), and
+    ``BranchTraceError`` carries the partial branch of the points before it.
     """
     peaks = np.arange(cfg.peak_start, cfg.peak_end + 0.5 * cfg.peak_step, cfg.peak_step)
     points, failure = _solve_peaks(cfg, peaks.tolist(), None, None)

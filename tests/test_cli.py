@@ -406,6 +406,41 @@ def test_stability_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in err and "budget" not in err
 
 
+def test_stability_inequality_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "stability_inequality_check", lambda *args, **kwargs: (1.0, 0.0))
+    rc = run(tmp_path, "stability", "--n", "1", "--s", "0.5", "--grid", "64", "--peak", "0.5")
+    assert rc == 1
+    assert "FAIL" in capsys.readouterr().out
+    data = json.loads((tmp_path / "stability.json").read_text())
+    assert data["stable"] is True
+    assert data["inequality"]["passed"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("stability", "--n", "200", "--s", "0.5", "--grid", "16", "--peak", "0.5"),
+    ("branch", "--n", "80", "--s", "0.5", "--grid", "256", "--peak-max", "2"),
+    ("diagnose", "--n", "200", "--s", "0.5", "--grid", "16", "--peak-max", "2"),
+])
+def test_singular_energy_form_is_a_numerical_failure(tmp_path, capsys, argv):
+    # r^{n-1} underflows on the innermost panels, where S has rows that are
+    # exactly zero.  numpy's LinAlgError is a ValueError, but not a usage error.
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert "energy form S is singular" in err and "--help" not in err
+    if argv[0] == "stability":
+        assert "numerical failure" in err
+    else:       # a trace that fails at its first point
+        assert "solver failure" in err and "partial branch with 0 points" in err
+    written = {path.name for path in tmp_path.iterdir()}
+    if argv[0] == "branch":
+        data = json.loads((tmp_path / "branch.json").read_text())
+        assert data["points"] == [] and data["fold_detected"] is False
+        assert written == {"run_metadata.json", "branch.json", "branch.csv",
+                           "bifurcation.dat", "bifurcation.gp"}
+    else:
+        assert written == {"run_metadata.json"}
+
+
 def test_diagnose_singular_residual(tmp_path, capsys):
     rc = run(tmp_path, "diagnose", "--n", "3", "--s", "0.5", "--grid", "96",
              "--singular-residual")

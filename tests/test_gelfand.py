@@ -509,6 +509,46 @@ def test_overflowing_start_is_not_converged(operator_cache):
         _newton_solve(op, 0.5, hot, 1.0, 1e-12)
 
 
+def test_newton_budget_is_typed(monkeypatch):
+    # One iteration from the scaled torsion leaves the residual far above
+    # the tolerance: the error names the budget and carries the last iterate.
+    monkeypatch.setattr(gelfand, "_MAX_NEWTON_ITERS", 1)
+    cfg = ContinuationConfig(params=ProblemParams(1, 0.5), grid=RadialGrid.graded(64))
+    with pytest.raises(NoConvergenceError, match="in 1 iterations") as excinfo:
+        solve_at_peak(cfg, 1.0)
+    assert excinfo.value.iterations == 1
+    assert excinfo.value.residual_norm == pytest.approx(3.6e-3, rel=0.01)
+    assert excinfo.value.profile.values[0] == pytest.approx(1.0, abs=1e-12)
+
+
+# At (200, 0.5) on graded(16), r^{n-1} underflows on the innermost panels and
+# the energy form has two rows that are exactly zero.
+SINGULAR = ContinuationConfig(params=ProblemParams(200, 0.5), grid=RadialGrid.graded(16))
+
+
+def test_singular_energy_form_stops_a_trace_at_its_first_point():
+    assert not SINGULAR.operator().stability_form.any(axis=1).all()
+    with pytest.raises(BranchTraceError, match="energy form S is singular") as excinfo:
+        trace_branch(SINGULAR)
+    assert excinfo.value.partial.points == []
+    assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("case", ["cold", "warm", "stability_eigenvalue"])
+def test_singular_energy_form_raises_lin_alg_error(case):
+    # Under the suite's RuntimeWarning filter: a warm start on a fresh operator
+    # reads S^{-1} before Newton's row factors divide by S's zero rows.
+    point = solve_at_peak(ContinuationConfig(params=ProblemParams(1, 0.5), grid=SINGULAR.grid), 0.5)
+    fresh = fraclap.OperatorMatrix(params=SINGULAR.params, grid=SINGULAR.grid)
+    with pytest.raises(np.linalg.LinAlgError, match="energy form S is singular"):
+        if case == "cold":
+            solve_at_peak(SINGULAR, 0.5)
+        elif case == "warm":
+            solve_at_peak(SINGULAR, 0.75, warm_start=point, op=fresh)
+        else:
+            stability_eigenvalue(fresh, point)
+
+
 def test_branch_fold_and_extremal_estimate(branch_1d):
     _, branch = branch_1d
     assert np.all(np.diff(branch.peaks) > 0.0)
